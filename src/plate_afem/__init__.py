@@ -7,20 +7,46 @@ structural identities behind the method: the Hessian mean-projection
 property of the nonconforming interpolation, the discrete splitting of
 piecewise constant symmetric tensor fields, two-sided eigenvalue bounds
 and principal subspace angles.
+
+The public names below are imported from their submodules on first use
+(PEP 562), so importing the package or its CLI does not load numpy; the
+CLI caps the linear-algebra thread pools before numpy starts them.
 """
 
-from .afem import (AfemConfig, AfemTrace, convergence_rate,
-                   reference_eigenvalues, run_afem, uniform_trace)
-from .assembly import (SymSparseMatrix, assemble_mass, assemble_stiffness,
-                       osc_k, project_pk, solve_linear)
-from .eigen import (ClusterSolution, SeparationReport, lower_bound,
-                    principal_angle, separation, solve_gevp)
-from .estimator import EstimatorField, MarkSet, dorfler_mark, estimate
-from .helmholtz import XSpace, build_xspace, decompose, dimension_audit
-from .mesh import (BoundaryPart, Triangulation, build_mesh, load_mesh,
-                   lshape_mesh, preset_mesh, refine_nvb, save_mesh,
-                   square_mesh, uniform_refine)
-from .space import (BrokenFunction, MorleySpace, build_space, dof_functional,
-                    evaluate_broken, morley_interpolate, prolong_to_fine)
+import importlib
 
+_EXPORTS = {
+    "afem": ("AfemConfig", "AfemTrace", "convergence_rate",
+             "reference_eigenvalues", "run_afem", "uniform_trace"),
+    "assembly": ("SymSparseMatrix", "assemble_mass", "assemble_stiffness",
+                 "osc_k", "project_pk", "solve_linear"),
+    "eigen": ("ClusterSolution", "SeparationReport", "lower_bound",
+              "principal_angle", "separation", "solve_gevp"),
+    "estimator": ("EstimatorField", "MarkSet", "dorfler_mark", "estimate"),
+    "helmholtz": ("XSpace", "build_xspace", "decompose", "dimension_audit"),
+    "mesh": ("BoundaryPart", "Triangulation", "build_mesh", "load_mesh",
+             "lshape_mesh", "preset_mesh", "refine_nvb", "save_mesh",
+             "square_mesh", "uniform_refine"),
+    "space": ("BrokenFunction", "MorleySpace", "build_space", "dof_functional",
+              "evaluate_broken", "morley_interpolate", "prolong_to_fine"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:        # submodule, as the eager imports used to bind
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import assembly, eigen, estimator
 from .mesh import Triangulation, preset_mesh, refine_nvb, uniform_refine
-from .space import MorleySpace, build_space, hessians, prolong_to_fine
+from .space import (MorleySpace, affine_kernel_dimension, build_space,
+                    hessians, prolong_to_fine)
 
 __all__ = [
     "AfemConfig",
@@ -173,6 +174,19 @@ def read_trace_csv(path):
     return {name: data[:, k] for k, name in enumerate(header)}
 
 
+def _initial_mesh_without_rigid_modes(config):
+    # decided from the boundary alone, so the dense and the sparse eigen
+    # paths reject the same configs; refinement keeps the boundary parts
+    mesh = config.initial_mesh()
+    rigid = affine_kernel_dimension(mesh)
+    if rigid > 0:
+        raise ConfigError(
+            f"the boundary conditions leave {rigid} rigid-body mode(s) "
+            "(affine functions) in the space, so the plate has a zero "
+            "eigenvalue: clamp or support more of the boundary")
+    return mesh
+
+
 def _solve_level(space, config, reference=None):
     t0 = time.perf_counter()
     A = assembly.assemble_stiffness(space)
@@ -217,7 +231,7 @@ def run_afem(config: AfemConfig, reference=None) -> AfemTrace:
     ClusterSplitError when the configured window cuts a numerically multiple
     eigenvalue.
     """
-    mesh = config.initial_mesh()
+    mesh = _initial_mesh_without_rigid_modes(config)
     trace = AfemTrace(config=config)
     level = 0
     while True:
@@ -242,7 +256,7 @@ def run_afem(config: AfemConfig, reference=None) -> AfemTrace:
 
 def uniform_trace(config: AfemConfig) -> AfemTrace:
     """Uniform-refinement counterpart of ``run_afem`` with the same records."""
-    mesh = config.initial_mesh()
+    mesh = _initial_mesh_without_rigid_modes(config)
     trace = AfemTrace(config=config)
     level = 0
     while True:

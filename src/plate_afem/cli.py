@@ -96,11 +96,7 @@ def _cmd_run(args):
     except json.JSONDecodeError as exc:
         print(f"malformed config: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    try:
-        config = afem.AfemConfig.from_dict(doc)
-    except afem.ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+    config = afem.AfemConfig.from_dict(doc)
     if args.deterministic:
         config.deterministic = True
 
@@ -266,6 +262,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _configure_threads(getattr(args, "deterministic", False))
 
+    from .afem import ConfigError
     from .assembly import SingularSystemError
     from .eigen import EigenError
     from .helmholtz import HelmholtzError
@@ -280,6 +277,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except ConfigError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     except (MeshError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -22,6 +22,7 @@ __all__ = [
     "BrokenFunction",
     "SpaceError",
     "build_space",
+    "affine_kernel_dimension",
     "dof_functional",
     "morley_interpolate",
     "evaluate_broken",
@@ -111,9 +112,7 @@ class MorleySpace:
 
     def _number_dofs(self):
         mesh = self.mesh
-        constrained_v = mesh.vertices_on(BoundaryPart.CLAMPED,
-                                         BoundaryPart.SIMPLY_SUPPORTED)
-        constrained_e = mesh.edge_tags == BoundaryPart.CLAMPED
+        constrained_v, constrained_e = _constrained_dofs(mesh)
 
         self.vertex_dof = np.full(mesh.num_vertices, -1, dtype=np.int64)
         free_v = np.nonzero(~constrained_v)[0]
@@ -201,6 +200,37 @@ class MorleySpace:
 def build_space(mesh: Triangulation) -> MorleySpace:
     """Build the Morley space with eliminated boundary constraints."""
     return MorleySpace(mesh)
+
+
+def _constrained_dofs(mesh):
+    """Masks of the vertices and edges whose DOFs the boundary eliminates."""
+    constrained_v = mesh.vertices_on(BoundaryPart.CLAMPED,
+                                     BoundaryPart.SIMPLY_SUPPORTED)
+    constrained_e = mesh.edge_tags == BoundaryPart.CLAMPED
+    return constrained_v, constrained_e
+
+
+def affine_kernel_dimension(mesh: Triangulation) -> int:
+    """Dimension of the affine functions left in the Morley space on ``mesh``.
+
+    These are the rigid-body modes, the kernel of the stiffness form.  An
+    affine ``a + b x + c y`` lies in the space when every eliminated DOF of
+    it vanishes: ``[1, x, y]`` at each constrained vertex and the normal
+    derivative ``[0, n_x, n_y]`` on each clamped edge.  The result is 3
+    minus the rank of those rows, computed from the boundary alone.
+    """
+    constrained_v, constrained_e = _constrained_dofs(mesh)
+    centre = mesh.vertices.mean(axis=0)
+    scale = np.ptp(mesh.vertices, axis=0).max()
+    xy = (mesh.vertices[constrained_v] - centre) / scale
+    rows = np.vstack([
+        np.column_stack([np.ones(len(xy)), xy]),
+        np.column_stack([np.zeros(int(constrained_e.sum())),
+                         mesh.edge_normals[constrained_e]]),
+    ])
+    if len(rows) == 0:
+        return 3
+    return 3 - int(np.linalg.matrix_rank(rows))
 
 
 def broken_from_coeffs(space: MorleySpace, u) -> BrokenFunction:

@@ -120,6 +120,51 @@ class TestRunAfem:
         assert len(cols["ndof"]) == len(tr.levels)
 
 
+RIGID_BCS = [
+    ("square", ["simply_supported", "free", "free", "free"]),
+    ("square", "free"),
+    ("lshape", ["free", "simply_supported", "free", "free", "free", "free"]),
+    ("lshape", "free"),
+]
+
+
+class TestRigidBodyGuard:
+    @pytest.mark.parametrize("geometry, bc", RIGID_BCS)
+    @pytest.mark.parametrize("dense_cutoff", [10 ** 9, 1])
+    def test_rigid_configs_rejected_on_both_paths(self, geometry, bc,
+                                                   dense_cutoff):
+        cfg = AfemConfig(geometry=geometry, bc=bc, max_levels=3,
+                         dense_cutoff=dense_cutoff)
+        with pytest.raises(ConfigError, match="rigid-body"):
+            afem.run_afem(cfg)
+
+    def test_rigid_config_rejected_by_uniform_trace(self):
+        cfg = AfemConfig(geometry="square", bc="free", max_levels=1)
+        with pytest.raises(ConfigError):
+            afem.uniform_trace(cfg)
+
+    @pytest.mark.parametrize("geometry, bc", [
+        (g, bc) for g in ("square", "lshape", "triangle")
+        for bc in ("clamped", "simply_supported", "mixed")
+        if not (g == "triangle" and bc == "mixed")
+    ] + RIGID_BCS + [
+        ("triangle", "free"),
+        ("square", ["clamped", "free", "free", "free"]),
+        ("square", ["free", "simply_supported", "free", "simply_supported"]),
+        ("square", ["free", "simply_supported", "simply_supported", "free"]),
+        ("lshape", ["simply_supported", "free", "free", "free", "free",
+                    "simply_supported"]),
+        ("lshape", ["free", "free", "simply_supported", "free", "free", "free"]),
+        ("lshape", ["free", "clamped", "free", "free", "free", "free"]),
+        ("triangle", ["simply_supported", "free", "free"]),
+        ("triangle", ["free", "simply_supported", "simply_supported"]),
+    ])
+    def test_affine_kernel_matches_stiffness_kernel(self, geometry, bc):
+        m = msh.uniform_refine(msh.preset_mesh(geometry, bc))
+        assert sp.affine_kernel_dimension(m) == \
+            asm.stiffness_kernel_dimension(sp.build_space(m))
+
+
 class TestRates:
     def test_synthetic_inverse_ndof(self):
         nd = np.array([10, 20, 40, 80, 160, 320])

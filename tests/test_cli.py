@@ -148,6 +148,29 @@ class TestConsoleScript:
         assert result.returncode == 0, result.stderr
 
 
+class TestThreadCap:
+    def test_cli_import_does_not_load_numpy(self):
+        # the thread-pool caps only take effect if numpy starts after them
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, plate_afem.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+
+class TestRigidBodyExit:
+    def test_rigid_body_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "geometry": "square",
+            "bc": ["simply_supported", "free", "free", "free"],
+        }))
+        assert run_cli(["run", "--config", str(cfg),
+                        "--out", str(tmp_path / "t.csv")]) == 2
+        assert "rigid-body" in capsys.readouterr().err
+
+
 class TestNumericalFailureExit:
     def test_window_too_large_exit_3(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,8 +59,14 @@ class TestSolveGevp:
         assert np.abs(overlap - 1.0).max() <= 1e-9
 
     def test_not_spd_mass_rejected(self):
-        with pytest.raises(EigenError):
-            eig.solve_gevp(np.eye(2), np.diag([1.0, -1.0]), 2)
+        # dense path: the generalized solver's factorization of M detects it
+        for n, count in ((2, 2), (6, 2)):
+            M = np.eye(n)
+            M[n // 2, n // 2] = -1.0
+            with pytest.raises(EigenError,
+                               match="mass matrix is not positive definite"):
+                eig.solve_gevp(np.diag(np.arange(1.0, n + 1.0)), M, count,
+                               dense_cutoff=10 ** 9)
 
     def test_count_out_of_range(self):
         with pytest.raises(EigenError):
@@ -76,15 +83,30 @@ class TestSolveGevp:
         assert sol.b_orthonormality_residual <= 1e-10
 
     def test_sparse_path_matches_dense(self):
-        m = msh.square_mesh("clamped")
-        for _ in range(3):
-            m = msh.uniform_refine(m)
-        S = sp.build_space(m)
-        A, M = asm.assemble_stiffness(S), asm.assemble_mass(S)
-        dense = eig.solve_gevp(A, M, 5, dense_cutoff=10 ** 9)
-        sparse = eig.solve_gevp(A, M, 5, dense_cutoff=1)
-        assert np.abs(dense.eigenvalues - sparse.eigenvalues).max() <= \
-            1e-8 * np.abs(dense.eigenvalues).max()
+        # clamped square (ndof 225) and mixed L-shape (ndof 3087)
+        for geometry, bc, refinements in (("square", "clamped", 3),
+                                          ("lshape", "mixed", 4)):
+            m = msh.preset_mesh(geometry, bc)
+            for _ in range(refinements):
+                m = msh.uniform_refine(m)
+            S = sp.build_space(m)
+            A = asm.assemble_stiffness(S).full()
+            M = asm.assemble_mass(S).full()
+            dense = eig.solve_gevp(A, M, 5, dense_cutoff=10 ** 9)
+            sparse = eig.solve_gevp(A, M, 5, dense_cutoff=1)
+            # the dense path is accurate to about eps * lambda_max / lambda
+            # (2e-9 on the L-shape), so agreement is checked at 1e-8 ...
+            assert np.abs(dense.eigenvalues - sparse.eigenvalues).max() <= \
+                1e-8 * np.abs(dense.eigenvalues).max()
+            R = np.linalg.cholesky(M.toarray()).T
+            assert eig.sin_max_angle(R @ dense.vectors,
+                                     R @ sparse.vectors) <= 1e-8
+            # ... and the sparse eigenvalues are certified to 1e-10 relative
+            # by |lambda - lambda_true| <= ||A v - lambda M v||_{M^-1}
+            r = A @ sparse.vectors - (M @ sparse.vectors) * sparse.eigenvalues
+            Mlu = spla.splu(M.tocsc())
+            bound = np.sqrt(np.einsum("ik,ik->k", r, Mlu.solve(r)))
+            assert (bound / sparse.eigenvalues).max() <= 1e-10
 
     def test_window_slicing(self):
         rng = np.random.default_rng(3)
