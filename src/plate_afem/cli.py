@@ -260,7 +260,11 @@ def _version():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _configure_threads(getattr(args, "deterministic", False))
+    try:
+        _configure_threads(getattr(args, "deterministic", False))
+    except ValueError as exc:  # only a non-integer PLATE_AFEM_THREADS
+        print(f"invalid input: PLATE_AFEM_THREADS: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
 
     from .afem import ConfigError
     from .assembly import SingularSystemError

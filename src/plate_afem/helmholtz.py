@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as dla
+import scipy.sparse as sparse
 
 from .mesh import BoundaryPart, Triangulation
-from .space import MorleySpace
+from .space import MorleySpace, _p1_gradients
 
 __all__ = [
     "XSpace",
@@ -60,14 +61,6 @@ class XSpace:
     def nodal(self, coeffs) -> np.ndarray:
         """Nodal (N, 2) representation of a coefficient vector."""
         return (self.basis @ np.asarray(coeffs, dtype=float)).reshape(-1, 2)
-
-
-def _p1_gradients(mesh):
-    p = mesh.vertices[mesh.triangles]
-    ones = np.ones((mesh.num_triangles, 3, 1))
-    A = np.concatenate([ones, p], axis=2)
-    coef = np.linalg.inv(A)
-    return coef[:, 1:, :].transpose(0, 2, 1)      # (T, 3, 2)
 
 
 def build_xspace(mesh: Triangulation) -> XSpace:
@@ -181,22 +174,32 @@ def hessian_map(space: MorleySpace) -> np.ndarray:
     """Dense (3#T, ndof) matrix of weighted broken Hessians of the basis."""
     mesh = space.mesh
     out = np.zeros((3 * mesh.num_triangles, space.ndof))
-    W = _tensor_weights(mesh)                            # (T, 3)
-    feats = space.basis_hessians * W[:, None, :]         # (T, 6, 3)
-    for t in range(mesh.num_triangles):
-        for i in range(6):
-            dof = space.cell_dofs[t, i]
-            if dof >= 0:
-                out[3 * t: 3 * t + 3, dof] += feats[t, i]
+    feats = space.basis_hessians * _tensor_weights(mesh)[:, None, :]  # (T, 6, 3)
+    t, i = np.nonzero(space.cell_dofs >= 0)
+    # a triangle's six DOFs are distinct, so every (row, column) is set once
+    out[3 * t[:, None] + np.arange(3), space.cell_dofs[t, i][:, None]] = feats[t, i]
     return out
 
 
 def sym_curl_map(xspace: XSpace) -> np.ndarray:
-    """Dense (3#T, dim) matrix of weighted symmetric Curls of the basis."""
+    """Dense (3#T, dim) matrix of weighted symmetric Curls of the basis.
+
+    The basis is mapped by one sparse (3#T, 2#N) operator: with
+    D[i, d] = d beta_i / dx_d on a triangle, the components are
+    s11 = -D[0, 1], s22 = D[1, 0] and s12 = (D[0, 0] - D[1, 1]) / 2.
+    """
     mesh = xspace.mesh
-    cols = [tensor_features(mesh, sym_curl(mesh, xspace.basis[:, k]))
-            for k in range(xspace.dim)]
-    return np.stack(cols, axis=1) if cols else np.zeros((3 * mesh.num_triangles, 0))
+    g = _p1_gradients(mesh)                              # (T, 3, 2)
+    w = _tensor_weights(mesh)[:, :, None]                # (T, 3, 1)
+    vals = np.stack([-w[:, 0] * g[:, :, 1], w[:, 1] * g[:, :, 0],
+                     0.5 * w[:, 2] * g[:, :, 0], -0.5 * w[:, 2] * g[:, :, 1]],
+                    axis=1)                              # (T, 4, 3)
+    rows = 3 * np.arange(mesh.num_triangles)[:, None, None] + np.array([0, 1, 2, 2])[:, None]
+    cols = 2 * mesh.triangles[:, None, :] + np.array([0, 1, 0, 1])[:, None]
+    S = sparse.csr_matrix(
+        (vals.ravel(), (np.broadcast_to(rows, vals.shape).ravel(), cols.ravel())),
+        shape=(3 * mesh.num_triangles, 2 * mesh.num_vertices))
+    return S @ xspace.basis
 
 
 @dataclass
@@ -222,9 +225,6 @@ def decompose(space: MorleySpace, xspace: XSpace, sigma) -> DecompositionResult:
     if sigma.shape != (mesh.num_triangles, 3):
         raise HelmholtzError("sigma must have shape (#T, 3)")
     B = np.hstack([hessian_map(space), sym_curl_map(xspace)])
-    if B.shape[1] != 3 * mesh.num_triangles:
-        # solve anyway; the audit reports the mismatch separately
-        pass
     target = tensor_features(mesh, sigma)
     sol, _, rank, _ = np.linalg.lstsq(B, target, rcond=None)
     if rank < 3 * mesh.num_triangles:

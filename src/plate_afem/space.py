@@ -27,7 +27,6 @@ __all__ = [
     "morley_interpolate",
     "evaluate_broken",
     "prolong_to_fine",
-    "broken_from_coeffs",
     "hessians",
     "poly_shift",
     "save_coefficients",
@@ -42,7 +41,9 @@ class SpaceError(Exception):
 
 
 class BrokenFunction:
-    """Piecewise quadratic on a triangulation, centroid-frame coefficients."""
+    """Piecewise quadratic on a triangulation, centroid-frame coefficients.
+
+    ``value`` and ``gradient`` take one triangle, or one triangle per point."""
 
     def __init__(self, mesh: Triangulation, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -53,13 +54,13 @@ class BrokenFunction:
 
     def value(self, t, points):
         d = np.atleast_2d(points) - self.mesh.centroids[t]
-        c = self.coeffs[t]
+        c = self.coeffs[t].T
         return (c[0] + c[1] * d[:, 0] + c[2] * d[:, 1] + c[3] * d[:, 0] ** 2
                 + c[4] * d[:, 0] * d[:, 1] + c[5] * d[:, 1] ** 2)
 
     def gradient(self, t, points):
         d = np.atleast_2d(points) - self.mesh.centroids[t]
-        c = self.coeffs[t]
+        c = self.coeffs[t].T
         gx = c[1] + 2.0 * c[3] * d[:, 0] + c[4] * d[:, 1]
         gy = c[2] + c[4] * d[:, 0] + 2.0 * c[5] * d[:, 1]
         return np.stack([gx, gy], axis=-1)
@@ -85,6 +86,13 @@ def poly_shift(coeffs, delta):
     out[..., 1] = c[..., 1] + 2.0 * c[..., 3] * dx + c[..., 4] * dy
     out[..., 2] = c[..., 2] + c[..., 4] * dx + 2.0 * c[..., 5] * dy
     return out
+
+
+def _p1_gradients(mesh):
+    """(T, 3, 2) gradients of the barycentric coordinates of every triangle."""
+    A = np.concatenate([np.ones((mesh.num_triangles, 3, 1)),
+                        mesh.vertices[mesh.triangles]], axis=2)  # rows (1, x, y)
+    return np.linalg.inv(A)[:, 1:, :].transpose(0, 2, 1)  # columns: nodal functions
 
 
 _LAMBDA_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0))
@@ -130,11 +138,7 @@ class MorleySpace:
 
     def _build_basis(self):
         mesh = self.mesh
-        p = mesh.vertices[mesh.triangles]            # (T, 3, 2)
-        ones = np.ones((mesh.num_triangles, 3, 1))
-        A = np.concatenate([ones, p], axis=2)        # rows (1, x, y) per vertex
-        coef = np.linalg.inv(A)                      # columns: affine nodal functions
-        grads = coef[:, 1:, :].transpose(0, 2, 1)    # (T, 3, 2) gradients of lambda_i
+        grads = _p1_gradients(mesh)                  # (T, 3, 2) gradients of lambda_i
 
         # DOF matrix of the barycentric monomials lam_a * lam_b
         D = np.zeros((mesh.num_triangles, 6, 6))
@@ -233,10 +237,6 @@ def affine_kernel_dimension(mesh: Triangulation) -> int:
     return 3 - int(np.linalg.matrix_rank(rows))
 
 
-def broken_from_coeffs(space: MorleySpace, u) -> BrokenFunction:
-    return space.to_broken(u)
-
-
 # -- DOF functionals -----------------------------------------------------------
 
 
@@ -253,15 +253,6 @@ def _callable_pair(v):
     raise SpaceError("expected a BrokenFunction or a (value, gradient) pair")
 
 
-def _vertex_value_broken(bf: BrokenFunction, z):
-    # Morley functions are single valued at vertices; average adjacent
-    # traces so generic broken inputs are treated symmetrically
-    mesh = bf.mesh
-    tris = np.nonzero((mesh.triangles == z).any(axis=1))[0]
-    vals = [bf.value(t, mesh.vertices[z])[0] for t in tris]
-    return float(np.mean(vals))
-
-
 def _edge_mean_normal_derivative_callable(mesh, f_grad, edge):
     a = mesh.vertices[mesh.edges[edge, 0]]
     b = mesh.vertices[mesh.edges[edge, 1]]
@@ -272,44 +263,61 @@ def _edge_mean_normal_derivative_callable(mesh, f_grad, edge):
     return float(np.sum(w * (grads @ nu)))
 
 
-def _subedges_on(mesh_fine, a, b, tol):
-    """Fine edges that partition the segment [a, b], with their parameters."""
-    d = b - a
-    L2 = d @ d
-    rel = mesh_fine.vertices - a
-    cross = np.abs(d[0] * rel[:, 1] - d[1] * rel[:, 0]) / np.sqrt(L2)
-    s = rel @ d / L2
-    on = (cross <= tol) & (s >= -tol) & (s <= 1.0 + tol)
-    verts = np.nonzero(on)[0]
-    vset = set(int(z) for z in verts)
-    keys = np.sort(mesh_fine.edges, axis=1)
-    hits = [f for f, (i, j) in enumerate(keys)
-            if int(i) in vset and int(j) in vset]
-    return hits
+def _subedges(fine, coarse, amap):
+    """Fine edges that lie on a coarse edge, and that coarse edge.
+
+    A fine edge on a coarse edge ``e`` bounds a fine triangle whose ancestor
+    has ``e`` among its three edges, so only those three are tested: both
+    endpoints within ``1e-12 * scale`` of the segment.
+    """
+    cand = coarse.tri_edges[amap[fine.edge_tris[:, 0]]]             # (F, 3)
+    a = coarse.vertices[coarse.edges[cand, 0]]                      # (F, 3, 2)
+    d = coarse.vertices[coarse.edges[cand, 1]] - a
+    L2 = np.einsum("fkd,fkd->fk", d, d)[..., None]
+    rel = fine.vertices[fine.edges][:, None, :, :] - a[:, :, None, :]  # (F, 3, 2, 2)
+    cross = np.abs(d[:, :, None, 0] * rel[..., 1]
+                   - d[:, :, None, 1] * rel[..., 0]) / np.sqrt(L2)
+    s = np.einsum("fkd,fked->fke", d, rel) / L2
+    tol = 1e-12 * max(np.max(np.abs(coarse.vertices)), 1.0)
+    on = ((cross <= tol) & (s >= -tol) & (s <= 1.0 + tol)).all(axis=2)
+    hit = on.any(axis=1)
+    return np.nonzero(hit)[0], cand[hit, on[hit].argmax(axis=1)]
 
 
-def _edge_mean_normal_derivative_broken(space, bf, edge):
-    coarse = space.mesh
-    fine = bf.mesh
-    a = coarse.vertices[coarse.edges[edge, 0]]
-    b = coarse.vertices[coarse.edges[edge, 1]]
-    nu = coarse.edge_normals[edge]
-    if fine is coarse:
-        sub = [edge]
-    else:
-        scale = max(np.max(np.abs(coarse.vertices)), 1.0)
-        sub = _subedges_on(fine, a, b, 1e-12 * scale)
-        if not sub:
-            raise SpaceError("edge is not resolved by the fine mesh")
-    total = 0.0
-    for f in sub:
-        mid = fine.edge_midpoints[f]
-        # normal derivative is affine per side; the midpoint value is its
-        # mean, averaged over the (at most two) one-sided traces
-        tris = fine.edge_patch(f)
-        dn = np.mean([bf.gradient(t, mid)[0] @ nu for t in tris])
-        total += fine.edge_lengths[f] * dn
-    return total / coarse.edge_lengths[edge]
+def _broken_dof_values(space, bf):
+    """All DOF values of a broken quadratic on the space's mesh or a refinement.
+
+    A vertex DOF is the mean of the traces of all adjacent fine triangles
+    (refinement keeps the coarse vertex numbers).  An edge DOF is
+    sum |f| * (mean one-sided normal derivative at the midpoint of f) / |e|
+    over the fine sub-edges f of the coarse edge e; the normal derivative is
+    affine per side, so the midpoint value is its mean along f.
+    """
+    coarse, fine = space.mesh, bf.mesh
+    amap = ancestor_map(fine, coarse)  # raises unless a refinement
+    out = np.zeros(space.ndof)
+
+    verts = fine.triangles.ravel()
+    traces = bf.value(np.repeat(np.arange(fine.num_triangles), 3), fine.vertices[verts])
+    mean = np.bincount(verts, weights=traces) / np.bincount(verts)
+    free_v = np.nonzero(space.vertex_dof >= 0)[0]
+    out[space.vertex_dof[free_v]] = mean[free_v]
+
+    f, parent = _subedges(fine, coarse, amap)
+    mid = fine.edge_midpoints[f]
+    nu = coarse.edge_normals[parent]
+    plus, minus = fine.edge_tris[f, 0], fine.edge_tris[f, 1]
+    dn = np.einsum("fd,fd->f", bf.gradient(plus, mid), nu)
+    two = minus >= 0
+    dn[two] = (dn[two] + np.einsum("fd,fd->f", bf.gradient(minus[two], mid[two]),
+                                   nu[two])) / 2.0
+    total = np.bincount(parent, weights=fine.edge_lengths[f] * dn,
+                        minlength=coarse.num_edges)
+    free_e = np.nonzero(space.edge_dof >= 0)[0]
+    if np.any(np.bincount(parent, minlength=coarse.num_edges)[free_e] == 0):
+        raise SpaceError("edge is not resolved by the fine mesh")
+    out[space.edge_dof[free_e]] = total[free_e] / coarse.edge_lengths[free_e]
+    return out
 
 
 def dof_functional(space: MorleySpace, dof: int, v) -> float:
@@ -322,38 +330,14 @@ def dof_functional(space: MorleySpace, dof: int, v) -> float:
     """
     if not 0 <= dof < space.ndof:
         raise SpaceError("DOF index out of range")
+    if isinstance(v, BrokenFunction):
+        return float(_broken_dof_values(space, v)[dof])
+    f, grad = _callable_pair(v)
     if dof < space.num_vertex_dofs:
         z = int(np.nonzero(space.vertex_dof == dof)[0][0])
-        if isinstance(v, BrokenFunction):
-            return _vertex_value_broken(v, z)
-        f, _ = _callable_pair(v)
         return float(f(space.mesh.vertices[z]))
     edge = int(np.nonzero(space.edge_dof == dof)[0][0])
-    if isinstance(v, BrokenFunction):
-        return _edge_mean_normal_derivative_broken(space, v, edge)
-    _, grad = _callable_pair(v)
     return _edge_mean_normal_derivative_callable(space.mesh, grad, edge)
-
-
-def _all_dof_values(space, v):
-    mesh = space.mesh
-    out = np.zeros(space.ndof)
-    if isinstance(v, BrokenFunction):
-        if v.mesh is not mesh:
-            ancestor_map(v.mesh, mesh)  # raises unless a refinement
-        for z in np.nonzero(space.vertex_dof >= 0)[0]:
-            out[space.vertex_dof[z]] = _vertex_value_broken(v, int(z))
-        for f in np.nonzero(space.edge_dof >= 0)[0]:
-            out[space.edge_dof[f]] = _edge_mean_normal_derivative_broken(
-                space, v, int(f))
-        return out
-    fval, grad = _callable_pair(v)
-    for z in np.nonzero(space.vertex_dof >= 0)[0]:
-        out[space.vertex_dof[z]] = float(fval(mesh.vertices[z]))
-    for f in np.nonzero(space.edge_dof >= 0)[0]:
-        out[space.edge_dof[f]] = _edge_mean_normal_derivative_callable(
-            mesh, grad, int(f))
-    return out
 
 
 def morley_interpolate(space: MorleySpace, v) -> np.ndarray:
@@ -364,7 +348,17 @@ def morley_interpolate(space: MorleySpace, v) -> np.ndarray:
     reproduces quadratics and its piecewise Hessian equals the elementwise
     mean of the broken Hessian of ``v``.
     """
-    return _all_dof_values(space, v)
+    if isinstance(v, BrokenFunction):
+        return _broken_dof_values(space, v)
+    mesh = space.mesh
+    out = np.zeros(space.ndof)
+    fval, grad = _callable_pair(v)
+    for z in np.nonzero(space.vertex_dof >= 0)[0]:
+        out[space.vertex_dof[z]] = float(fval(mesh.vertices[z]))
+    for f in np.nonzero(space.edge_dof >= 0)[0]:
+        out[space.edge_dof[f]] = _edge_mean_normal_derivative_callable(
+            mesh, grad, int(f))
+    return out
 
 
 def evaluate_broken(bf: BrokenFunction, point, triangle: int, tol=1e-12):

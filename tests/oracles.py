@@ -3,8 +3,10 @@
 Each oracle takes a different computational route from the implementation
 it checks: cyclic Jacobi rotations for the eigensolver, exhaustive subset
 search for bulk marking, pointwise weighted least squares on an unrelated
-quadrature rule for elementwise projections, and symbolic element
-integration for the plate forms.
+quadrature rule for elementwise projections, symbolic element
+integration for the plate forms, per-column and per-cell loops for the
+Helmholtz maps, and a geometric search for the fine sub-edges of every
+coarse edge in Morley interpolation.
 """
 
 import itertools
@@ -150,3 +152,65 @@ def energy_product_symbolic(p1, p2, tri_coords, xy):
 def richardson_limit_synthetic(limit, c, ratio, n):
     """Synthetic sequence v_k = limit - c * ratio^-k."""
     return [limit - c * ratio ** (-k) for k in range(n)]
+
+
+def hessian_map_loops(space):
+    """Weighted broken Hessians of the Morley basis, one cell DOF at a time."""
+    from plate_afem.helmholtz import _tensor_weights
+
+    mesh = space.mesh
+    out = np.zeros((3 * mesh.num_triangles, space.ndof))
+    feats = space.basis_hessians * _tensor_weights(mesh)[:, None, :]
+    for t in range(mesh.num_triangles):
+        for i in range(6):
+            dof = space.cell_dofs[t, i]
+            if dof >= 0:
+                out[3 * t: 3 * t + 3, dof] += feats[t, i]
+    return out
+
+
+def sym_curl_map_columns(xspace):
+    """Weighted symmetric Curls of the constrained basis, column by column."""
+    from plate_afem.helmholtz import sym_curl, tensor_features
+
+    mesh = xspace.mesh
+    cols = [tensor_features(mesh, sym_curl(mesh, xspace.basis[:, k]))
+            for k in range(xspace.dim)]
+    return np.stack(cols, axis=1)
+
+
+def _subedges_on(fine, a, b, tol):
+    # fine edges whose endpoints both lie on the segment [a, b]
+    d = b - a
+    L2 = d @ d
+    rel = fine.vertices - a
+    cross = np.abs(d[0] * rel[:, 1] - d[1] * rel[:, 0]) / np.sqrt(L2)
+    s = rel @ d / L2
+    on = (cross <= tol) & (s >= -tol) & (s <= 1.0 + tol)
+    return [f for f, (i, j) in enumerate(fine.edges) if on[i] and on[j]]
+
+
+def morley_interpolate_geometric(space, bf):
+    """Morley DOFs of a broken quadratic on a refinement, one DOF at a time.
+
+    Vertex values average the traces of every fine triangle that contains
+    the vertex; each coarse edge collects its fine sub-edges by a geometric
+    scan of all fine vertices and edges.
+    """
+    coarse, fine = space.mesh, bf.mesh
+    out = np.zeros(space.ndof)
+    for z in np.nonzero(space.vertex_dof >= 0)[0]:
+        tris = np.nonzero((fine.triangles == z).any(axis=1))[0]
+        out[space.vertex_dof[z]] = np.mean(
+            [bf.value(t, fine.vertices[z])[0] for t in tris])
+    scale = max(np.max(np.abs(coarse.vertices)), 1.0)
+    for e in np.nonzero(space.edge_dof >= 0)[0]:
+        a, b = coarse.vertices[coarse.edges[e]]
+        nu = coarse.edge_normals[e]
+        total = 0.0
+        for f in _subedges_on(fine, a, b, 1e-12 * scale):
+            mid = fine.edge_midpoints[f]
+            dn = np.mean([bf.gradient(t, mid)[0] @ nu for t in fine.edge_patch(f)])
+            total += fine.edge_lengths[f] * dn
+        out[space.edge_dof[e]] = total / coarse.edge_lengths[e]
+    return out

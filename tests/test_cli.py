@@ -158,6 +158,17 @@ class TestThreadCap:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    def test_non_integer_thread_count_exit_2(self, tmp_path):
+        out = tmp_path / "m.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "plate_afem.cli", "mesh-export", "--out", str(out)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PLATE_AFEM_THREADS="abc"))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("invalid input: PLATE_AFEM_THREADS")
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
 
 class TestRigidBodyExit:
     def test_rigid_body_config_exit_2(self, tmp_path, capsys):

@@ -6,6 +6,8 @@ from plate_afem import mesh as msh
 from plate_afem import space as sp
 from plate_afem.helmholtz import HelmholtzError
 
+from oracles import hessian_map_loops, sym_curl_map_columns
+
 ALL_CONFIGS = [(g, bc) for g in ("square", "lshape")
                for bc in ("clamped", "simply_supported", "mixed")]
 
@@ -15,6 +17,16 @@ def _setup(geometry, bc, refine=0):
     for _ in range(refine):
         m = msh.uniform_refine(m)
     return m, sp.build_space(m), hh.build_xspace(m)
+
+
+def _adaptive_mesh(geometry, bc, steps=3):
+    # newest-vertex bisection of the triangles nearest the origin
+    m = msh.preset_mesh(geometry, bc)
+    for _ in range(steps):
+        dist = np.linalg.norm(m.centroids, axis=1)
+        m = msh.refine_nvb(m, np.argsort(dist, kind="stable")[:3])
+    assert np.ptp(m.areas) > 0.0  # a non-uniform mesh
+    return m
 
 
 class TestXSpace:
@@ -150,6 +162,37 @@ class TestDimensionAudit:
         m, S, X = _setup("square", "clamped")
         rep = hh.dimension_audit(m, S, X)
         json.dumps(rep)
+
+
+class TestMapOracles:
+    MESHES = ([(g, bc, r) for g, bc in ALL_CONFIGS for r in (0, 2)]
+              + [("lshape", "mixed", "nvb"), ("square", "simply_supported", "nvb")])
+
+    @staticmethod
+    def _mesh(geometry, bc, refine):
+        if refine == "nvb":
+            m = _adaptive_mesh(geometry, bc)
+            return m, sp.build_space(m), hh.build_xspace(m)
+        return _setup(geometry, bc, refine)
+
+    @pytest.mark.parametrize("geometry,bc,refine", MESHES)
+    def test_hessian_map_equals_loops(self, geometry, bc, refine):
+        _, S, _ = self._mesh(geometry, bc, refine)
+        assert np.array_equal(hh.hessian_map(S), hessian_map_loops(S))
+
+    @pytest.mark.parametrize("geometry,bc,refine", MESHES)
+    def test_sym_curl_map_matches_columns(self, geometry, bc, refine):
+        _, _, X = self._mesh(geometry, bc, refine)
+        got, want = hh.sym_curl_map(X), sym_curl_map_columns(X)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("geometry,bc", ALL_CONFIGS)
+    def test_audit_ranks_unchanged_on_refined_presets(self, geometry, bc):
+        m, S, X = _setup(geometry, bc, refine=2)
+        dims = hh.dimension_audit(m, S, X)["dims"]
+        assert dims["rank_hessian_map"] == hh._qr_rank(hessian_map_loops(S)) == S.ndof
+        assert dims["rank_sym_curl_map"] == hh._qr_rank(sym_curl_map_columns(X)) == X.dim
 
 
 class TestStabilityMonitor:

@@ -5,6 +5,8 @@ from plate_afem import mesh as msh
 from plate_afem import space as sp
 from plate_afem.space import SpaceError
 
+from oracles import morley_interpolate_geometric
+
 
 def quadratic(c):
     """(value, gradient) pair for c0 + c1 x + c2 y + c3 x^2 + c4 xy + c5 y^2."""
@@ -153,6 +155,63 @@ class TestInterpolation:
         bf = sp.BrokenFunction(other, np.zeros((other.num_triangles, 6)))
         with pytest.raises(msh.MeshError):
             sp.morley_interpolate(S, bf)
+        # same geometry, but outside the refinement chain of the space's mesh
+        S = sp.build_space(msh.preset_mesh("lshape", "mixed"))
+        fine = msh.uniform_refine(msh.preset_mesh("lshape", "mixed"))
+        bf = sp.BrokenFunction(fine, np.zeros((fine.num_triangles, 6)))
+        with pytest.raises(msh.MeshError):
+            sp.morley_interpolate(S, bf)
+        with pytest.raises(msh.MeshError):
+            sp.dof_functional(S, 0, bf)
+
+
+def _nvb_toward_origin(m, steps):
+    for _ in range(steps):
+        dist = np.linalg.norm(m.centroids, axis=1)
+        m = msh.refine_nvb(m, np.argsort(dist, kind="stable")[:3])
+    return m
+
+
+class TestBrokenInterpolation:
+    CONFIGS = [("square", "free"), ("square", "clamped"), ("lshape", "mixed"),
+               ("lshape", "simply_supported")]
+
+    @staticmethod
+    def _fine(coarse, refinement):
+        if refinement == "uniform":
+            return msh.uniform_refine(coarse)
+        return _nvb_toward_origin(coarse, 3)
+
+    @pytest.mark.parametrize("refinement", ["uniform", "adaptive"])
+    @pytest.mark.parametrize("geometry,bc", CONFIGS)
+    def test_matches_geometric_subedge_search(self, geometry, bc, refinement):
+        rng = np.random.default_rng(5)
+        coarse = msh.uniform_refine(msh.preset_mesh(geometry, bc))
+        fine = self._fine(coarse, refinement)
+        S = sp.build_space(coarse)
+        bf = sp.BrokenFunction(fine, rng.standard_normal((fine.num_triangles, 6)))
+        got = sp.morley_interpolate(S, bf)
+        want = morley_interpolate_geometric(S, bf)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("geometry,bc", CONFIGS)
+    def test_same_mesh_returns_coefficients(self, geometry, bc):
+        rng = np.random.default_rng(6)
+        S = sp.build_space(_nvb_toward_origin(msh.preset_mesh(geometry, bc), 3))
+        u = rng.standard_normal(S.ndof)
+        assert np.abs(sp.morley_interpolate(S, S.to_broken(u)) - u).max() <= 1e-13
+
+    @pytest.mark.parametrize("refinement", ["uniform", "adaptive"])
+    def test_dof_functional_agrees_entrywise(self, refinement):
+        rng = np.random.default_rng(7)
+        coarse = msh.uniform_refine(msh.preset_mesh("lshape", "mixed"))
+        fine = self._fine(coarse, refinement)
+        S = sp.build_space(coarse)
+        bf = sp.BrokenFunction(fine, rng.standard_normal((fine.num_triangles, 6)))
+        u = sp.morley_interpolate(S, bf)
+        assert S.num_vertex_dofs > 0
+        for dof in range(S.ndof):
+            assert sp.dof_functional(S, dof, bf) == u[dof]
 
 
 class TestEvaluateBroken:
