@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as dla
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
+from . import assembly
 from .mesh import BoundaryPart, Triangulation
-from .space import MorleySpace, _p1_gradients
+from .space import MorleySpace, _p1_gradients, affine_kernel_coefficients
 
 __all__ = [
     "XSpace",
@@ -126,15 +128,18 @@ def build_xspace(mesh: Triangulation) -> XSpace:
                   constraint_rank=rank)
 
 
-def _null_space_pivoted_qr(C):
-    # null space of C from a pivoted QR factorisation of its transpose
-    m, n = C.shape
-    Q, R, _ = dla.qr(C.T, pivoting=True, mode="full")
+def _pivoted_qr_rank(R):
+    """Numerical rank read off the diagonal of a pivoted QR factor."""
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(diag > _RANK_RTOL * diag[0]))
+        return 0
+    return int(np.sum(diag > _RANK_RTOL * diag[0]))
+
+
+def _null_space_pivoted_qr(C):
+    # null space of C from a pivoted QR factorisation of its transpose
+    Q, R, _ = dla.qr(C.T, pivoting=True, mode="full")
+    rank = _pivoted_qr_rank(R)
     return Q[:, rank:], rank
 
 
@@ -170,15 +175,22 @@ def tensor_features(mesh, comps) -> np.ndarray:
     return (np.asarray(comps, dtype=float) * _tensor_weights(mesh)).ravel()
 
 
-def hessian_map(space: MorleySpace) -> np.ndarray:
-    """Dense (3#T, ndof) matrix of weighted broken Hessians of the basis."""
+def _hessian_operator(space: MorleySpace) -> sparse.csr_matrix:
+    """Sparse (3#T, ndof) matrix of weighted broken Hessians of the basis."""
     mesh = space.mesh
-    out = np.zeros((3 * mesh.num_triangles, space.ndof))
     feats = space.basis_hessians * _tensor_weights(mesh)[:, None, :]  # (T, 6, 3)
     t, i = np.nonzero(space.cell_dofs >= 0)
+    rows = 3 * t[:, None] + np.arange(3)
+    cols = np.broadcast_to(space.cell_dofs[t, i][:, None], rows.shape)
     # a triangle's six DOFs are distinct, so every (row, column) is set once
-    out[3 * t[:, None] + np.arange(3), space.cell_dofs[t, i][:, None]] = feats[t, i]
-    return out
+    return sparse.csr_matrix(
+        (feats[t, i].ravel(), (rows.ravel(), cols.ravel())),
+        shape=(3 * mesh.num_triangles, space.ndof))
+
+
+def hessian_map(space: MorleySpace) -> np.ndarray:
+    """Dense (3#T, ndof) matrix of weighted broken Hessians of the basis."""
+    return _hessian_operator(space).toarray()
 
 
 def sym_curl_map(xspace: XSpace) -> np.ndarray:
@@ -216,26 +228,47 @@ class DecompositionResult:
 def decompose(space: MorleySpace, xspace: XSpace, sigma) -> DecompositionResult:
     """Split a piecewise constant symmetric tensor field into the two parts.
 
-    ``sigma`` has shape (T, 3) with components (s11, s22, s12).  Solved as a
-    least-squares problem in L2(S) coordinates; on meshes where the audited
-    dimension identity holds the residual vanishes to solver precision.
+    ``sigma`` has shape (T, 3) with components (s11, s22, s12).  The ranges
+    of the Hessian map B_H and of the symmetric-Curl map B_C are orthogonal
+    in L2(S) coordinates t, so the splitting is two independent projections.
+    The Hessian part solves A phi = B_H^T t with the sparse stiffness matrix
+    A = B_H^T B_H; its kernel, the k affine functions of the space, is
+    removed by fixing k DOFs at zero.  The Curl part solves
+    G psi = B_C^T (t - B_H phi) with the dense Gram matrix G = B_C^T B_C.
+    When both factorisations succeed the stacked map has rank
+    (ndof - k) + dim; a count other than 3#T, or a failed factorisation,
+    raises HelmholtzError.
     """
     mesh = space.mesh
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (mesh.num_triangles, 3):
         raise HelmholtzError("sigma must have shape (#T, 3)")
-    B = np.hstack([hessian_map(space), sym_curl_map(xspace)])
+    expected = 3 * mesh.num_triangles
+    Z = affine_kernel_coefficients(space)
+    rank = space.ndof - Z.shape[1] + xspace.dim
+    if rank != expected:
+        raise _rank_deficient(expected, rank)
     target = tensor_features(mesh, sigma)
-    sol, _, rank, _ = np.linalg.lstsq(B, target, rcond=None)
-    if rank < 3 * mesh.num_triangles:
-        raise HelmholtzError(
-            "decomposition map is rank deficient: expected rank "
-            f"{3 * mesh.num_triangles}, got {rank}; the dimension identity "
-            "fails on this mesh")
-    phi = sol[: space.ndof]
-    psi = sol[space.ndof:]
-    part_h = B[:, : space.ndof] @ phi
-    part_c = B[:, space.ndof:] @ psi
+
+    BH = _hessian_operator(space)
+    BC = sym_curl_map(xspace)
+    phi = np.zeros(space.ndof)
+    try:
+        keep = _kernel_free_dofs(Z)
+        if keep.size:
+            A = assembly.assemble_stiffness(space).full()[keep][:, keep]
+            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+            if not np.all(lu.U.diagonal() > 0.0):
+                raise RuntimeError("stiffness matrix is not positive definite")
+            phi[keep] = lu.solve((BH.T @ target)[keep])
+        gram = dla.cho_factor(BC.T @ BC)
+    except (RuntimeError, dla.LinAlgError) as exc:
+        raise _rank_deficient(expected, f"less than {rank} ({exc})") from exc
+    part_h = BH @ phi
+    psi = dla.cho_solve(gram, BC.T @ (target - part_h))
+    part_c = BC @ psi
     resid = float(np.linalg.norm(target - part_h - part_c))
     ortho = float(part_h @ part_c)
     psi_nodal = xspace.nodal(psi)
@@ -245,6 +278,28 @@ def decompose(space: MorleySpace, xspace: XSpace, sigma) -> DecompositionResult:
         phi=phi, psi=psi, psi_nodal=psi_nodal, residual=resid,
         orthogonality=ortho, hessian_norm=float(np.linalg.norm(part_h)),
         curl_norm=curl_norm)
+
+
+def _rank_deficient(expected, got):
+    return HelmholtzError(
+        f"decomposition map is rank deficient: expected rank {expected}, "
+        f"got {got}; the dimension identity fails on this mesh")
+
+
+def _kernel_free_dofs(Z):
+    """DOFs left after dropping one per column of the kernel basis ``Z``.
+
+    The dropped DOFs are the first pivots of a pivoted QR of Z^T, so Z
+    restricted to them is invertible and the stiffness matrix restricted to
+    the rest is positive definite.
+    """
+    ndof, k = Z.shape
+    if k == 0:
+        return np.arange(ndof)
+    R, piv = dla.qr(Z.T, pivoting=True, mode="r")
+    if _pivoted_qr_rank(R) < k:
+        raise RuntimeError("affine kernel basis is rank deficient")
+    return np.sort(piv[k:])
 
 
 def dimension_audit(mesh: Triangulation, space: MorleySpace,
@@ -284,7 +339,4 @@ def _qr_rank(B):
     if B.size == 0:
         return 0
     _, R, _ = dla.qr(B, pivoting=True, mode="economic")
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return 0
-    return int(np.sum(diag > _RANK_RTOL * diag[0]))
+    return _pivoted_qr_rank(R)

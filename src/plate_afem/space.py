@@ -23,6 +23,7 @@ __all__ = [
     "SpaceError",
     "build_space",
     "affine_kernel_dimension",
+    "affine_kernel_coefficients",
     "dof_functional",
     "morley_interpolate",
     "evaluate_broken",
@@ -214,14 +215,15 @@ def _constrained_dofs(mesh):
     return constrained_v, constrained_e
 
 
-def affine_kernel_dimension(mesh: Triangulation) -> int:
-    """Dimension of the affine functions left in the Morley space on ``mesh``.
+def _affine_kernel(mesh):
+    """Centre, scale and a (3, k) basis of the affine functions in the space.
 
-    These are the rigid-body modes, the kernel of the stiffness form.  An
-    affine ``a + b x + c y`` lies in the space when every eliminated DOF of
-    it vanishes: ``[1, x, y]`` at each constrained vertex and the normal
-    derivative ``[0, n_x, n_y]`` on each clamped edge.  The result is 3
-    minus the rank of those rows, computed from the boundary alone.
+    An affine ``a + b x + c y`` (in coordinates centred at ``centre`` and
+    divided by ``scale``) lies in the space when every eliminated DOF of it
+    vanishes: ``[1, x, y]`` at each constrained vertex and the normal
+    derivative ``[0, n_x, n_y]`` on each clamped edge.  Its coefficient
+    vectors are the null space of those rows, computed from the boundary
+    alone.
     """
     constrained_v, constrained_e = _constrained_dofs(mesh)
     centre = mesh.vertices.mean(axis=0)
@@ -233,8 +235,37 @@ def affine_kernel_dimension(mesh: Triangulation) -> int:
                          mesh.edge_normals[constrained_e]]),
     ])
     if len(rows) == 0:
-        return 3
-    return 3 - int(np.linalg.matrix_rank(rows))
+        return centre, scale, np.eye(3)
+    rank = int(np.linalg.matrix_rank(rows))
+    vt = np.linalg.svd(rows, full_matrices=len(rows) < 3)[2]
+    return centre, scale, vt[rank:].T
+
+
+def affine_kernel_dimension(mesh: Triangulation) -> int:
+    """Dimension of the affine functions left in the Morley space on ``mesh``.
+
+    These are the rigid-body modes, the kernel of the stiffness form: 3
+    minus the rank of the eliminated DOFs of ``[1, x, y]``.
+    """
+    return _affine_kernel(mesh)[2].shape[1]
+
+
+def affine_kernel_coefficients(space: MorleySpace) -> np.ndarray:
+    """Morley coefficients (ndof, k) of a basis of the affine functions in
+    the space, ``k = affine_kernel_dimension(space.mesh)``.
+
+    Each column holds an affine function's value at every free vertex and
+    its normal derivative on every free edge.
+    """
+    mesh = space.mesh
+    centre, scale, null = _affine_kernel(mesh)
+    dofs = np.zeros((space.ndof, 3))
+    free_v = np.nonzero(space.vertex_dof >= 0)[0]
+    dofs[space.vertex_dof[free_v], 0] = 1.0
+    dofs[space.vertex_dof[free_v], 1:] = (mesh.vertices[free_v] - centre) / scale
+    free_e = np.nonzero(space.edge_dof >= 0)[0]
+    dofs[space.edge_dof[free_e], 1:] = mesh.edge_normals[free_e] / scale
+    return dofs @ null
 
 
 # -- DOF functionals -----------------------------------------------------------

@@ -5,8 +5,9 @@ it checks: cyclic Jacobi rotations for the eigensolver, exhaustive subset
 search for bulk marking, pointwise weighted least squares on an unrelated
 quadrature rule for elementwise projections, symbolic element
 integration for the plate forms, per-column and per-cell loops for the
-Helmholtz maps, and a geometric search for the fine sub-edges of every
-coarse edge in Morley interpolation.
+Helmholtz maps, one dense least-squares solve with the stacked maps for
+the tensor splitting, and a geometric search for the fine sub-edges of
+every coarse edge in Morley interpolation.
 """
 
 import itertools
@@ -177,6 +178,40 @@ def sym_curl_map_columns(xspace):
     cols = [tensor_features(mesh, sym_curl(mesh, xspace.basis[:, k]))
             for k in range(xspace.dim)]
     return np.stack(cols, axis=1)
+
+
+def decompose_lstsq(space, xspace, sigma):
+    """Tensor splitting by one dense least-squares solve with the stacked
+    (3#T, ndof + dim) map, its rank taken from the singular values."""
+    from plate_afem.helmholtz import (DecompositionResult, HelmholtzError,
+                                      full_curl, hessian_map, sym_curl_map,
+                                      tensor_features)
+
+    mesh = space.mesh
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (mesh.num_triangles, 3):
+        raise HelmholtzError("sigma must have shape (#T, 3)")
+    B = np.hstack([hessian_map(space), sym_curl_map(xspace)])
+    target = tensor_features(mesh, sigma)
+    sol, _, rank, _ = np.linalg.lstsq(B, target, rcond=None)
+    if rank < 3 * mesh.num_triangles:
+        raise HelmholtzError(
+            "decomposition map is rank deficient: expected rank "
+            f"{3 * mesh.num_triangles}, got {rank}; the dimension identity "
+            "fails on this mesh")
+    phi = sol[: space.ndof]
+    psi = sol[space.ndof:]
+    part_h = B[:, : space.ndof] @ phi
+    part_c = B[:, space.ndof:] @ psi
+    resid = float(np.linalg.norm(target - part_h - part_c))
+    ortho = float(part_h @ part_c)
+    psi_nodal = xspace.nodal(psi)
+    curl = full_curl(mesh, psi_nodal)
+    curl_norm = float(np.sqrt(np.einsum("t,tab->", mesh.areas, curl ** 2)))
+    return DecompositionResult(
+        phi=phi, psi=psi, psi_nodal=psi_nodal, residual=resid,
+        orthogonality=ortho, hessian_norm=float(np.linalg.norm(part_h)),
+        curl_norm=curl_norm)
 
 
 def _subedges_on(fine, a, b, tol):

@@ -126,6 +126,14 @@ class TestHelmholtzAudit:
         assert report["euler_ok"] and report["dim_identity_ok"]
         assert report["residuals"]["decomposition_relative"] <= 1e-9
 
+    def test_audit_passes_with_rigid_body_modes(self, tmp_path):
+        # all-free square: the three affine functions lie in the space
+        out = str(tmp_path / "report.json")
+        assert run_cli(["helmholtz-audit", "--geometry", "square", "--bc", "free",
+                        "--refine", "1", "--out", out]) == 0
+        report = json.load(open(out))
+        assert report["residuals"]["decomposition_relative"] <= 1e-9
+
 
 class TestMeshExport:
     def test_export_and_reload(self, tmp_path):

@@ -1,15 +1,28 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from plate_afem import assembly as asm
 from plate_afem import helmholtz as hh
 from plate_afem import mesh as msh
 from plate_afem import space as sp
 from plate_afem.helmholtz import HelmholtzError
 
-from oracles import hessian_map_loops, sym_curl_map_columns
+from oracles import decompose_lstsq, hessian_map_loops, sym_curl_map_columns
 
 ALL_CONFIGS = [(g, bc) for g in ("square", "lshape")
                for bc in ("clamped", "simply_supported", "mixed")]
+
+# every per-segment BC list of the square and the L-shape that leaves an
+# affine function (a rigid-body mode) in the Morley space
+_SS, _FR = "simply_supported", "free"
+RIGID_BCS = ([("square", [_FR] * i + [_SS] + [_FR] * (3 - i)) for i in range(4)]
+             + [("square", [_FR] * 4)]
+             + [("lshape", [_FR] * i + [_SS] + [_FR] * (5 - i)) for i in range(6)]
+             + [("lshape", [_FR] * 6)])
 
 
 def _setup(geometry, bc, refine=0):
@@ -128,11 +141,53 @@ class TestDecompose:
         with pytest.raises(HelmholtzError):
             hh.decompose(S, X, np.zeros((m.num_triangles, 2)))
 
+    @pytest.mark.parametrize("solver", [hh.decompose, decompose_lstsq])
+    @pytest.mark.parametrize("defect", ["dropped", "zeroed"])
+    def test_rank_deficient_map_raises(self, solver, defect):
+        # one basis column dropped fails the rank count; one zeroed column
+        # keeps the count and fails the Gram factorisation
+        m, S, X = _setup("lshape", "mixed", refine=1)
+        if defect == "dropped":
+            bad = dataclasses.replace(X, basis=X.basis[:, :-1], dim=X.dim - 1)
+        else:
+            basis = X.basis.copy()
+            basis[:, -1] = 0.0
+            bad = dataclasses.replace(X, basis=basis)
+        sigma = np.random.default_rng(5).standard_normal((m.num_triangles, 3))
+        with pytest.raises(HelmholtzError, match="rank deficient"):
+            solver(S, bad, sigma)
+
     def test_clamped_square_dimension_identity_hand_count(self):
         m, S, X = _setup("square", "clamped")
         assert 3 * m.num_triangles == 6
         assert S.ndof == 1
         assert X.dim == 5
+
+
+class TestRigidBodySplitting:
+    def test_rigid_lists_are_complete(self):
+        found = [(g, list(bc)) for g, n in (("square", 4), ("lshape", 6))
+                 for bc in itertools.product(("clamped", _SS, _FR), repeat=n)
+                 if sp.affine_kernel_dimension(msh.preset_mesh(g, list(bc))) > 0]
+        assert found == RIGID_BCS
+
+    @pytest.mark.parametrize("geometry,bc", RIGID_BCS)
+    def test_random_fields_split_exactly(self, geometry, bc):
+        m, S, X = _setup(geometry, bc, refine=1)
+        sigma = np.random.default_rng(6).standard_normal((m.num_triangles, 3))
+        res = hh.decompose(S, X, sigma)
+        norm = np.linalg.norm(hh.tensor_features(m, sigma))
+        assert res.residual <= 1e-9 * norm
+        assert abs(res.orthogonality) <= 1e-10 * norm ** 2
+
+    @pytest.mark.parametrize("geometry,bc", RIGID_BCS + ALL_CONFIGS)
+    def test_kernel_coefficients_span_stiffness_kernel(self, geometry, bc):
+        _, S, _ = _setup(geometry, bc, refine=1)
+        Z = sp.affine_kernel_coefficients(S)
+        A = asm.assemble_stiffness(S).full()
+        assert Z.shape == (S.ndof, asm.stiffness_kernel_dimension(S))
+        if Z.shape[1]:
+            assert np.linalg.norm(A @ Z) <= 1e-12 * spla.norm(A) * np.linalg.norm(Z)
 
 
 class TestDimensionAudit:
@@ -186,6 +241,17 @@ class TestMapOracles:
         got, want = hh.sym_curl_map(X), sym_curl_map_columns(X)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("geometry,bc,refine", MESHES)
+    def test_decompose_matches_lstsq(self, geometry, bc, refine):
+        m, S, X = self._mesh(geometry, bc, refine)
+        sigma = np.random.default_rng(7).standard_normal((m.num_triangles, 3))
+        got, want = hh.decompose(S, X, sigma), decompose_lstsq(S, X, sigma)
+        for part in (lambda r: sp.hessians(S.to_broken(r.phi)),
+                     lambda r: hh.sym_curl(m, r.psi_nodal)):
+            a = hh.tensor_features(m, part(got))
+            b = hh.tensor_features(m, part(want))
+            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("geometry,bc", ALL_CONFIGS)
     def test_audit_ranks_unchanged_on_refined_presets(self, geometry, bc):
