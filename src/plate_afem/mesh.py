@@ -19,6 +19,7 @@ A triangulation is an immutable snapshot; refinement returns a new snapshot
 that keeps a reference to its parent mesh and a triangle parent map.
 """
 
+import copy
 import hashlib
 import json
 from enum import IntEnum
@@ -84,7 +85,8 @@ class Triangulation:
     vertices : (N, 2) float array
     triangles : (T, 3) int array, counterclockwise
     refedge : (T,) int array, local index of the vertex opposite the
-        refinement edge
+        refinement edge; default is the longest edge, ties broken by the
+        smallest global edge index
     edges : (F, 2) int array of endpoint indices, tangent-ordered
     edge_tags : (F,) int array of BoundaryPart values
     tri_edges : (T, 3) int array, global edge index opposite local vertex i
@@ -92,12 +94,11 @@ class Triangulation:
         t_minus is -1 on the boundary
     """
 
-    def __init__(self, vertices, triangles, refedge, edge_tags=None,
+    def __init__(self, vertices, triangles, refedge=None, edge_tags=None,
                  generation=None, parent=None, coarse=None,
                  vertex_parent_edge=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.refedge = np.ascontiguousarray(refedge, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (N, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
@@ -109,6 +110,9 @@ class Triangulation:
 
         self._build_geometry()
         self._build_edges()
+        self.refedge = np.ascontiguousarray(
+            _longest_edge_assignment(self) if refedge is None else refedge,
+            dtype=np.int64)
 
         self.generation = (np.zeros(len(self.triangles), dtype=np.int64)
                            if generation is None else np.asarray(generation))
@@ -121,8 +125,7 @@ class Triangulation:
         if edge_tags is None:
             edge_tags = np.where(self.boundary_edge_mask,
                                  int(BoundaryPart.FREE), int(BoundaryPart.INTERIOR))
-        self.edge_tags = np.ascontiguousarray(edge_tags, dtype=np.int64)
-        self._check_tags()
+        self._set_tags(edge_tags)
 
     # -- construction helpers -------------------------------------------------
 
@@ -144,13 +147,10 @@ class Triangulation:
         # edge opposite local vertex i connects local vertices i+1, i+2
         raw = np.stack([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]], axis=1)
         raw = raw.reshape(-1, 2)                     # (3T, 2), directed ccw
-        keys = np.sort(raw, axis=1)
-        uniq, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
-                                          return_counts=True)
-        inverse = inverse.ravel()
+        uniq, inverse, counts = np.unique(_edge_keys(raw, len(self.vertices)),
+                                          return_inverse=True, return_counts=True)
         if counts.max() > 2:
             raise MeshError("non-conforming mesh: an edge is shared by >2 triangles")
-        self.edges = uniq                            # provisional endpoint order
         self.tri_edges = inverse.reshape(ntri, 3)
         nedges = len(uniq)
 
@@ -168,15 +168,7 @@ class Triangulation:
 
         # orient endpoints as traversed by the plus triangle (ccw), so the
         # normal rot-90(tangent) points out of it
-        endpoints = uniq.copy()
-        plus = edge_tris[:, 0]
-        tri_of_plus = tris[plus]                     # (F, 3)
-        for k in range(3):
-            a = tri_of_plus[:, k]
-            b = tri_of_plus[:, (k + 1) % 3]
-            m = (np.minimum(a, b) == uniq[:, 0]) & (np.maximum(a, b) == uniq[:, 1])
-            endpoints[m, 0] = a[m]
-            endpoints[m, 1] = b[m]
+        endpoints = raw[order[starts]]
         self.edges = endpoints
 
         vec = self.vertices[endpoints[:, 1]] - self.vertices[endpoints[:, 0]]
@@ -195,6 +187,10 @@ class Triangulation:
         if np.any(vt < 0):
             raise MeshError("mesh contains a vertex not used by any triangle")
         self.vertex_tri = vt
+
+    def _set_tags(self, edge_tags):
+        self.edge_tags = np.ascontiguousarray(edge_tags, dtype=np.int64)
+        self._check_tags()
 
     def _check_tags(self):
         if len(self.edge_tags) != len(self.edges):
@@ -307,22 +303,13 @@ class Triangulation:
         counts = np.bincount(self.parent, minlength=self.coarse.num_triangles)
         return np.nonzero(counts > 1)[0]
 
-    @property
-    def _key_table(self):
-        # undirected endpoint pair -> edge index, cached for refinement
-        if not hasattr(self, "_key_table_cache"):
-            keys = np.sort(self.edges, axis=1)
-            self._key_table_cache = {(int(i), int(j)): f
-                                     for f, (i, j) in enumerate(keys)}
-        return self._key_table_cache
 
-    def _replace(self, **kw):
-        args = dict(vertices=self.vertices, triangles=self.triangles,
-                    refedge=self.refedge, edge_tags=self.edge_tags,
-                    generation=self.generation, parent=self.parent,
-                    coarse=self.coarse, vertex_parent_edge=self.vertex_parent_edge)
-        args.update(kw)
-        return Triangulation(**args)
+def _edge_keys(pairs, num_vertices):
+    # one int64 per undirected edge; ascending keys are the lexicographic
+    # order of the (min, max) endpoint pairs, which is the edge numbering
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    return lo * num_vertices + hi
 
 
 def _flip_edge_orientation(mesh, edge_id):
@@ -332,7 +319,7 @@ def _flip_edge_orientation(mesh, edge_id):
     """
     if not mesh.interior_edge_mask[edge_id]:
         raise MeshError("can only flip interior edge normals")
-    out = mesh._replace()
+    out = copy.copy(mesh)
     out.edges = mesh.edges.copy()
     out.edges[edge_id] = mesh.edges[edge_id, ::-1]
     out.edge_tris = mesh.edge_tris.copy()
@@ -376,11 +363,6 @@ def build_mesh(vertices, triangles, boundary, refedge=None) -> Triangulation:
     boundary edges not covered by exactly one labelled segment.
     """
     vertices = np.asarray(vertices, dtype=float)
-    triangles = np.asarray(triangles, dtype=np.int64)
-    if refedge is None:
-        refedge = np.zeros(len(triangles), dtype=np.int64)  # placeholder
-        mesh = Triangulation(vertices, triangles, refedge)
-        refedge = _longest_edge_assignment(mesh)
     mesh = Triangulation(vertices, triangles, refedge)
 
     scale = np.max(np.abs(vertices)) or 1.0
@@ -403,30 +385,35 @@ def build_mesh(vertices, triangles, boundary, refedge=None) -> Triangulation:
         if len(set(hits)) > 1:
             raise MeshError(f"boundary edge {f} straddles two part labels")
         tags[f] = int(hits[0])
-    return mesh._replace(edge_tags=tags)
+    mesh._set_tags(tags)
+    return mesh
 
 
 def _longest_edge_assignment(mesh):
     # longest edge per triangle; ties by smallest global edge index
     lengths = mesh.edge_lengths[mesh.tri_edges]      # (T, 3)
-    gidx = mesh.tri_edges
-    ref = np.zeros(mesh.num_triangles, dtype=np.int64)
-    for t in range(mesh.num_triangles):
-        best = max(range(3), key=lambda k: (lengths[t, k], -gidx[t, k]))
-        ref[t] = best
-    return ref
+    longest = lengths == lengths.max(axis=1, keepdims=True)
+    return np.argmin(np.where(longest, mesh.tri_edges, mesh.num_edges), axis=1)
 
 
 # -- refinement ----------------------------------------------------------------
 
 
-def refine_nvb(mesh: Triangulation, marked, bisect_all_edges=False) -> Triangulation:
+def refine_nvb(mesh: Triangulation, marked) -> Triangulation:
     """Newest-vertex bisection of the marked triangles with conformity closure.
 
     Every marked triangle is bisected at least once; marked edges propagate
     through refinement edges until the split set is closed, which keeps the
-    result conforming.  With ``bisect_all_edges`` each marked triangle is
-    split into four (all three edges bisected).
+    result conforming.
+
+    Children come in the order of their parents.  A triangle ``(a, p, q)``
+    with refinement edge ``conv{p, q}`` split at ``m`` gives ``(m, a, p)``,
+    or its halves ``(m1, m, a)`` and ``(m1, p, m)`` when ``conv{a, p}`` is
+    split at ``m1``, then ``(m, q, a)``, or its halves ``(m2, m, q)`` and
+    ``(m2, a, m)`` when ``conv{q, a}`` is split at ``m2``.  Every child
+    refines the edge opposite its local vertex 0 next and is one generation
+    younger per bisection; an unsplit triangle is kept as it is.  New
+    vertices are the midpoints of the split edges in edge order.
 
     Returns the input object unchanged when nothing is marked.
     """
@@ -435,10 +422,7 @@ def refine_nvb(mesh: Triangulation, marked, bisect_all_edges=False) -> Triangula
         return mesh
 
     split_edge = np.zeros(mesh.num_edges, dtype=bool)
-    if bisect_all_edges:
-        split_edge[mesh.tri_edges[marked].ravel()] = True
-    else:
-        split_edge[mesh.tri_edges[marked, mesh.refedge[marked]]] = True
+    split_edge[mesh.tri_edges[marked, mesh.refedge[marked]]] = True
     _closure(mesh, split_edge)
     return _apply_split(mesh, split_edge)
 
@@ -478,75 +462,67 @@ def _apply_split(mesh, split_edge):
     vparent = np.full(len(new_vertices), -1, dtype=np.int64)
     vparent[nold:] = split_ids
 
-    tris, refs, gens, parents = [], [], [], []
+    # local vertices a, p, q with the refinement edge conv{p, q} opposite a;
+    # m, m2, m1 are the midpoints of the edges opposite a, p, q (-1: unsplit)
+    rows = np.arange(mesh.num_triangles)[:, None]
+    local = (mesh.refedge[:, None] + np.arange(3)) % 3
+    a, p, q = mesh.triangles[rows, local].T
+    m, m2, m1 = midpoint_index[mesh.tri_edges[rows, local]].T
+    # closure guarantees that an unsplit refinement edge leaves t unsplit
+    split = m >= 0
+    split1 = split & (m1 >= 0)
+    split2 = split & (m2 >= 0)
 
-    def emit(tri, gen, parent):
-        tris.append(tri)
-        refs.append(0)
-        gens.append(gen)
-        parents.append(parent)
+    def tri(*cols):
+        return np.stack(cols, axis=1)
 
-    def bisect(tri, k, gen, parent, depth):
-        # split conv{p, q} at m; children refine their inherited old edges next
-        a, p, q = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
-        m = _midpoint_of(mesh, midpoint_index, p, q)
-        for child in ((m, a, p), (m, q, a)):
-            e1, e2 = child[1], child[2]
-            if depth == 0 and _edge_is_split(mesh, split_edge, e1, e2):
-                bisect(child, 0, gen + 1, parent, depth + 1)
-            else:
-                emit(child, gen + 1, parent)
+    slots = np.stack([
+        np.where(split[:, None],
+                 np.where(split1[:, None], tri(m1, m, a), tri(m, a, p)),
+                 mesh.triangles),
+        tri(m1, p, m),
+        np.where(split2[:, None], tri(m2, m, q), tri(m, q, a)),
+        tri(m2, a, m),
+    ], axis=1)                                       # (T, 4, 3)
+    gen = mesh.generation
+    gens = np.stack([np.where(split, gen + 1 + split1, gen), gen + 2,
+                     gen + 1 + split2, gen + 2], axis=1)
+    refs = np.zeros_like(gens)
+    refs[:, 0] = np.where(split, 0, mesh.refedge)
+    present = np.stack([np.ones_like(split), split1, split, split2], axis=1)
+    parent, slot = np.nonzero(present)               # row-major: child order
 
-    for t in range(mesh.num_triangles):
-        k = mesh.refedge[t]
-        if split_edge[mesh.tri_edges[t, k]]:
-            bisect(tuple(mesh.triangles[t]), k, int(mesh.generation[t]), t, 0)
-        else:
-            # closure guarantees no other edge of t is split
-            tris.append(tuple(mesh.triangles[t]))
-            refs.append(int(k))
-            gens.append(int(mesh.generation[t]))
-            parents.append(t)
-
-    refined = Triangulation(new_vertices, np.array(tris), np.array(refs),
-                            generation=np.array(gens), parent=np.array(parents),
+    refined = Triangulation(new_vertices, slots[parent, slot], refs[parent, slot],
+                            generation=gens[parent, slot], parent=parent,
                             coarse=mesh, vertex_parent_edge=vparent)
-    tags = _inherit_tags(mesh, refined, midpoint_index)
-    return refined._replace(edge_tags=tags)
+    refined._set_tags(_inherited_tags(mesh, refined))
+    return refined
 
 
-def _midpoint_of(mesh, midpoint_index, p, q):
-    f = mesh._key_table[(min(p, q), max(p, q))]
-    m = midpoint_index[f]
-    assert m >= 0
-    return int(m)
-
-
-def _edge_is_split(mesh, split_edge, p, q):
-    f = mesh._key_table.get((min(p, q), max(p, q)))
-    return f is not None and split_edge[f]
-
-
-def _inherit_tags(coarse, refined, midpoint_index):
-    # a boundary edge of the refined mesh is either a surviving coarse edge or
-    # one half of a split coarse boundary edge
-    table = coarse._key_table
-    inv_mid = {int(midpoint_index[f]): f for f in np.nonzero(midpoint_index >= 0)[0]}
-    tags = np.full(refined.num_edges, int(BoundaryPart.INTERIOR), dtype=np.int64)
+def _inherited_tags(coarse, refined):
+    # a boundary edge of the refined mesh is either one half of a split coarse
+    # boundary edge (found through its new endpoint) or a surviving coarse
+    # edge (found by key; coarse edge keys ascend with the edge index)
     nold = coarse.num_vertices
-    for f in refined.boundary_edges():
-        a, b = int(refined.edges[f, 0]), int(refined.edges[f, 1])
-        if a >= nold or b >= nold:
-            m, other = (a, b) if a >= nold else (b, a)
-            parent_edge = inv_mid[m]
-            if other not in (int(coarse.edges[parent_edge, 0]),
-                             int(coarse.edges[parent_edge, 1])):
-                raise MeshError("refined boundary edge has no parent edge")
-        else:
-            parent_edge = table.get((min(a, b), max(a, b)))
-            if parent_edge is None:
-                raise MeshError("refined boundary edge has no parent edge")
-        tags[f] = coarse.edge_tags[parent_edge]
+    bnd = refined.boundary_edges()
+    ends = refined.edges[bnd]
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    parent_edge = np.full(len(bnd), -1, dtype=np.int64)
+
+    half = hi >= nold
+    split = refined.vertex_parent_edge[hi[half]]
+    on_split = (coarse.edges[split] == lo[half, None]).any(axis=1)
+    parent_edge[half] = np.where(on_split, split, -1)
+
+    keys = _edge_keys(coarse.edges, nold)
+    want = _edge_keys(ends[~half], nold)
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    parent_edge[~half] = np.where(keys[pos] == want, pos, -1)
+    if np.any(parent_edge < 0):
+        raise MeshError("refined boundary edge has no parent edge")
+
+    tags = np.full(refined.num_edges, int(BoundaryPart.INTERIOR), dtype=np.int64)
+    tags[bnd] = coarse.edge_tags[parent_edge]
     return tags
 
 

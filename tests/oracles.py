@@ -6,8 +6,10 @@ search for bulk marking, pointwise weighted least squares on an unrelated
 quadrature rule for elementwise projections, symbolic element
 integration for the plate forms, per-column and per-cell loops for the
 Helmholtz maps, one dense least-squares solve with the stacked maps for
-the tensor splitting, and a geometric search for the fine sub-edges of
-every coarse edge in Morley interpolation.
+the tensor splitting, a geometric search for the fine sub-edges of
+every coarse edge in Morley interpolation, a row-wise unique with a
+per-slot orientation search for the edge table, and per-triangle
+recursion with dict lookups for newest-vertex bisection.
 """
 
 import itertools
@@ -249,3 +251,119 @@ def morley_interpolate_geometric(space, bf):
             total += fine.edge_lengths[f] * dn
         out[space.edge_dof[e]] = total / coarse.edge_lengths[e]
     return out
+
+
+def edge_table_unique_rows(triangles):
+    """Edges (oriented by the lower adjacent triangle), tri_edges and
+    edge_tris from a row-wise ``np.unique`` of the sorted endpoint pairs and
+    a per-slot orientation search."""
+    tris = np.asarray(triangles)
+    ntri = len(tris)
+    raw = np.stack([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]], axis=1)
+    uniq, inverse = np.unique(np.sort(raw.reshape(-1, 2), axis=1), axis=0,
+                              return_inverse=True)
+    inverse = inverse.ravel()
+    edge_tris = np.full((len(uniq), 2), -1, dtype=np.int64)
+    for flat, f in enumerate(inverse):
+        slot = 0 if edge_tris[f, 0] < 0 else 1
+        edge_tris[f, slot] = flat // 3
+    edges = uniq.copy()
+    for f, t in enumerate(edge_tris[:, 0]):
+        for k in range(3):
+            a, b = tris[t, k], tris[t, (k + 1) % 3]
+            if (min(a, b), max(a, b)) == tuple(uniq[f]):
+                edges[f] = (a, b)
+    return edges, inverse.reshape(ntri, 3), edge_tris
+
+
+def apply_split_recursive(mesh, split_edge):
+    """Newest-vertex bisection of a closed split-edge set, one triangle at a
+    time by recursion, with boundary tags inherited through a dict from
+    undirected endpoint pairs to coarse edges."""
+    from plate_afem.mesh import BoundaryPart, MeshError, Triangulation
+
+    table = {(int(min(i, j)), int(max(i, j))): f
+             for f, (i, j) in enumerate(mesh.edges)}
+    split_ids = np.nonzero(split_edge)[0]
+    nold = mesh.num_vertices
+    midpoint_index = np.full(mesh.num_edges, -1, dtype=np.int64)
+    midpoint_index[split_ids] = nold + np.arange(len(split_ids))
+    new_vertices = np.vstack([mesh.vertices, mesh.edge_midpoints[split_ids]])
+    vparent = np.full(len(new_vertices), -1, dtype=np.int64)
+    vparent[nold:] = split_ids
+
+    def midpoint_of(p, q):
+        m = midpoint_index[table[(min(p, q), max(p, q))]]
+        assert m >= 0
+        return int(m)
+
+    def edge_is_split(p, q):
+        f = table.get((min(p, q), max(p, q)))
+        return f is not None and split_edge[f]
+
+    tris, refs, gens, parents = [], [], [], []
+
+    def emit(tri, ref, gen, parent):
+        tris.append(tri)
+        refs.append(ref)
+        gens.append(gen)
+        parents.append(parent)
+
+    def bisect(tri, k, gen, parent, depth):
+        # split conv{p, q} at m; children refine their inherited old edges next
+        a, p, q = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
+        m = midpoint_of(p, q)
+        for child in ((m, a, p), (m, q, a)):
+            if depth == 0 and edge_is_split(child[1], child[2]):
+                bisect(child, 0, gen + 1, parent, depth + 1)
+            else:
+                emit(child, 0, gen + 1, parent)
+
+    for t in range(mesh.num_triangles):
+        k = int(mesh.refedge[t])
+        if split_edge[mesh.tri_edges[t, k]]:
+            bisect(tuple(mesh.triangles[t]), k, int(mesh.generation[t]), t, 0)
+        else:
+            emit(tuple(mesh.triangles[t]), k, int(mesh.generation[t]), t)
+
+    refined = Triangulation(new_vertices, np.array(tris), np.array(refs),
+                            generation=np.array(gens), parent=np.array(parents),
+                            coarse=mesh, vertex_parent_edge=vparent)
+
+    # a boundary edge of the refined mesh is either a surviving coarse edge or
+    # one half of a split coarse boundary edge
+    inv_mid = {int(midpoint_index[f]): f for f in split_ids}
+    tags = np.full(refined.num_edges, int(BoundaryPart.INTERIOR), dtype=np.int64)
+    for f in refined.boundary_edges():
+        a, b = int(refined.edges[f, 0]), int(refined.edges[f, 1])
+        if a >= nold or b >= nold:
+            m, other = (a, b) if a >= nold else (b, a)
+            parent_edge = inv_mid[m]
+            if other not in (int(mesh.edges[parent_edge, 0]),
+                             int(mesh.edges[parent_edge, 1])):
+                raise MeshError("refined boundary edge has no parent edge")
+        else:
+            parent_edge = table.get((min(a, b), max(a, b)))
+            if parent_edge is None:
+                raise MeshError("refined boundary edge has no parent edge")
+        tags[f] = mesh.edge_tags[parent_edge]
+    return Triangulation(new_vertices, refined.triangles, refined.refedge,
+                         edge_tags=tags, generation=refined.generation,
+                         parent=refined.parent, coarse=mesh,
+                         vertex_parent_edge=vparent)
+
+
+def refine_nvb_recursive(mesh, marked=None):
+    """``refine_nvb`` through ``apply_split_recursive``; ``marked=None``
+    splits every edge, as ``uniform_refine`` does."""
+    from plate_afem.mesh import _as_index_array, _closure
+
+    if marked is None:
+        return apply_split_recursive(mesh, np.ones(mesh.num_edges, dtype=bool))
+    marked = _as_index_array(marked, mesh.num_triangles)
+    if marked.size == 0:
+        return mesh
+    split_edge = np.zeros(mesh.num_edges, dtype=bool)
+    split_edge[mesh.tri_edges[marked, mesh.refedge[marked]]] = True
+    _closure(mesh, split_edge)
+    return apply_split_recursive(mesh, split_edge)

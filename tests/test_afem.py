@@ -1,8 +1,11 @@
+import gc
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plate_afem import afem, assembly as asm, eigen as eig, mesh as msh, space as sp
 from plate_afem.afem import AfemConfig, ConfigError
@@ -163,6 +166,41 @@ class TestRigidBodyGuard:
         m = msh.uniform_refine(msh.preset_mesh(geometry, bc))
         assert sp.affine_kernel_dimension(m) == \
             asm.stiffness_kernel_dimension(sp.build_space(m))
+
+    @given(st.sampled_from([("square", 4), ("lshape", 6)]).flatmap(
+               lambda g: st.tuples(st.just(g[0]), st.lists(
+                   st.sampled_from(["clamped", "simply_supported", "free"]),
+                   min_size=g[1], max_size=g[1]))),
+           st.sampled_from([10 ** 9, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_bc_lists_fail_loudly_or_stay_positive(self, case, dense_cutoff):
+        # every per-segment list of both presets gives lambda_1 >= 0.25 on
+        # these levels unless it leaves a rigid-body mode
+        geometry, bc = case
+        cfg = AfemConfig(geometry=geometry, bc=bc, max_levels=2, max_ndof=400,
+                         dense_cutoff=dense_cutoff)
+        try:
+            trace = afem.run_afem(cfg)
+        except ConfigError:
+            assert sp.affine_kernel_dimension(msh.preset_mesh(geometry, bc)) > 0
+            return
+        except EigenError:
+            return
+        assert min(level.eigenvalues[0] for level in trace.levels) >= 0.1
+
+
+class TestReferenceCycles:
+    def test_adaptive_run_leaves_no_cyclic_garbage(self):
+        cfg = AfemConfig(geometry="lshape", bc="mixed", max_levels=64,
+                         max_ndof=3000)
+        gc.collect()
+        gc.disable()
+        try:
+            trace = afem.run_afem(cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert trace.levels[-1].ndof >= 3000
 
 
 class TestRates:

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from oracles import (apply_split_recursive, edge_table_unique_rows,
+                     refine_nvb_recursive)
 from plate_afem import mesh as msh
 from plate_afem.mesh import BoundaryPart, MeshError
 
@@ -58,6 +60,27 @@ class TestBuild:
     def test_empty_mesh_rejected(self):
         with pytest.raises(MeshError):
             msh.build_mesh(np.zeros((0, 2)), np.zeros((0, 3), dtype=int), [])
+
+    def test_longest_edge_ties_go_to_smallest_global_edge(self):
+        # equilateral up to rounding: the height is sqrt(3)/2 rounded up, so
+        # all three computed side lengths are exactly 1.0; edge (0, 1) has
+        # global index 0
+        v = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.8660254037844387)]
+        segs = [(0, 1, "free"), (1, 2, "free"), (2, 0, "free")]
+        for tri, local in (((0, 1, 2), 2), ((1, 2, 0), 1), ((2, 0, 1), 0)):
+            m = msh.build_mesh(v, [tri], segs)
+            assert np.all(m.edge_lengths == 1.0)
+            assert m.tri_edges[0, m.refedge[0]] == 0
+            assert m.refedge[0] == local
+
+    def test_preset_refedge_and_hash_pinned(self):
+        pins = {("square", "clamped"): ([1, 2], "abdbbd32659dae30"),
+                ("lshape", "mixed"): ([1, 2, 1, 2, 1, 2], "7db82c45527bc5d1"),
+                ("triangle", "free"): ([0], "c3d0aee5c96dff5f")}
+        for (geom, bc), (refedge, digest) in pins.items():
+            m = msh.preset_mesh(geom, bc)
+            assert m.refedge.tolist() == refedge
+            assert msh.mesh_hash(m).startswith(digest)
 
     def test_mixed_presets(self):
         for geom in ("square", "lshape"):
@@ -252,6 +275,8 @@ class TestSerialization:
         assert np.array_equal(m2.triangles, m.triangles)
         assert np.array_equal(m2.refedge, m.refedge)
         assert np.array_equal(m2.edge_tags, m.edge_tags)
+        assert msh.mesh_hash(m2) == msh.mesh_hash(m)
+        assert msh.mesh_hash(m).startswith("4fc328215a47a9ec")
 
     def test_json_schema(self, tmp_path):
         m = msh.square_mesh("clamped")
@@ -296,3 +321,93 @@ class TestBisectionAccounting:
             assert r.num_triangles == (m.num_triangles + 2 * new_vertices
                                        - boundary_splits)
             m = r
+
+
+_ORACLE_FIELDS = ("vertices", "triangles", "refedge", "generation", "parent",
+                  "vertex_parent_edge", "edges", "edge_tags", "tri_edges",
+                  "edge_tris")
+_ORACLE_CASES = [(geom, bc) for geom in ("square", "lshape", "triangle")
+                 for bc in ("clamped", "free", "mixed")]
+
+
+def _preset(geom, bc):
+    if geom == "triangle" and bc == "mixed":
+        bc = ["clamped", "simply_supported", "free"]
+    return msh.preset_mesh(geom, bc)
+
+
+def _assert_same_mesh(got, want):
+    for name in _ORACLE_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+    assert got.coarse is want.coarse
+    assert msh.mesh_hash(got) == msh.mesh_hash(want)
+
+
+class TestRefinementOracle:
+    @pytest.mark.parametrize("geom,bc", _ORACLE_CASES)
+    def test_random_markings_match_recursion(self, geom, bc):
+        rng = np.random.default_rng(_ORACLE_CASES.index((geom, bc)))
+        m = _preset(geom, bc)
+        for _ in range(7):
+            size = max(1, int(m.num_triangles * rng.uniform(0.05, 0.5)))
+            marked = rng.choice(m.num_triangles, size=size, replace=False)
+            r = msh.refine_nvb(m, marked)
+            _assert_same_mesh(r, refine_nvb_recursive(m, marked))
+            m = r
+
+    @pytest.mark.parametrize("geom,bc", _ORACLE_CASES)
+    def test_uniform_refinement_matches_recursion(self, geom, bc):
+        m = msh.refine_nvb(_preset(geom, bc), [0])
+        for _ in range(3):
+            u = msh.uniform_refine(m)
+            _assert_same_mesh(u, refine_nvb_recursive(m))
+            m = u
+
+    def test_edge_table_matches_row_unique(self):
+        m = msh.preset_mesh("lshape", "mixed")
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            m = msh.refine_nvb(m, rng.choice(m.num_triangles, size=m.num_triangles // 3,
+                                             replace=False))
+            edges, tri_edges, edge_tris = edge_table_unique_rows(m.triangles)
+            assert np.array_equal(m.edges, edges)
+            assert np.array_equal(m.tri_edges, tri_edges)
+            assert np.array_equal(m.edge_tris, edge_tris)
+
+    def test_out_of_range_mark_rejected_by_both(self):
+        m = msh.square_mesh("clamped")
+        for refine in (msh.refine_nvb, refine_nvb_recursive):
+            with pytest.raises(MeshError, match="out of range"):
+                refine(m, [2])
+
+    def test_unclosed_split_set_rejected_by_both(self):
+        m = msh.refine_nvb(msh.preset_mesh("lshape", "mixed"), [0])
+        ref = m.tri_edges[np.arange(m.num_triangles), m.refedge]
+        # an interior edge that is the refinement edge of one neighbour only
+        # leaves a hanging node; a boundary edge that is nobody's refinement
+        # edge leaves an unused midpoint
+        lone = [f for f in m.interior_edges() if np.sum(ref == f) == 1]
+        unused = [f for f in m.boundary_edges() if f not in ref]
+        assert lone and unused
+        for f in (lone[0], unused[0]):
+            split = np.zeros(m.num_edges, dtype=bool)
+            split[f] = True
+            for apply in (msh._apply_split, apply_split_recursive):
+                with pytest.raises(MeshError):
+                    apply(m, split.copy())
+
+    def test_boundary_edge_without_parent_rejected(self):
+        square = msh.square_mesh("clamped")
+        v = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.0)]
+        segs = [(0, 1, "clamped"), (1, 2, "clamped"), (2, 3, "clamped"),
+                (3, 0, "clamped")]
+        # halves of split edges point at the edges of the other diagonal
+        other_diagonal = msh.build_mesh(v[:4], [(0, 1, 3), (1, 2, 3)], segs)
+        # the surviving side (0, 1) is split at vertex 4 in the other mesh
+        split_side = msh.build_mesh(v, [(0, 4, 3), (4, 1, 2), (4, 2, 3)], segs)
+        for coarse, fine in ((other_diagonal, msh.uniform_refine(square)),
+                             (split_side, msh.refine_nvb(square, [0]))):
+            with pytest.raises(MeshError, match="no parent edge"):
+                msh._inherited_tags(coarse, fine)
