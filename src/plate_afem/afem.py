@@ -3,17 +3,20 @@ reference eigenvalues by extrapolation.
 
 Each level solves the discrete eigenproblem for the configured window plus
 a buffer, evaluates the residual estimator over the window, marks a minimal
-bulk set and bisects.  The trace records one row per level; in
-deterministic mode wall times are written as zero so that two runs produce
-byte-identical files.
+bulk set and bisects.  The trace records one row per level, plus the time
+of each phase and the solver diagnostics; in deterministic mode wall times
+are written as zero so that two runs produce byte-identical files.
 """
 
+import itertools
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import assembly, eigen, estimator
+from .helmholtz import tensor_features
 from .mesh import Triangulation, preset_mesh, refine_nvb, uniform_refine
 from .space import (MorleySpace, affine_kernel_dimension, build_space,
                     hessians, prolong_to_fine)
@@ -119,6 +122,8 @@ class AfemLevel:
     m_j: float
     wall_time: float
     sin_angle: float = float("nan")
+    timings: dict = field(default_factory=dict)     # seconds per phase
+    solver: dict = field(default_factory=dict)      # eigensolver diagnostics
 
 
 @dataclass
@@ -174,53 +179,49 @@ def read_trace_csv(path):
     return {name: data[:, k] for k, name in enumerate(header)}
 
 
-def _initial_mesh_without_rigid_modes(config):
-    # decided from the boundary alone, so the dense and the sparse eigen
-    # paths reject the same configs; refinement keeps the boundary parts
-    mesh = config.initial_mesh()
-    rigid = affine_kernel_dimension(mesh)
-    if rigid > 0:
-        raise ConfigError(
-            f"the boundary conditions leave {rigid} rigid-body mode(s) "
-            "(affine functions) in the space, so the plate has a zero "
-            "eigenvalue: clamp or support more of the boundary")
-    return mesh
-
-
-def _solve_level(space, config, reference=None):
+@contextmanager
+def _phase(timings, name):
     t0 = time.perf_counter()
-    A = assembly.assemble_stiffness(space)
-    M = assembly.assemble_mass(space)
-    want = config.n + config.cluster_size + config.buffer
-    count = min(want, space.ndof)
+    yield
+    timings[name] = time.perf_counter() - t0
+
+
+def _solve_level(level, space, config, timings, reference=None):
+    # the level's record (with nothing marked yet), window and estimate
+    t0 = time.perf_counter()
+    with _phase(timings, "assemble"):
+        A = assembly.assemble_stiffness(space)
+        M = assembly.assemble_mass(space)
+    count = min(config.n + config.cluster_size + config.buffer, space.ndof)
     if count < config.n + config.cluster_size:
         raise eigen.EigenError(
             f"space too small: ndof={space.ndof} cannot host the window")
-    sol = eigen.solve_gevp(A, M, count, dense_cutoff=config.dense_cutoff,
-                           deterministic=True)
-    if sol.eigenvalues[0] <= 0:
-        raise eigen.EigenError(
-            "nonpositive plate eigenvalue: check the boundary conditions")
-    cluster = sol.window(config.n, config.cluster_size)
-    rep = eigen.separation(sol.computed_spectrum, config.window_indices())
-    fld = estimator.estimate(space, cluster, edge_weight=config.edge_weight)
-    sin_angle = float("nan")
-    if reference is not None:
-        sin_angle = angle_to_reference(space, cluster, *reference)
+    with _phase(timings, "solve"):
+        sol = eigen.solve_gevp(A, M, count, dense_cutoff=config.dense_cutoff,
+                               deterministic=True)
+        if sol.eigenvalues[0] <= 0:
+            raise eigen.EigenError(
+                "nonpositive plate eigenvalue: check the boundary conditions")
+        cluster = sol.window(config.n, config.cluster_size)
+        rep = eigen.separation(sol.computed_spectrum, config.window_indices())
+    with _phase(timings, "estimate"):
+        fld = estimator.estimate(space, cluster, edge_weight=config.edge_weight)
+    sin_angle = (float("nan") if reference is None
+                 else angle_to_reference(space, cluster, *reference))
     wall = time.perf_counter() - t0
-    return cluster, rep, fld, sin_angle, wall
-
-
-def _record(level, space, cluster, rep, fld, sin_angle, wall, config, marked):
     lam = cluster.eigenvalues
-    lows = np.array([eigen.lower_bound(v, space.mesh.h_max,
-                                       config.lower_bound_constant)
+    lows = np.array([eigen.lower_bound(v, space.mesh.h_max, config.lower_bound_constant)
                      for v in lam])
-    return AfemLevel(
+    solver = {"path": sol.path, "max_residual": float(sol.residuals.max()),
+              "b_orthonormality_residual": sol.b_orthonormality_residual,
+              "a_diagonality_residual": sol.a_diagonality_residual, "truncated": rep.truncated,
+              "nearest_gap": None if np.isnan(rep.nearest_gap) else rep.nearest_gap}
+    record = AfemLevel(
         level=level, ndof=space.ndof, num_triangles=space.mesh.num_triangles,
         h_max=space.mesh.h_max, eigenvalues=lam.copy(), lower_bounds=lows,
-        eta2_total=fld.total, marked=marked, m_j=rep.m_j, wall_time=wall,
-        sin_angle=sin_angle)
+        eta2_total=fld.total, marked=0, m_j=rep.m_j, wall_time=wall,
+        sin_angle=sin_angle, timings=timings, solver=solver)
+    return record, cluster, fld
 
 
 def run_afem(config: AfemConfig, reference=None) -> AfemTrace:
@@ -231,45 +232,46 @@ def run_afem(config: AfemConfig, reference=None) -> AfemTrace:
     ClusterSplitError when the configured window cuts a numerically multiple
     eigenvalue.
     """
-    mesh = _initial_mesh_without_rigid_modes(config)
-    trace = AfemTrace(config=config)
-    level = 0
-    while True:
-        space = build_space(mesh)
-        cluster, rep, fld, sin_angle, wall = _solve_level(space, config, reference)
-        marked = estimator.dorfler_mark(fld, config.theta)
-        trace.levels.append(_record(level, space, cluster, rep, fld, sin_angle,
-                                    wall, config, len(marked)))
-        trace.meshes.append(mesh)
-        trace.clusters.append(cluster)
-        if level >= config.max_levels:
-            break
-        if space.ndof >= config.max_ndof:
-            break
-        if fld.total <= config.eta2_floor or marked.converged:
-            trace.converged = True
-            break
-        mesh = refine_nvb(mesh, marked)
-        level += 1
-    return trace
+    return _loop(config, reference, uniform=False)
 
 
 def uniform_trace(config: AfemConfig) -> AfemTrace:
-    """Uniform-refinement counterpart of ``run_afem`` with the same records."""
-    mesh = _initial_mesh_without_rigid_modes(config)
+    """Uniform-refinement counterpart of ``run_afem`` with the same records;
+    every triangle counts as marked, and only the level and ndof limits stop."""
+    return _loop(config, None, uniform=True)
+
+
+def _loop(config, reference, uniform):
+    # decided from the boundary alone, so the dense and the sparse eigen
+    # paths reject the same configs; refinement keeps the boundary parts
+    mesh = config.initial_mesh()
+    rigid = affine_kernel_dimension(mesh)
+    if rigid > 0:
+        raise ConfigError(
+            f"the boundary conditions leave {rigid} rigid-body mode(s) "
+            "(affine functions) in the space, so the plate has a zero "
+            "eigenvalue: clamp or support more of the boundary")
     trace = AfemTrace(config=config)
-    level = 0
-    while True:
-        space = build_space(mesh)
-        cluster, rep, fld, sin_angle, wall = _solve_level(space, config)
-        trace.levels.append(_record(level, space, cluster, rep, fld, sin_angle,
-                                    wall, config, space.mesh.num_triangles))
+    for level in itertools.count():
+        timings = dict.fromkeys(("build_space", "assemble", "solve", "estimate",
+                                 "mark", "refine"), 0.0)
+        with _phase(timings, "build_space"):
+            space = build_space(mesh)
+        record, cluster, fld = _solve_level(level, space, config, timings, reference)
+        record.solver["affine_kernel_dimension"] = rigid
+        with _phase(timings, "mark"):
+            marked = None if uniform else estimator.dorfler_mark(fld, config.theta)
+        record.marked = space.mesh.num_triangles if uniform else len(marked)
+        trace.levels.append(record)
         trace.meshes.append(mesh)
         trace.clusters.append(cluster)
         if level >= config.max_levels or space.ndof >= config.max_ndof:
             break
-        mesh = uniform_refine(mesh)
-        level += 1
+        if not uniform and (fld.total <= config.eta2_floor or marked.converged):
+            trace.converged = True
+            break
+        with _phase(timings, "refine"):
+            mesh = uniform_refine(mesh) if uniform else refine_nvb(mesh, marked)
     return trace
 
 
@@ -401,10 +403,7 @@ def angle_to_reference(space: MorleySpace, cluster,
 
 
 def _hessian_feature_block(space, vectors, fine_mesh):
-    w = np.sqrt(fine_mesh.areas)
-    scale = np.stack([w, w, np.sqrt(2.0) * w], axis=1)     # (T, 3)
-    cols = []
-    for k in range(vectors.shape[1]):
-        bf = prolong_to_fine(vectors[:, k], fine_mesh, space=space)
-        cols.append((hessians(bf) * scale).ravel())
+    cols = [tensor_features(fine_mesh, hessians(
+                prolong_to_fine(vectors[:, k], fine_mesh, space=space)))
+            for k in range(vectors.shape[1])]
     return np.stack(cols, axis=1)

@@ -24,7 +24,6 @@ __all__ = [
     "solve_with_load",
     "project_pk",
     "osc_k",
-    "stiffness_kernel_dimension",
 ]
 
 
@@ -220,12 +219,3 @@ def osc_k(mesh, f, k, quad_degree=8) -> float:
     res2 = np.einsum("q,tq->t", rule.weights, (fvals - proj) ** 2) * mesh.areas
     return float(np.sqrt(np.sum(mesh.areas ** 2 * res2)))
 
-
-def stiffness_kernel_dimension(space, tol=1e-8) -> int:
-    """Kernel dimension of the stiffness form on the reduced space (dense)."""
-    A = assemble_stiffness(space).toarray()
-    if A.size == 0:
-        return 0
-    evals = np.linalg.eigvalsh(A)
-    scale = max(evals.max(), 1.0)
-    return int(np.sum(evals < tol * scale))

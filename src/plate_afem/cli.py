@@ -120,6 +120,10 @@ def _cmd_run(args):
         "mesh_hashes": [mesh_hash(m) for m in trace.meshes],
         "outputs": outputs,
         "levels": len(trace.levels),
+        "per_level": [{"level": r.level, "solver": r.solver,
+                       "timings": {k: 0.0 if config.deterministic else v
+                                   for k, v in r.timings.items()}}
+                      for r in trace.levels],
         "converged": trace.converged,
         "wall_time_s": 0.0 if config.deterministic else elapsed,
     }

@@ -47,7 +47,8 @@ class ClusterSolution:
 
     ``j_first`` is the 1-based index of the first eigenvalue of the window
     within the full spectrum; ``computed_spectrum`` keeps every eigenvalue
-    computed by the solve for separation diagnostics.
+    computed by the solve for separation diagnostics; ``path`` names the
+    solver that ran, ``"dense"`` or ``"shift-invert"``.
     """
 
     j_first: int
@@ -57,6 +58,7 @@ class ClusterSolution:
     b_orthonormality_residual: float
     a_diagonality_residual: float
     computed_spectrum: np.ndarray = field(repr=False)
+    path: str
 
     @property
     def indices(self) -> np.ndarray:
@@ -80,6 +82,7 @@ class ClusterSolution:
             b_orthonormality_residual=self.b_orthonormality_residual,
             a_diagonality_residual=self.a_diagonality_residual,
             computed_spectrum=self.computed_spectrum,
+            path=self.path,
         )
 
 
@@ -113,7 +116,8 @@ def solve_gevp(A, M, count, dense_cutoff=900, deterministic=True) -> ClusterSolu
     if count < 1 or count > n:
         raise EigenError(f"count={count} out of range for dimension {n}")
 
-    if n <= dense_cutoff or count >= n - 1:
+    path = "dense" if n <= dense_cutoff or count >= n - 1 else "shift-invert"
+    if path == "dense":
         try:
             w, v = dla.eigh(A.toarray(), M.toarray(),
                             subset_by_index=[0, count - 1])
@@ -123,11 +127,7 @@ def solve_gevp(A, M, count, dense_cutoff=900, deterministic=True) -> ClusterSolu
             raise EigenError(f"dense eigensolver failed: {exc}") from exc
     else:
         try:
-            # A is SPD: symmetric mode with a symmetric minimum-degree
-            # ordering fills L+U about 5x less than splu's COLAMD default
-            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
+            lu = _spd_splu(A)
             OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
             v0 = np.full(n, 1.0 / np.sqrt(n)) if deterministic else None
             w, v = spla.eigsh(A, k=count, M=M, sigma=0.0, which="LM", v0=v0,
@@ -171,8 +171,15 @@ def solve_gevp(A, M, count, dense_cutoff=900, deterministic=True) -> ClusterSolu
     return ClusterSolution(
         j_first=1, eigenvalues=w, vectors=v, residuals=resid,
         b_orthonormality_residual=b_res, a_diagonality_residual=a_res,
-        computed_spectrum=w.copy(),
+        computed_spectrum=w.copy(), path=path,
     )
+
+
+def _spd_splu(A):
+    # for SPD A: symmetric mode with a symmetric minimum-degree ordering
+    # fills L+U about 5x less than splu's COLAMD default
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
 
 
 def _norm1(op):

@@ -7,10 +7,12 @@ vector field from a constrained space: zero mean, zero mean divergence,
 no normal increment along simply supported and free boundary edges, and
 matching scaled tangential increments across vertices interior to the free
 boundary.  The dimension identity behind the splitting is audited through
-integer rank computations.
+integer ranks, each counted from the lowest eigenvalues of the Gram matrix
+of a map with a checked spectral gap.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as dla
@@ -18,6 +20,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from . import assembly
+from .eigen import _norm1, _spd_splu
 from .mesh import BoundaryPart, Triangulation
 from .space import MorleySpace, _p1_gradients, affine_kernel_coefficients
 
@@ -35,6 +38,7 @@ __all__ = [
 ]
 
 _RANK_RTOL = 1e-10
+_KERNEL_RTOL, _RANGE_RTOL, _SHIFT_RTOL = 1e-13, 1e-9, 1e-11
 
 
 class HelmholtzError(Exception):
@@ -119,7 +123,10 @@ def build_xspace(mesh: Triangulation) -> XSpace:
         rows.append(r)
 
     C = np.asarray(rows)
-    basis, rank = _null_space_pivoted_qr(C)
+    # null space of C from a pivoted QR factorisation of its transpose
+    Q, R, _ = dla.qr(C.T, pivoting=True, mode="full")
+    rank = _pivoted_qr_rank(R)
+    basis = Q[:, rank:]
     n_sf = len(mesh.edges_with_tag(BoundaryPart.SIMPLY_SUPPORTED, BoundaryPart.FREE))
     n_fc = len(mesh.free_corner_vertices())
     expected = 2 * n - 3 - n_sf - n_fc
@@ -134,13 +141,6 @@ def _pivoted_qr_rank(R):
     if diag.size == 0 or diag[0] == 0.0:
         return 0
     return int(np.sum(diag > _RANK_RTOL * diag[0]))
-
-
-def _null_space_pivoted_qr(C):
-    # null space of C from a pivoted QR factorisation of its transpose
-    Q, R, _ = dla.qr(C.T, pivoting=True, mode="full")
-    rank = _pivoted_qr_rank(R)
-    return Q[:, rank:], rank
 
 
 def full_curl(mesh: Triangulation, nodal) -> np.ndarray:
@@ -257,9 +257,7 @@ def decompose(space: MorleySpace, xspace: XSpace, sigma) -> DecompositionResult:
         keep = _kernel_free_dofs(Z)
         if keep.size:
             A = assembly.assemble_stiffness(space).full()[keep][:, keep]
-            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
+            lu = _spd_splu(A)
             if not np.all(lu.U.diagonal() > 0.0):
                 raise RuntimeError("stiffness matrix is not positive definite")
             phi[keep] = lu.solve((BH.T @ target)[keep])
@@ -307,14 +305,15 @@ def dimension_audit(mesh: Triangulation, space: MorleySpace,
     """Integer identity audit behind the decomposition, as a JSON-able dict.
 
     Checks the two counting identities on vertices, triangles and edges and
-    the splitting identity ``3#T = rank(hessian map) + rank(sym-curl map)``,
-    with ranks from the pivoted orthogonal factorisation.
+    the splitting identity ``3#T = rank(hessian map) + rank(sym-curl map)``.
+    The rank of a map B counts the eigenvalues mu of G = B^T B (sparse for
+    the Hessian map, dense for the sym-curl map) above 1e-9 |G|_1; mu at
+    most 1e-13 |G|_1 is kernel, and a mu in between raises HelmholtzError
+    because the rank is then undecided.
     """
     e1, e2 = mesh.euler_identities()
-    BH = hessian_map(space)
-    BC = sym_curl_map(xspace)
-    rank_h = _qr_rank(BH)
-    rank_c = _qr_rank(BC)
+    BH, BC = _hessian_operator(space), sym_curl_map(xspace)
+    rank_h, rank_c = _gram_rank(BH.T @ BH), _gram_rank(BC.T @ BC)
     dims = {
         "num_vertices": mesh.num_vertices,
         "num_triangles": mesh.num_triangles,
@@ -335,8 +334,37 @@ def dimension_audit(mesh: Triangulation, space: MorleySpace,
     return report
 
 
-def _qr_rank(B):
-    if B.size == 0:
+def _gram_rank(G):
+    """Rank of B from the lowest eigenvalues mu of its Gram matrix G = B^T B.
+
+    Shift-invert Lanczos at sigma = -1e-11 |G|_1, through one symmetric-mode
+    SuperLU (sparse G) or Cholesky (dense G) factorisation of G - sigma I,
+    finds the lowest 4, 8, ... mu while all of them are kernel; ``eigvalsh``
+    takes over when nearly all are wanted.
+    """
+    n = G.shape[0]
+    norm = _norm1(G) if n else 0.0
+    if norm == 0.0:
         return 0
-    _, R, _ = dla.qr(B, pivoting=True, mode="economic")
-    return _pivoted_qr_rank(R)
+    sigma, count = -_SHIFT_RTOL * norm, 4
+    try:
+        OPinv = spla.LinearOperator((n, n), dtype=float, matvec=(
+            _spd_splu(G - sigma * sparse.identity(n)).solve if sparse.issparse(G)
+            else partial(dla.cho_solve, dla.cho_factor(G - sigma * np.eye(n)))))
+        while True:
+            if count >= n - 1:
+                mu = np.linalg.eigvalsh(G.toarray() if sparse.issparse(G) else G)
+            else:
+                mu = spla.eigsh(G, k=count, sigma=sigma, v0=np.full(n, n ** -0.5),
+                                OPinv=OPinv, return_eigenvectors=False)
+            kernel = mu <= _KERNEL_RTOL * norm
+            undecided = ~kernel & (mu <= _RANGE_RTOL * norm)
+            if undecided.any():
+                raise HelmholtzError(
+                    "rank undecided: no spectral gap, Gram eigenvalues "
+                    f"{mu[undecided] / norm} of |G|_1 lie between 1e-13 and 1e-9")
+            if not kernel.all() or count >= n - 1:
+                return n - int(kernel.sum())
+            count *= 2
+    except (RuntimeError, dla.LinAlgError) as exc:
+        raise HelmholtzError(f"rank computation failed: {exc}") from exc

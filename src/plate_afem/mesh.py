@@ -334,17 +334,6 @@ def _flip_edge_orientation(mesh, edge_id):
 # -- building ------------------------------------------------------------------
 
 
-def _point_on_segment(p, a, b, tol):
-    ab = b - a
-    ap = p - a
-    L2 = ab @ ab
-    cross = ab[0] * ap[1] - ab[1] * ap[0]
-    if abs(cross) > tol * np.sqrt(L2):
-        return False
-    s = (ap @ ab) / L2
-    return -tol <= s <= 1.0 + tol
-
-
 def build_mesh(vertices, triangles, boundary, refedge=None) -> Triangulation:
     """Build a labelled triangulation from raw arrays.
 
@@ -365,26 +354,39 @@ def build_mesh(vertices, triangles, boundary, refedge=None) -> Triangulation:
     vertices = np.asarray(vertices, dtype=float)
     mesh = Triangulation(vertices, triangles, refedge)
 
-    scale = np.max(np.abs(vertices)) or 1.0
-    tol = 1e-12 * scale
-    segs = []
-    for i, j, tag in boundary:
-        part = tag if isinstance(tag, BoundaryPart) else BoundaryPart.from_label(tag)
-        if part == BoundaryPart.INTERIOR:
-            raise MeshError("boundary segments cannot be tagged interior")
-        segs.append((vertices[int(i)], vertices[int(j)], part))
+    part_ids = np.array([tag if isinstance(tag, BoundaryPart)
+                         else BoundaryPart.from_label(tag) for _, _, tag in boundary],
+                        dtype=np.int64)
+    if np.any(part_ids == BoundaryPart.INTERIOR):
+        raise MeshError("boundary segments cannot be tagged interior")
+    ends = np.array([(int(i), int(j)) for i, j, _ in boundary],
+                    dtype=np.int64).reshape(-1, 2)
 
-    tags = np.full(mesh.num_edges, int(BoundaryPart.INTERIOR), dtype=np.int64)
-    for f in mesh.boundary_edges():
-        a = vertices[mesh.edges[f, 0]]
-        b = vertices[mesh.edges[f, 1]]
-        hits = [part for (p, q, part) in segs
-                if _point_on_segment(a, p, q, tol) and _point_on_segment(b, p, q, tol)]
-        if len(hits) == 0:
+    # an edge lies in a segment when both endpoints are collinear with it
+    # and project into it, up to 1e-12 times the coordinate scale
+    tol = 1e-12 * (np.max(np.abs(vertices)) or 1.0)
+    bnd = mesh.boundary_edges()
+    zs, slot = np.unique(mesh.edges[bnd], return_inverse=True)
+    p = vertices[ends[:, 0]]
+    ab = vertices[ends[:, 1]] - p
+    L2 = np.einsum("sd,sd->s", ab, ab)
+    dx = vertices[zs, 0, None] - p[:, 0]                     # (Z, S)
+    dy = vertices[zs, 1, None] - p[:, 1]
+    s = (dx * ab[:, 0] + dy * ab[:, 1]) / L2
+    on = ((np.abs(ab[:, 0] * dy - ab[:, 1] * dx) <= tol * np.sqrt(L2))
+          & (s >= -tol) & (s <= 1.0 + tol))
+    hits = on[slot.reshape(-1, 2)].all(axis=1)              # (E, S)
+    none = len(BoundaryPart)                  # above every part id
+    lo = np.where(hits, part_ids, none).min(axis=1, initial=none)
+    hi = np.where(hits, part_ids, -1).max(axis=1, initial=-1)
+    bad = np.nonzero(lo != hi)[0]
+    if bad.size:
+        f = bnd[bad[0]]
+        if hi[bad[0]] < 0:
             raise MeshError(f"boundary edge {f} not covered by any labelled segment")
-        if len(set(hits)) > 1:
-            raise MeshError(f"boundary edge {f} straddles two part labels")
-        tags[f] = int(hits[0])
+        raise MeshError(f"boundary edge {f} straddles two part labels")
+    tags = np.full(mesh.num_edges, int(BoundaryPart.INTERIOR), dtype=np.int64)
+    tags[bnd] = lo
     mesh._set_tags(tags)
     return mesh
 

@@ -6,10 +6,12 @@ search for bulk marking, pointwise weighted least squares on an unrelated
 quadrature rule for elementwise projections, symbolic element
 integration for the plate forms, per-column and per-cell loops for the
 Helmholtz maps, one dense least-squares solve with the stacked maps for
-the tensor splitting, a geometric search for the fine sub-edges of
-every coarse edge in Morley interpolation, a row-wise unique with a
-per-slot orientation search for the edge table, and per-triangle
-recursion with dict lookups for newest-vertex bisection.
+the tensor splitting, a pivoted QR for the ranks of the audited maps,
+all dense eigenvalues for the stiffness kernel, a geometric search for
+the fine sub-edges of every coarse edge in Morley interpolation, a
+row-wise unique with a per-slot orientation search for the edge table,
+and per-triangle recursion with dict lookups for newest-vertex
+bisection.
 """
 
 import itertools
@@ -180,6 +182,31 @@ def sym_curl_map_columns(xspace):
     cols = [tensor_features(mesh, sym_curl(mesh, xspace.basis[:, k]))
             for k in range(xspace.dim)]
     return np.stack(cols, axis=1)
+
+
+def qr_rank(B):
+    """Numerical rank of a dense matrix from the diagonal of a pivoted QR
+    factor, with relative threshold 1e-10."""
+    import scipy.linalg as dla
+
+    B = np.asarray(B, dtype=float)
+    if B.size == 0:
+        return 0
+    R, _ = dla.qr(B, pivoting=True, mode="r")
+    diag = np.abs(np.diag(R))
+    return 0 if diag[0] == 0.0 else int(np.sum(diag > 1e-10 * diag[0]))
+
+
+def stiffness_kernel_dimension(space, tol=1e-8):
+    """Kernel dimension of the stiffness form on the reduced space, from
+    all eigenvalues of the dense stiffness matrix."""
+    from plate_afem.assembly import assemble_stiffness
+
+    A = assemble_stiffness(space).toarray()
+    if A.size == 0:
+        return 0
+    evals = np.linalg.eigvalsh(A)
+    return int(np.sum(evals < tol * max(evals.max(), 1.0)))
 
 
 def decompose_lstsq(space, xspace, sigma):

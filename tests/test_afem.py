@@ -11,6 +11,8 @@ from plate_afem import afem, assembly as asm, eigen as eig, mesh as msh, space a
 from plate_afem.afem import AfemConfig, ConfigError
 from plate_afem.eigen import ClusterSplitError, EigenError
 
+from oracles import stiffness_kernel_dimension
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "square_clamped_theta05.json")
 
@@ -53,6 +55,27 @@ class TestRunAfem:
         tr = afem.run_afem(cfg)
         assert len(tr.levels) == 1
         assert tr.levels[0].level == 0
+
+    def test_levels_record_the_eigen_path_that_ran(self):
+        cfg = AfemConfig(geometry="lshape", bc="mixed", max_levels=4,
+                         dense_cutoff=20)
+        tr = afem.run_afem(cfg)
+        paths = [r.solver["path"] for r in tr.levels]
+        assert paths == ["dense" if r.ndof <= 20 else "shift-invert"
+                         for r in tr.levels]
+        assert {"dense", "shift-invert"} <= set(paths)
+        for r, cluster in zip(tr.levels, tr.clusters):
+            assert r.solver["max_residual"] >= cluster.residuals.max()
+            assert r.solver["b_orthonormality_residual"] == \
+                cluster.b_orthonormality_residual
+
+    def test_uniform_trace_marks_everything_and_times_refinement(self):
+        cfg = AfemConfig(geometry="square", bc="clamped", max_levels=2)
+        tr = afem.uniform_trace(cfg)
+        assert [r.marked for r in tr.levels] == [r.num_triangles for r in tr.levels]
+        assert all(r.timings["refine"] > 0.0 for r in tr.levels[:-1])
+        assert tr.levels[-1].timings["refine"] == 0.0
+        assert not tr.converged
 
     def test_theta_one_marks_full_support(self):
         cfg = AfemConfig(geometry="square", bc="clamped", theta=1.0,
@@ -165,7 +188,7 @@ class TestRigidBodyGuard:
     def test_affine_kernel_matches_stiffness_kernel(self, geometry, bc):
         m = msh.uniform_refine(msh.preset_mesh(geometry, bc))
         assert sp.affine_kernel_dimension(m) == \
-            asm.stiffness_kernel_dimension(sp.build_space(m))
+            stiffness_kernel_dimension(sp.build_space(m))
 
     @given(st.sampled_from([("square", 4), ("lshape", 6)]).flatmap(
                lambda g: st.tuples(st.just(g[0]), st.lists(

@@ -35,6 +35,43 @@ class TestRun:
         for path in manifest["outputs"]:
             assert os.path.exists(path) and os.path.getsize(path) > 0
 
+    def test_manifest_records_phase_timings_and_solver_diagnostics(
+            self, square_config, tmp_path):
+        out = str(tmp_path / "trace.csv")
+        assert run_cli(["run", "--config", square_config, "--out", out]) == 0
+        per_level = json.load(open(out + ".manifest.json"))["per_level"]
+        assert [r["level"] for r in per_level] == list(range(6))
+        for r in per_level:
+            t = r["timings"]
+            assert set(t) == {"build_space", "assemble", "solve", "estimate",
+                              "mark", "refine"}
+            assert all(v > 0.0 for k, v in t.items() if k != "refine")
+            d = r["solver"]
+            assert d["path"] == "dense"  # ndof stays below the cutoff
+            assert 0.0 <= d["max_residual"]
+            assert d["b_orthonormality_residual"] <= 1e-10
+            assert d["a_diagonality_residual"] <= 1e-8
+            assert d["affine_kernel_dimension"] == 0
+        # level 0 has one DOF, so nothing outside the window was computed
+        assert per_level[0]["solver"]["truncated"] is True
+        assert per_level[0]["solver"]["nearest_gap"] is None
+        assert "NaN" not in open(out + ".manifest.json").read()
+        for r in per_level[1:]:
+            assert r["solver"]["nearest_gap"] > 0.0
+            assert r["solver"]["truncated"] is False
+        # every level but the last is refined
+        assert all(r["timings"]["refine"] > 0.0 for r in per_level[:-1])
+        assert per_level[-1]["timings"]["refine"] == 0.0
+
+    def test_deterministic_manifest_zeroes_timings(self, square_config, tmp_path):
+        out = str(tmp_path / "trace.csv")
+        assert run_cli(["run", "--config", square_config, "--out", out,
+                        "--deterministic"]) == 0
+        per_level = json.load(open(out + ".manifest.json"))["per_level"]
+        assert len(per_level) == 6
+        assert all(v == 0.0 for r in per_level for v in r["timings"].values())
+        assert per_level[0]["solver"]["path"] == "dense"
+
     def test_missing_config_exit_2(self, tmp_path):
         out = str(tmp_path / "t.csv")
         assert run_cli(["run", "--config", str(tmp_path / "nope.json"),

@@ -94,6 +94,7 @@ class TestSolveGevp:
             M = asm.assemble_mass(S).full()
             dense = eig.solve_gevp(A, M, 5, dense_cutoff=10 ** 9)
             sparse = eig.solve_gevp(A, M, 5, dense_cutoff=1)
+            assert (dense.path, sparse.path) == ("dense", "shift-invert")
             # the dense path is accurate to about eps * lambda_max / lambda
             # (2e-9 on the L-shape), so agreement is checked at 1e-8 ...
             assert np.abs(dense.eigenvalues - sparse.eigenvalues).max() <= \
@@ -116,6 +117,7 @@ class TestSolveGevp:
         assert list(win.indices) == [3, 4, 5]
         assert np.array_equal(win.eigenvalues, sol.eigenvalues[2:5])
         assert win.interval == (win.eigenvalues[0], win.eigenvalues[-1])
+        assert win.path == sol.path == "dense"
         with pytest.raises(EigenError):
             sol.window(6, 4)
 

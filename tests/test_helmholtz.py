@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from plate_afem import assembly as asm
@@ -11,7 +12,8 @@ from plate_afem import mesh as msh
 from plate_afem import space as sp
 from plate_afem.helmholtz import HelmholtzError
 
-from oracles import decompose_lstsq, hessian_map_loops, sym_curl_map_columns
+from oracles import (decompose_lstsq, hessian_map_loops, qr_rank,
+                     stiffness_kernel_dimension, sym_curl_map_columns)
 
 ALL_CONFIGS = [(g, bc) for g in ("square", "lshape")
                for bc in ("clamped", "simply_supported", "mixed")]
@@ -180,12 +182,21 @@ class TestRigidBodySplitting:
         assert res.residual <= 1e-9 * norm
         assert abs(res.orthogonality) <= 1e-10 * norm ** 2
 
+    @pytest.mark.parametrize("geometry,bc", RIGID_BCS)
+    def test_audit_ranks_match_qr(self, geometry, bc):
+        m, S, X = _setup(geometry, bc, refine=1)
+        dims = hh.dimension_audit(m, S, X)["dims"]
+        k = sp.affine_kernel_dimension(m)
+        assert k > 0
+        assert dims["rank_hessian_map"] == qr_rank(hh.hessian_map(S)) == S.ndof - k
+        assert dims["rank_sym_curl_map"] == qr_rank(hh.sym_curl_map(X))
+
     @pytest.mark.parametrize("geometry,bc", RIGID_BCS + ALL_CONFIGS)
     def test_kernel_coefficients_span_stiffness_kernel(self, geometry, bc):
         _, S, _ = _setup(geometry, bc, refine=1)
         Z = sp.affine_kernel_coefficients(S)
         A = asm.assemble_stiffness(S).full()
-        assert Z.shape == (S.ndof, asm.stiffness_kernel_dimension(S))
+        assert Z.shape == (S.ndof, stiffness_kernel_dimension(S))
         if Z.shape[1]:
             assert np.linalg.norm(A @ Z) <= 1e-12 * spla.norm(A) * np.linalg.norm(Z)
 
@@ -207,6 +218,14 @@ class TestDimensionAudit:
             rep = hh.dimension_audit(m, S, X)
             assert rep["euler_ok"] and rep["dim_identity_ok"]
 
+    def test_singular_value_in_band_raises(self):
+        # a basis column scaled by 1e-5 puts a Gram eigenvalue near 1e-11 |G|_1
+        m, S, X = _setup("lshape", "mixed", refine=1)
+        basis = X.basis.copy()
+        basis[:, 0] *= 1e-5
+        with pytest.raises(HelmholtzError, match="rank undecided"):
+            hh.dimension_audit(m, S, dataclasses.replace(X, basis=basis))
+
     def test_single_triangle_euler(self):
         m = msh.triangle_mesh("clamped")
         assert m.euler_identities() == (0, 0)
@@ -217,6 +236,40 @@ class TestDimensionAudit:
         m, S, X = _setup("square", "clamped")
         rep = hh.dimension_audit(m, S, X)
         json.dumps(rep)
+
+
+class TestGramRank:
+    @pytest.mark.parametrize("fmt", ["dense", "sparse"])
+    @pytest.mark.parametrize("n,rank", [(3, 2), (5, 1), (40, 40), (40, 36),
+                                        (40, 31), (40, 0)])
+    def test_matches_qr_rank(self, fmt, n, rank):
+        # kernels of 0, 4 and 9 take one, two and three solves of eigsh;
+        # n = 3, and n = 5 with a kernel of 4, go straight to eigvalsh
+        rng = np.random.default_rng(10 * n + rank)
+        B = rng.standard_normal((60, rank)) @ rng.standard_normal((rank, n))
+        G = B.T @ B
+        got = hh._gram_rank(G if fmt == "dense" else sparse.csr_matrix(G))
+        assert got == qr_rank(B) == rank
+
+    @pytest.mark.parametrize("fmt", ["dense", "sparse"])
+    @pytest.mark.parametrize("n", [3, 30])
+    @pytest.mark.parametrize("mu", [1e-12, 1e-10])
+    def test_eigenvalue_in_band_raises(self, fmt, n, mu):
+        G = np.diag(np.r_[mu, np.linspace(0.5, 1.0, n - 1)])
+        with pytest.raises(HelmholtzError, match="rank undecided"):
+            hh._gram_rank(G if fmt == "dense" else sparse.csr_matrix(G))
+
+    @pytest.mark.parametrize("fmt", ["dense", "sparse"])
+    @pytest.mark.parametrize("mu,rank", [(1e-14, 29), (1e-8, 30)])
+    def test_eigenvalues_outside_band_count(self, fmt, mu, rank):
+        G = np.diag(np.r_[mu, np.linspace(0.5, 1.0, 29)])
+        assert hh._gram_rank(G if fmt == "dense" else sparse.csr_matrix(G)) == rank
+
+    def test_failed_factorisation_raises(self):
+        # not a Gram matrix: the shifted Cholesky factorisation fails
+        G = np.diag(np.r_[-1.0, np.ones(29)])
+        with pytest.raises(HelmholtzError, match="rank computation failed"):
+            hh._gram_rank(G)
 
 
 class TestMapOracles:
@@ -253,12 +306,26 @@ class TestMapOracles:
             b = hh.tensor_features(m, part(want))
             assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("geometry,bc,refine", MESHES)
+    def test_audit_ranks_match_qr(self, geometry, bc, refine):
+        m, S, X = self._mesh(geometry, bc, refine)
+        dims = hh.dimension_audit(m, S, X)["dims"]
+        assert dims["rank_hessian_map"] == qr_rank(hh.hessian_map(S))
+        assert dims["rank_sym_curl_map"] == qr_rank(hh.sym_curl_map(X))
+
+    def test_audit_ranks_match_qr_at_1536_triangles(self):
+        m, S, X = _setup("lshape", "mixed", refine=4)
+        assert m.num_triangles == 1536
+        dims = hh.dimension_audit(m, S, X)["dims"]
+        assert dims["rank_hessian_map"] == qr_rank(hh.hessian_map(S)) == S.ndof
+        assert dims["rank_sym_curl_map"] == qr_rank(hh.sym_curl_map(X)) == X.dim
+
     @pytest.mark.parametrize("geometry,bc", ALL_CONFIGS)
     def test_audit_ranks_unchanged_on_refined_presets(self, geometry, bc):
         m, S, X = _setup(geometry, bc, refine=2)
         dims = hh.dimension_audit(m, S, X)["dims"]
-        assert dims["rank_hessian_map"] == hh._qr_rank(hessian_map_loops(S)) == S.ndof
-        assert dims["rank_sym_curl_map"] == hh._qr_rank(sym_curl_map_columns(X)) == X.dim
+        assert dims["rank_hessian_map"] == qr_rank(hessian_map_loops(S)) == S.ndof
+        assert dims["rank_sym_curl_map"] == qr_rank(sym_curl_map_columns(X)) == X.dim
 
 
 class TestStabilityMonitor:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -47,15 +48,29 @@ class TestBuild:
 
     def test_unlabelled_boundary_edge_rejected(self):
         v = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-        with pytest.raises(MeshError):
+        with pytest.raises(MeshError, match="edge 1 not covered"):
             msh.build_mesh(v, [(0, 1, 2)], [(0, 1, "free")])
 
     def test_straddling_segment_rejected(self):
         # one labelled segment spanning two parts over the same edge
         v = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
         segs = [(0, 1, "free"), (0, 1, "clamped"), (1, 2, "free"), (2, 0, "free")]
-        with pytest.raises(MeshError):
+        with pytest.raises(MeshError, match="edge 0 straddles"):
             msh.build_mesh(v, [(0, 1, 2)], segs)
+
+    def test_segments_spanning_several_edges_tag_them(self):
+        # two segments over the square's four boundary edges plus one
+        # through the interior diagonal, which no boundary edge lies in
+        v = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.0), (1.0, 0.5)]
+        t = [(0, 4, 3), (4, 1, 5), (4, 5, 3), (5, 2, 3)]
+        segs = [(0, 2, "clamped"), (0, 1, "free"), (1, 2, "free"),
+                (2, 3, "simply_supported"), (3, 0, "simply_supported")]
+        m = msh.build_mesh(v, t, segs)
+        tags = {tuple(m.edges[f]): BoundaryPart(m.edge_tags[f]).label
+                for f in m.boundary_edges()}
+        assert sorted(tags.values()) == ["free"] * 4 + ["simply_supported"] * 2
+        with pytest.raises(MeshError, match="not covered"):
+            msh.build_mesh(v, t, segs[:1] + segs[2:])
 
     def test_empty_mesh_rejected(self):
         with pytest.raises(MeshError):
@@ -286,6 +301,20 @@ class TestSerialization:
         assert set(doc) == {"vertices", "triangles", "boundary"}
         assert all(len(row) == 4 for row in doc["triangles"])
         assert all(set(seg) == {"segment", "tag"} for seg in doc["boundary"])
+
+    def test_round_trip_of_1024_boundary_edges_loads_fast(self, tmp_path):
+        # boundary matching is one array pass, not a loop over every
+        # boundary edge and every labelled segment
+        m = msh.preset_mesh("lshape", "mixed")
+        for _ in range(7):
+            m = msh.uniform_refine(m)
+        assert len(m.boundary_edges()) == 1024
+        path = tmp_path / "mesh.json"
+        msh.save_mesh(m, path)
+        t0 = time.perf_counter()
+        m2 = msh.load_mesh(path)
+        assert time.perf_counter() - t0 < 0.5
+        assert msh.mesh_hash(m2) == msh.mesh_hash(m)
 
     def test_hash_stable_and_sensitive(self):
         m = msh.square_mesh("clamped")
