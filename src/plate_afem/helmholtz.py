@@ -6,13 +6,18 @@ Morley function plus the symmetrised Curl of a continuous piecewise-affine
 vector field from a constrained space: zero mean, zero mean divergence,
 no normal increment along simply supported and free boundary edges, and
 matching scaled tangential increments across vertices interior to the free
-boundary.  The dimension identity behind the splitting is audited through
-integer ranks, each counted from the lowest eigenvalues of the Gram matrix
-of a map with a checked spectral gap.
+boundary.  The constrained space is kept as its sparse constraint rows C,
+and the Curl side works with the sparse symmetric-Curl operator S of all
+nodal fields restricted to ker C, through one factorisation of the
+saddle-point matrix [[S^T S - sigma I, C^T], [C, 0]].  The dimension
+identity behind the splitting is audited through integer ranks, each
+counted from the lowest eigenvalues of a Gram matrix with a checked
+spectral gap: for the Curl map, constrained shift-invert Lanczos on S^T S
+with the band relative to |S^T S|_1.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as dla
@@ -39,6 +44,7 @@ __all__ = [
 
 _RANK_RTOL = 1e-10
 _KERNEL_RTOL, _RANGE_RTOL, _SHIFT_RTOL = 1e-13, 1e-9, 1e-11
+_REFINE_RTOL, _REFINE_STEPS = 1e-14, 8
 
 
 class HelmholtzError(Exception):
@@ -49,12 +55,14 @@ class HelmholtzError(Exception):
 class XSpace:
     """Constrained continuous piecewise-affine vector fields.
 
-    ``basis`` has shape (2N, dim): each column is a nodal field with the two
-    components of vertex ``z`` stored at rows ``2z`` and ``2z + 1``.
+    A nodal field stores the two components of vertex ``z`` at entries
+    ``2z`` and ``2z + 1``.  The space is the null space of ``constraints``,
+    the sparse (constraint_rank, 2N) matrix of its independent constraint
+    rows; no basis is needed to audit it or to decompose into it.
     """
 
     mesh: Triangulation
-    basis: np.ndarray
+    constraints: sparse.csr_matrix
     dim: int
     expected_dim: int
     n_constraints: int
@@ -64,75 +72,80 @@ class XSpace:
     def rank_deficient(self) -> bool:
         return self.constraint_rank < self.n_constraints
 
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Dense (2N, dim) orthonormal basis, formed on first use."""
+        return _null_basis(self.constraints)
+
+    @cached_property
+    def _curl_gram(self) -> "_Gram":
+        # the one factorisation that dimension_audit and decompose share
+        return _Gram(_sym_curl_operator(self.mesh), self.constraints)
+
     def nodal(self, coeffs) -> np.ndarray:
         """Nodal (N, 2) representation of a coefficient vector."""
         return (self.basis @ np.asarray(coeffs, dtype=float)).reshape(-1, 2)
 
 
 def build_xspace(mesh: Triangulation) -> XSpace:
-    """Assemble the constraint matrix and compute its null-space basis.
+    """Assemble the sparse constraint rows and keep an independent subset.
 
-    The null space is extracted from a pivoted orthogonal factorisation with
-    relative threshold 1e-10; the expected dimension is
-    ``2#N - 3 - #F(S u F) - #corner-vertices(F)`` when the constraints are
-    independent, which is reported rather than assumed.
+    The rank and the independent rows come from a pivoted orthogonal
+    factorisation of the transposed rows with relative threshold 1e-10;
+    the expected dimension is ``2#N - 3 - #F(S u F) - #corner-vertices(F)``
+    when the constraints are independent, which is reported rather than
+    assumed.
     """
     n = mesh.num_vertices
+    tris = mesh.triangles
     grads = _p1_gradients(mesh)
-    rows = []
+    sf = mesh.edges_with_tag(BoundaryPart.SIMPLY_SUPPORTED, BoundaryPart.FREE)
+    free = mesh.edges_with_tag(BoundaryPart.FREE)
+    corners = mesh.free_corner_vertices()
+    n_constraints = 3 + len(sf) + len(corners)
+    blocks = []   # (rows (k,), vertices (k, m), values (k, m, 2)): k rows on m vertices each
 
     # zero mean, both components: int phi_z = sum of adjacent areas / 3
-    wz = np.zeros(n)
-    np.add.at(wz, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
-    for comp in (0, 1):
-        r = np.zeros(2 * n)
-        r[comp::2] = wz
-        rows.append(r)
+    wz = np.bincount(tris.ravel(), np.repeat(mesh.areas / 3.0, 3), minlength=n)
+    blocks.append((np.arange(2), np.arange(n)[None, :].repeat(2, axis=0),
+                   wz[None, :, None] * np.eye(2)[:, None, :]))
 
     # zero mean divergence
-    r = np.zeros(2 * n)
-    for i in range(3):
-        np.add.at(r, 2 * mesh.triangles[:, i], mesh.areas * grads[:, i, 0])
-        np.add.at(r, 2 * mesh.triangles[:, i] + 1, mesh.areas * grads[:, i, 1])
-    rows.append(r)
+    blocks.append((np.array([2]), tris.reshape(1, -1),
+                   (mesh.areas[:, None, None] * grads).reshape(1, -1, 2)))
 
     # no normal increment along simply supported / free edges
-    for f in mesh.edges_with_tag(BoundaryPart.SIMPLY_SUPPORTED, BoundaryPart.FREE):
-        z1, z2 = mesh.edges[f]
-        nu = mesh.edge_normals[f]
-        r = np.zeros(2 * n)
-        r[2 * z2: 2 * z2 + 2] += nu
-        r[2 * z1: 2 * z1 + 2] -= nu
-        rows.append(r)
+    nu = mesh.edge_normals[sf]
+    blocks.append((3 + np.arange(len(sf)), mesh.edges[sf], np.stack([-nu, nu], axis=1)))
 
     # matching scaled tangential increments at vertices interior to the
     # free boundary (exactly the vertices shared by two free edges)
-    free_edges = mesh.edges_with_tag(BoundaryPart.FREE)
-    incoming = {int(mesh.edges[f, 1]): int(f) for f in free_edges}
-    outgoing = {int(mesh.edges[f, 0]): int(f) for f in free_edges}
-    for z in mesh.free_corner_vertices():
-        fm, fp = incoming[int(z)], outgoing[int(z)]
-        zm = mesh.edges[fm, 0]
-        zp = mesh.edges[fp, 1]
-        tm = mesh.edge_tangents[fm] / mesh.edge_lengths[fm]
-        tp = mesh.edge_tangents[fp] / mesh.edge_lengths[fp]
-        r = np.zeros(2 * n)
-        r[2 * z: 2 * z + 2] += tm + tp
-        r[2 * zm: 2 * zm + 2] -= tm
-        r[2 * zp: 2 * zp + 2] -= tp
-        rows.append(r)
+    incoming, outgoing = np.full(n, -1), np.full(n, -1)
+    incoming[mesh.edges[free, 1]] = free
+    outgoing[mesh.edges[free, 0]] = free
+    fm, fp = incoming[corners], outgoing[corners]
+    tm = mesh.edge_tangents[fm] / mesh.edge_lengths[fm, None]
+    tp = mesh.edge_tangents[fp] / mesh.edge_lengths[fp, None]
+    blocks.append((3 + len(sf) + np.arange(len(corners)),
+                   np.stack([corners, mesh.edges[fm, 0], mesh.edges[fp, 1]], axis=1),
+                   np.stack([tm + tp, -tm, -tp], axis=1)))
 
-    C = np.asarray(rows)
-    # null space of C from a pivoted QR factorisation of its transpose
-    Q, R, _ = dla.qr(C.T, pivoting=True, mode="full")
+    rows = np.concatenate([np.repeat(r, 2 * v.shape[1]) for r, v, _ in blocks])
+    cols = np.concatenate([(2 * v[:, :, None] + np.arange(2)).ravel() for _, v, _ in blocks])
+    vals = np.concatenate([x.ravel() for _, _, x in blocks])
+    C = sparse.csr_matrix((vals, (rows, cols)), shape=(n_constraints, 2 * n))
+    C.eliminate_zeros()
+    R, piv = dla.qr(C.T.toarray(), pivoting=True, mode="r")
     rank = _pivoted_qr_rank(R)
-    basis = Q[:, rank:]
-    n_sf = len(mesh.edges_with_tag(BoundaryPart.SIMPLY_SUPPORTED, BoundaryPart.FREE))
-    n_fc = len(mesh.free_corner_vertices())
-    expected = 2 * n - 3 - n_sf - n_fc
-    return XSpace(mesh=mesh, basis=basis, dim=basis.shape[1],
-                  expected_dim=expected, n_constraints=C.shape[0],
+    expected = 2 * n - 3 - len(sf) - len(corners)
+    return XSpace(mesh=mesh, constraints=C[np.sort(piv[:rank])], dim=2 * n - rank,
+                  expected_dim=expected, n_constraints=n_constraints,
                   constraint_rank=rank)
+
+
+def _null_basis(C):
+    """Orthonormal basis of the null space of independent sparse rows C."""
+    return dla.qr(C.T.toarray(), mode="full")[0][:, C.shape[0]:]
 
 
 def _pivoted_qr_rank(R):
@@ -193,14 +206,12 @@ def hessian_map(space: MorleySpace) -> np.ndarray:
     return _hessian_operator(space).toarray()
 
 
-def sym_curl_map(xspace: XSpace) -> np.ndarray:
-    """Dense (3#T, dim) matrix of weighted symmetric Curls of the basis.
+def _sym_curl_operator(mesh) -> sparse.csr_matrix:
+    """Sparse (3#T, 2#N) matrix of weighted symmetric Curls of nodal fields.
 
-    The basis is mapped by one sparse (3#T, 2#N) operator: with
-    D[i, d] = d beta_i / dx_d on a triangle, the components are
+    With D[i, d] = d beta_i / dx_d on a triangle, the components are
     s11 = -D[0, 1], s22 = D[1, 0] and s12 = (D[0, 0] - D[1, 1]) / 2.
     """
-    mesh = xspace.mesh
     g = _p1_gradients(mesh)                              # (T, 3, 2)
     w = _tensor_weights(mesh)[:, :, None]                # (T, 3, 1)
     vals = np.stack([-w[:, 0] * g[:, :, 1], w[:, 1] * g[:, :, 0],
@@ -208,16 +219,19 @@ def sym_curl_map(xspace: XSpace) -> np.ndarray:
                     axis=1)                              # (T, 4, 3)
     rows = 3 * np.arange(mesh.num_triangles)[:, None, None] + np.array([0, 1, 2, 2])[:, None]
     cols = 2 * mesh.triangles[:, None, :] + np.array([0, 1, 0, 1])[:, None]
-    S = sparse.csr_matrix(
+    return sparse.csr_matrix(
         (vals.ravel(), (np.broadcast_to(rows, vals.shape).ravel(), cols.ravel())),
         shape=(3 * mesh.num_triangles, 2 * mesh.num_vertices))
-    return S @ xspace.basis
+
+
+def sym_curl_map(xspace: XSpace) -> np.ndarray:
+    """Dense (3#T, dim) matrix of weighted symmetric Curls of the basis."""
+    return _sym_curl_operator(xspace.mesh) @ xspace.basis
 
 
 @dataclass
 class DecompositionResult:
     phi: np.ndarray            # Morley coefficients
-    psi: np.ndarray            # XSpace coefficients
     psi_nodal: np.ndarray      # (N, 2)
     residual: float            # L2 norm of sigma - D^2 phi - sym Curl psi
     orthogonality: float       # (D^2 phi, sym Curl psi)_L2
@@ -233,11 +247,13 @@ def decompose(space: MorleySpace, xspace: XSpace, sigma) -> DecompositionResult:
     in L2(S) coordinates t, so the splitting is two independent projections.
     The Hessian part solves A phi = B_H^T t with the sparse stiffness matrix
     A = B_H^T B_H; its kernel, the k affine functions of the space, is
-    removed by fixing k DOFs at zero.  The Curl part solves
-    G psi = B_C^T (t - B_H phi) with the dense Gram matrix G = B_C^T B_C.
-    When both factorisations succeed the stacked map has rank
-    (ndof - k) + dim; a count other than 3#T, or a failed factorisation,
-    raises HelmholtzError.
+    removed by fixing k DOFs at zero.  The Curl part is the nodal field psi
+    with C psi = 0 that minimises |S psi - (t - B_H phi)| for the sparse
+    symmetric-Curl operator S of all nodal fields: shifted solves with the
+    factorisation that ``dimension_audit`` uses, refined against the
+    unshifted problem.  When the stiffness factorisation succeeds and the
+    audited Curl rank is dim, the stacked map has rank (ndof - k) + dim; a
+    count other than 3#T, or a failed factorisation, raises HelmholtzError.
     """
     mesh = space.mesh
     sigma = np.asarray(sigma, dtype=float)
@@ -251,7 +267,6 @@ def decompose(space: MorleySpace, xspace: XSpace, sigma) -> DecompositionResult:
     target = tensor_features(mesh, sigma)
 
     BH = _hessian_operator(space)
-    BC = sym_curl_map(xspace)
     phi = np.zeros(space.ndof)
     try:
         keep = _kernel_free_dofs(Z)
@@ -261,19 +276,21 @@ def decompose(space: MorleySpace, xspace: XSpace, sigma) -> DecompositionResult:
             if not np.all(lu.U.diagonal() > 0.0):
                 raise RuntimeError("stiffness matrix is not positive definite")
             phi[keep] = lu.solve((BH.T @ target)[keep])
-        gram = dla.cho_factor(BC.T @ BC)
     except (RuntimeError, dla.LinAlgError) as exc:
         raise _rank_deficient(expected, f"less than {rank} ({exc})") from exc
+    gram = xspace._curl_gram
+    if gram.rank < xspace.dim:
+        raise _rank_deficient(expected, rank - xspace.dim + gram.rank)
     part_h = BH @ phi
-    psi = dla.cho_solve(gram, BC.T @ (target - part_h))
-    part_c = BC @ psi
+    psi = gram.lstsq(target - part_h)
+    part_c = gram.B @ psi
     resid = float(np.linalg.norm(target - part_h - part_c))
     ortho = float(part_h @ part_c)
-    psi_nodal = xspace.nodal(psi)
+    psi_nodal = psi.reshape(-1, 2)
     curl = full_curl(mesh, psi_nodal)
     curl_norm = float(np.sqrt(np.einsum("t,tab->", mesh.areas, curl ** 2)))
     return DecompositionResult(
-        phi=phi, psi=psi, psi_nodal=psi_nodal, residual=resid,
+        phi=phi, psi_nodal=psi_nodal, residual=resid,
         orthogonality=ortho, hessian_norm=float(np.linalg.norm(part_h)),
         curl_norm=curl_norm)
 
@@ -306,14 +323,17 @@ def dimension_audit(mesh: Triangulation, space: MorleySpace,
 
     Checks the two counting identities on vertices, triangles and edges and
     the splitting identity ``3#T = rank(hessian map) + rank(sym-curl map)``.
-    The rank of a map B counts the eigenvalues mu of G = B^T B (sparse for
-    the Hessian map, dense for the sym-curl map) above 1e-9 |G|_1; mu at
-    most 1e-13 |G|_1 is kernel, and a mu in between raises HelmholtzError
-    because the rank is then undecided.
+    The rank of a map B on a space counts the eigenvalues mu of the Gram
+    matrix G = B^T B restricted to that space above 1e-9 |G|_1; mu at most
+    1e-13 |G|_1 is kernel, and a mu in between raises HelmholtzError
+    because the rank is then undecided.  For the Hessian map G is the
+    sparse Gram matrix of the Morley basis; for the sym-curl map it is
+    S^T S on the constrained fields, with S the sparse operator of all
+    nodal fields and |S^T S|_1 as the scale.
     """
     e1, e2 = mesh.euler_identities()
-    BH, BC = _hessian_operator(space), sym_curl_map(xspace)
-    rank_h, rank_c = _gram_rank(BH.T @ BH), _gram_rank(BC.T @ BC)
+    rank_h = _Gram(_hessian_operator(space)).rank
+    rank_c = xspace._curl_gram.rank
     dims = {
         "num_vertices": mesh.num_vertices,
         "num_triangles": mesh.num_triangles,
@@ -334,37 +354,102 @@ def dimension_audit(mesh: Triangulation, space: MorleySpace,
     return report
 
 
-def _gram_rank(G):
-    """Rank of B from the lowest eigenvalues mu of its Gram matrix G = B^T B.
+class _Gram:
+    """The Gram matrix G = B^T B of a sparse map B on the null space of
+    independent sparse rows C (no rows: the whole space), through one
+    SuperLU factorisation of the saddle-point matrix
 
-    Shift-invert Lanczos at sigma = -1e-11 |G|_1, through one symmetric-mode
-    SuperLU (sparse G) or Cholesky (dense G) factorisation of G - sigma I,
-    finds the lowest 4, 8, ... mu while all of them are kernel; ``eigvalsh``
-    takes over when nearly all are wanted.
+        K = [[G - sigma I, C^T], [C, 0]],   sigma = -1e-11 |G|_1.
+
+    For any orthonormal basis Q of ker C, the first block of
+    K^{-1} [x; 0] is Q (Q^T G Q - sigma I)^{-1} Q^T x: the shift-invert
+    operator of the restricted Gram matrix Q^T G Q, whose eigenvalues it
+    returns exactly, without forming Q.
     """
-    n = G.shape[0]
-    norm = _norm1(G) if n else 0.0
-    if norm == 0.0:
-        return 0
-    sigma, count = -_SHIFT_RTOL * norm, 4
-    try:
-        OPinv = spla.LinearOperator((n, n), dtype=float, matvec=(
-            _spd_splu(G - sigma * sparse.identity(n)).solve if sparse.issparse(G)
-            else partial(dla.cho_solve, dla.cho_factor(G - sigma * np.eye(n)))))
-        while True:
-            if count >= n - 1:
-                mu = np.linalg.eigvalsh(G.toarray() if sparse.issparse(G) else G)
-            else:
-                mu = spla.eigsh(G, k=count, sigma=sigma, v0=np.full(n, n ** -0.5),
-                                OPinv=OPinv, return_eigenvectors=False)
-            kernel = mu <= _KERNEL_RTOL * norm
-            undecided = ~kernel & (mu <= _RANGE_RTOL * norm)
-            if undecided.any():
-                raise HelmholtzError(
-                    "rank undecided: no spectral gap, Gram eigenvalues "
-                    f"{mu[undecided] / norm} of |G|_1 lie between 1e-13 and 1e-9")
-            if not kernel.all() or count >= n - 1:
-                return n - int(kernel.sum())
-            count *= 2
-    except (RuntimeError, dla.LinAlgError) as exc:
-        raise HelmholtzError(f"rank computation failed: {exc}") from exc
+
+    def __init__(self, B, C=None):
+        self.B = sparse.csr_matrix(B)
+        n = self.B.shape[1]
+        self.C = sparse.csr_matrix((0, n)) if C is None else sparse.csr_matrix(C)
+        self.G = (self.B.T @ self.B).tocsc()
+        self.norm = _norm1(self.G) if n else 0.0
+        self.sigma = -_SHIFT_RTOL * self.norm
+        self.dim = n - self.C.shape[0]
+
+    @cached_property
+    def _lu(self):
+        n = self.G.shape[0]
+        K = sparse.bmat([[self.G - self.sigma * sparse.identity(n), self.C.T],
+                         [self.C, None]], format="csc")
+        try:
+            # diagonal pivots unless one is below 1e-2 of its column, as the
+            # zero block makes some; a larger threshold multiplies the fill
+            # of the unconstrained Hessian Gram matrix
+            return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                             options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise HelmholtzError(f"rank computation failed: {exc}") from exc
+
+    def solve(self, x) -> np.ndarray:
+        """First block of K^{-1} [x; 0]: a shifted solve on ker C."""
+        rhs = np.concatenate([x, np.zeros(self.C.shape[0])])
+        return self._lu.solve(rhs)[: self.G.shape[0]]
+
+    @cached_property
+    def rank(self) -> int:
+        """Rank of B on ker C from the lowest eigenvalues mu of Q^T G Q.
+
+        Shift-invert Lanczos through ``solve``, started in ker C, finds the
+        lowest 4, 8, ... mu while all of them are kernel; ``eigvalsh`` of
+        the dense restricted Gram matrix takes over once the Lanczos basis
+        (2 count + 1 vectors, at least 20) would not fit in ker C.  A mu
+        below -1e-13 |G|_1 cannot come from a Gram matrix and fails.
+        """
+        n, dim, norm = self.G.shape[0], self.dim, self.norm
+        if norm == 0.0 or dim == 0:
+            return 0
+        count = 4
+        try:
+            OPinv = spla.LinearOperator((n, n), dtype=float, matvec=self.solve)
+            v0 = self.solve(np.full(n, n ** -0.5))
+            while True:
+                dense = max(2 * count + 1, 20) > dim
+                if dense:
+                    Q = _null_basis(self.C)
+                    mu = np.linalg.eigvalsh(Q.T @ (self.G @ Q))
+                else:
+                    mu = spla.eigsh(self.G, k=count, sigma=self.sigma, v0=v0,
+                                    OPinv=OPinv, return_eigenvectors=False)
+                if (mu < -_KERNEL_RTOL * norm).any():
+                    raise HelmholtzError(
+                        f"rank computation failed: negative Gram eigenvalue {mu.min() / norm}"
+                        " of |G|_1")
+                kernel = mu <= _KERNEL_RTOL * norm
+                undecided = ~kernel & (mu <= _RANGE_RTOL * norm)
+                if undecided.any():
+                    raise HelmholtzError(
+                        "rank undecided: no spectral gap, Gram eigenvalues "
+                        f"{mu[undecided] / norm} of |G|_1 lie between 1e-13 and 1e-9")
+                if not kernel.all() or dense:
+                    return dim - int(kernel.sum())
+                count *= 2
+        except (RuntimeError, dla.LinAlgError) as exc:
+            raise HelmholtzError(f"rank computation failed: {exc}") from exc
+
+    def lstsq(self, b) -> np.ndarray:
+        """The x with C x = 0 that minimises |B x - b|, for B of full rank
+        on ker C.
+
+        Each refinement step solves the shifted system for the residual of
+        the unshifted one, which contracts the error by -sigma / (mu - sigma)
+        in the direction of each eigenvalue mu; mu > 1e-9 |G|_1 makes that
+        at most 1e-2, so a few steps reach rounding level.
+        """
+        x = np.zeros(self.G.shape[0])
+        tol = _REFINE_RTOL * np.linalg.norm(b)
+        for _ in range(_REFINE_STEPS):
+            dx = self.solve(self.B.T @ (b - self.B @ x))
+            x += dx
+            if np.linalg.norm(self.B @ dx) <= tol:
+                break
+        return x

@@ -7,6 +7,8 @@ quadrature rule for elementwise projections, symbolic element
 integration for the plate forms, per-column and per-cell loops for the
 Helmholtz maps, one dense least-squares solve with the stacked maps for
 the tensor splitting, a pivoted QR for the ranks of the audited maps,
+a dense null-space basis with a Cholesky-factored Gram matrix for the
+constrained Curl space,
 all dense eigenvalues for the stiffness kernel, a geometric search for
 the fine sub-edges of every coarse edge in Morley interpolation, a
 row-wise unique with a per-slot orientation search for the edge table,
@@ -238,9 +240,105 @@ def decompose_lstsq(space, xspace, sigma):
     curl = full_curl(mesh, psi_nodal)
     curl_norm = float(np.sqrt(np.einsum("t,tab->", mesh.areas, curl ** 2)))
     return DecompositionResult(
-        phi=phi, psi=psi, psi_nodal=psi_nodal, residual=resid,
+        phi=phi, psi_nodal=psi_nodal, residual=resid,
         orthogonality=ortho, hessian_norm=float(np.linalg.norm(part_h)),
         curl_norm=curl_norm)
+
+
+def xspace_full_qr(mesh):
+    """Dense (2N, dim) null-space basis of the Curl constraints and their
+    rank, from one dense row per constraint and a full pivoted QR of the
+    transposed rows with relative threshold 1e-10."""
+    import scipy.linalg as dla
+
+    from plate_afem.mesh import BoundaryPart
+    from plate_afem.space import _p1_gradients
+
+    n = mesh.num_vertices
+    grads = _p1_gradients(mesh)
+    rows = []
+    wz = np.zeros(n)
+    np.add.at(wz, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
+    for comp in (0, 1):
+        r = np.zeros(2 * n)
+        r[comp::2] = wz
+        rows.append(r)
+    r = np.zeros(2 * n)
+    for i in range(3):
+        np.add.at(r, 2 * mesh.triangles[:, i], mesh.areas * grads[:, i, 0])
+        np.add.at(r, 2 * mesh.triangles[:, i] + 1, mesh.areas * grads[:, i, 1])
+    rows.append(r)
+    for f in mesh.edges_with_tag(BoundaryPart.SIMPLY_SUPPORTED, BoundaryPart.FREE):
+        z1, z2 = mesh.edges[f]
+        r = np.zeros(2 * n)
+        r[2 * z2: 2 * z2 + 2] += mesh.edge_normals[f]
+        r[2 * z1: 2 * z1 + 2] -= mesh.edge_normals[f]
+        rows.append(r)
+    free_edges = mesh.edges_with_tag(BoundaryPart.FREE)
+    incoming = {int(mesh.edges[f, 1]): int(f) for f in free_edges}
+    outgoing = {int(mesh.edges[f, 0]): int(f) for f in free_edges}
+    for z in mesh.free_corner_vertices():
+        fm, fp = incoming[int(z)], outgoing[int(z)]
+        zm, zp = mesh.edges[fm, 0], mesh.edges[fp, 1]
+        tm = mesh.edge_tangents[fm] / mesh.edge_lengths[fm]
+        tp = mesh.edge_tangents[fp] / mesh.edge_lengths[fp]
+        r = np.zeros(2 * n)
+        r[2 * z: 2 * z + 2] += tm + tp
+        r[2 * zm: 2 * zm + 2] -= tm
+        r[2 * zp: 2 * zp + 2] -= tp
+        rows.append(r)
+    Q, R, _ = dla.qr(np.asarray(rows).T, pivoting=True, mode="full")
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > 1e-10 * diag[0]))
+    return Q[:, rank:], rank
+
+
+def gram_rank_cholesky(G):
+    """Rank of B from the lowest eigenvalues mu of a dense G = B^T B, by
+    shift-invert Lanczos through a Cholesky factorisation of G - sigma I,
+    sigma = -1e-11 |G|_1, with the band (1e-13, 1e-9] |G|_1 undecided."""
+    from functools import partial
+
+    import scipy.linalg as dla
+    import scipy.sparse.linalg as spla
+
+    n = G.shape[0]
+    norm = float(np.abs(G).sum(axis=0).max()) if n else 0.0
+    if norm == 0.0:
+        return 0
+    sigma, count = -1e-11 * norm, 4
+    OPinv = spla.LinearOperator((n, n), dtype=float, matvec=partial(
+        dla.cho_solve, dla.cho_factor(G - sigma * np.eye(n))))
+    while True:
+        if count >= n - 1:
+            mu = np.linalg.eigvalsh(G)
+        else:
+            mu = spla.eigsh(G, k=count, sigma=sigma, v0=np.full(n, n ** -0.5),
+                            OPinv=OPinv, return_eigenvectors=False)
+        kernel = mu <= 1e-13 * norm
+        if np.any(~kernel & (mu <= 1e-9 * norm)):
+            raise ValueError("rank undecided")
+        if not kernel.all() or count >= n - 1:
+            return n - int(kernel.sum())
+        count *= 2
+
+
+def curl_part_dense(mesh, sigma):
+    """The Curl side of the tensor splitting through a dense basis of the
+    constrained space: its dimension, the constraint rank, the rank of the
+    symmetric-Curl map from its dense Gram matrix, and the nodal field
+    psi whose weighted symmetric Curl is the L2 projection of ``sigma`` on
+    that map's range, solved with a Cholesky factor of the Gram matrix."""
+    import scipy.linalg as dla
+
+    from plate_afem.helmholtz import _sym_curl_operator, tensor_features
+
+    basis, constraint_rank = xspace_full_qr(mesh)
+    BC = _sym_curl_operator(mesh) @ basis
+    gram = BC.T @ BC
+    psi = dla.cho_solve(dla.cho_factor(gram), BC.T @ tensor_features(mesh, sigma))
+    return (basis.shape[1], constraint_rank, gram_rank_cholesky(gram),
+            (basis @ psi).reshape(-1, 2))
 
 
 def _subedges_on(fine, a, b, tol):

@@ -171,6 +171,19 @@ class TestHelmholtzAudit:
         report = json.load(open(out))
         assert report["residuals"]["decomposition_relative"] <= 1e-9
 
+    def test_audit_passes_at_6144_triangles(self, tmp_path):
+        # dims recorded from the dense-basis implementation of the audit
+        out = str(tmp_path / "report.json")
+        assert run_cli(["helmholtz-audit", "--geometry", "lshape", "--bc", "mixed",
+                        "--refine", "5", "--out", out]) == 0
+        report = json.load(open(out))
+        assert report["residuals"]["decomposition_relative"] <= 1e-9
+        assert report["dims"] == {
+            "num_vertices": 3201, "num_triangles": 6144, "num_edges": 9344,
+            "num_interior_edges": 9088, "ndof": 12319, "dim_x": 6113,
+            "dim_x_expected": 6113, "rank_hessian_map": 12319,
+            "rank_sym_curl_map": 6113}
+
 
 class TestMeshExport:
     def test_export_and_reload(self, tmp_path):

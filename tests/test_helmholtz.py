@@ -12,7 +12,7 @@ from plate_afem import mesh as msh
 from plate_afem import space as sp
 from plate_afem.helmholtz import HelmholtzError
 
-from oracles import (decompose_lstsq, hessian_map_loops, qr_rank,
+from oracles import (curl_part_dense, decompose_lstsq, hessian_map_loops, qr_rank,
                      stiffness_kernel_dimension, sym_curl_map_columns)
 
 ALL_CONFIGS = [(g, bc) for g in ("square", "lshape")
@@ -32,6 +32,19 @@ def _setup(geometry, bc, refine=0):
     for _ in range(refine):
         m = msh.uniform_refine(m)
     return m, sp.build_space(m), hh.build_xspace(m)
+
+
+def _admitting_dilation(X, eps=0.0):
+    """X with its constraint rows stripped of all but ``eps`` of their
+    component along the dilation field (x - x_bar, y - y_bar), whose
+    symmetric Curl vanishes; with eps = 0 the field lies in the space."""
+    m = X.mesh
+    wz = np.zeros(m.num_vertices)
+    np.add.at(wz, m.triangles.ravel(), np.repeat(m.areas / 3.0, 3))
+    d = (m.vertices - wz @ m.vertices / wz.sum()).ravel()
+    C = X.constraints.toarray()
+    C -= (1.0 - eps) * np.outer(C @ d, d) / (d @ d)
+    return dataclasses.replace(X, constraints=sparse.csr_matrix(C))
 
 
 def _adaptive_mesh(geometry, bc, steps=3):
@@ -146,15 +159,18 @@ class TestDecompose:
     @pytest.mark.parametrize("solver", [hh.decompose, decompose_lstsq])
     @pytest.mark.parametrize("defect", ["dropped", "zeroed"])
     def test_rank_deficient_map_raises(self, solver, defect):
-        # one basis column dropped fails the rank count; one zeroed column
-        # keeps the count and fails the Gram factorisation
+        # one extra constraint leaves dim one short and fails the rank
+        # count; constraints that admit the dilation field keep the count
+        # and put a kernel vector of the Curl map in the space
         m, S, X = _setup("lshape", "mixed", refine=1)
         if defect == "dropped":
-            bad = dataclasses.replace(X, basis=X.basis[:, :-1], dim=X.dim - 1)
+            extra = sparse.csr_matrix(([1.0], ([0], [0])), shape=(1, 2 * m.num_vertices))
+            bad = dataclasses.replace(
+                X, constraints=sparse.vstack([X.constraints, extra], format="csr"),
+                dim=X.dim - 1, n_constraints=X.n_constraints + 1,
+                constraint_rank=X.constraint_rank + 1)
         else:
-            basis = X.basis.copy()
-            basis[:, -1] = 0.0
-            bad = dataclasses.replace(X, basis=basis)
+            bad = _admitting_dilation(X)
         sigma = np.random.default_rng(5).standard_normal((m.num_triangles, 3))
         with pytest.raises(HelmholtzError, match="rank deficient"):
             solver(S, bad, sigma)
@@ -219,12 +235,11 @@ class TestDimensionAudit:
             assert rep["euler_ok"] and rep["dim_identity_ok"]
 
     def test_singular_value_in_band_raises(self):
-        # a basis column scaled by 1e-5 puts a Gram eigenvalue near 1e-11 |G|_1
+        # constraints within 1e-5 of admitting the dilation field put a
+        # Gram eigenvalue near 2e-11 |G|_1
         m, S, X = _setup("lshape", "mixed", refine=1)
-        basis = X.basis.copy()
-        basis[:, 0] *= 1e-5
         with pytest.raises(HelmholtzError, match="rank undecided"):
-            hh.dimension_audit(m, S, dataclasses.replace(X, basis=basis))
+            hh.dimension_audit(m, S, _admitting_dilation(X, eps=1e-5))
 
     def test_single_triangle_euler(self):
         m = msh.triangle_mesh("clamped")
@@ -247,29 +262,44 @@ class TestGramRank:
         # n = 3, and n = 5 with a kernel of 4, go straight to eigvalsh
         rng = np.random.default_rng(10 * n + rank)
         B = rng.standard_normal((60, rank)) @ rng.standard_normal((rank, n))
-        G = B.T @ B
-        got = hh._gram_rank(G if fmt == "dense" else sparse.csr_matrix(G))
+        got = hh._Gram(B if fmt == "dense" else sparse.csr_matrix(B)).rank
         assert got == qr_rank(B) == rank
 
     @pytest.mark.parametrize("fmt", ["dense", "sparse"])
     @pytest.mark.parametrize("n", [3, 30])
     @pytest.mark.parametrize("mu", [1e-12, 1e-10])
     def test_eigenvalue_in_band_raises(self, fmt, n, mu):
-        G = np.diag(np.r_[mu, np.linspace(0.5, 1.0, n - 1)])
+        B = np.diag(np.sqrt(np.r_[mu, np.linspace(0.5, 1.0, n - 1)]))
         with pytest.raises(HelmholtzError, match="rank undecided"):
-            hh._gram_rank(G if fmt == "dense" else sparse.csr_matrix(G))
+            hh._Gram(B if fmt == "dense" else sparse.csr_matrix(B)).rank
 
     @pytest.mark.parametrize("fmt", ["dense", "sparse"])
     @pytest.mark.parametrize("mu,rank", [(1e-14, 29), (1e-8, 30)])
     def test_eigenvalues_outside_band_count(self, fmt, mu, rank):
-        G = np.diag(np.r_[mu, np.linspace(0.5, 1.0, 29)])
-        assert hh._gram_rank(G if fmt == "dense" else sparse.csr_matrix(G)) == rank
+        B = np.diag(np.sqrt(np.r_[mu, np.linspace(0.5, 1.0, 29)]))
+        assert hh._Gram(B if fmt == "dense" else sparse.csr_matrix(B)).rank == rank
+
+    @pytest.mark.parametrize("n,rank", [(30, 30), (30, 25)])
+    def test_rank_on_constrained_space_matches_qr(self, n, rank):
+        # the rank of B on ker C equals the rank of B times a null basis of C
+        rng = np.random.default_rng(n + rank)
+        B = rng.standard_normal((60, rank)) @ rng.standard_normal((rank, n))
+        C = rng.standard_normal((3, n))
+        assert hh._Gram(B, C).rank == qr_rank(B @ hh._null_basis(sparse.csr_matrix(C)))
 
     def test_failed_factorisation_raises(self):
-        # not a Gram matrix: the shifted Cholesky factorisation fails
-        G = np.diag(np.r_[-1.0, np.ones(29)])
+        # dependent constraint rows: the saddle-point matrix is singular
+        B = np.eye(30)
+        C = np.zeros((2, 30))
+        C[:, 0] = 1.0
         with pytest.raises(HelmholtzError, match="rank computation failed"):
-            hh._gram_rank(G)
+            hh._Gram(B, C).rank
+
+    def test_negative_eigenvalue_raises(self, monkeypatch):
+        # a Ritz value below -1e-13 |G|_1 cannot come from a Gram matrix
+        monkeypatch.setattr(hh.spla, "eigsh", lambda *args, **kw: np.r_[-1e-6, np.ones(3)])
+        with pytest.raises(HelmholtzError, match="negative Gram eigenvalue"):
+            hh._Gram(np.eye(30)).rank
 
 
 class TestMapOracles:
@@ -305,6 +335,21 @@ class TestMapOracles:
             a = hh.tensor_features(m, part(got))
             b = hh.tensor_features(m, part(want))
             assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("geometry,bc,refine", MESHES + [
+        (g, bc, 1) for g, bc in RIGID_BCS] + [("lshape", "mixed", 4)])
+    def test_curl_side_matches_dense_oracle(self, geometry, bc, refine):
+        m, S, X = self._mesh(geometry, bc, refine)
+        sigma = np.random.default_rng(8).standard_normal((m.num_triangles, 3))
+        res = hh.decompose(S, X, sigma)
+        rank_c = hh.dimension_audit(m, S, X)["dims"]["rank_sym_curl_map"]
+        dim, constraint_rank, want_rank, want_psi = curl_part_dense(m, sigma)
+        assert (X.dim, X.constraint_rank, rank_c) == (dim, constraint_rank, want_rank)
+        assert rank_c == X.dim
+        err = np.linalg.norm(res.psi_nodal - want_psi)
+        assert err <= 1e-10 * np.linalg.norm(want_psi)
+        # the dense basis is never formed on the audit and decomposition path
+        assert "basis" not in vars(X)
 
     @pytest.mark.parametrize("geometry,bc,refine", MESHES)
     def test_audit_ranks_match_qr(self, geometry, bc, refine):
