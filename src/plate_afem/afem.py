@@ -252,11 +252,13 @@ def _loop(config, reference, uniform):
             "(affine functions) in the space, so the plate has a zero "
             "eigenvalue: clamp or support more of the boundary")
     trace = AfemTrace(config=config)
+    space = None
     for level in itertools.count():
         timings = dict.fromkeys(("build_space", "assemble", "solve", "estimate",
                                  "mark", "refine"), 0.0)
         with _phase(timings, "build_space"):
-            space = build_space(mesh)
+            # rebinding drops the previous level's space before the solve
+            space = build_space(mesh, space)
         record, cluster, fld = _solve_level(level, space, config, timings, reference)
         record.solver["affine_kernel_dimension"] = rigid
         with _phase(timings, "mark"):

@@ -4,14 +4,18 @@ elementwise polynomial projections.
 Stiffness entries are exact (piecewise quadratics have constant Hessians);
 mass entries use a rule of degree four which is exact for products of
 quadratics.  Element loops are vectorised and reduce in a fixed order, so
-repeated assembly is bit identical.
+repeated assembly is bit identical.  The element matrices are element data
+of the space: computed once per space, and only on the triangles that are
+new on its mesh when the space was built from the parent mesh's space.  The
+stiffness and the mass matrix scatter through one set of lower-triangle
+triplet indices per space.
 """
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .quadrature import triangle_rule
+from .quadrature import physical_points, triangle_rule
 from .space import MorleySpace, hessians
 
 __all__ = [
@@ -48,17 +52,6 @@ class SymSparseMatrix:
         self.lower.sum_duplicates()
         self._full = None
 
-    @classmethod
-    def from_triplets(cls, n, rows, cols, vals):
-        """Accumulate symmetric triplets, keeping only the lower triangle."""
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        vals = np.asarray(vals, dtype=float)
-        keep = rows >= cols
-        lower = sparse.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                                  shape=(n, n))
-        return cls(n, lower.tocsr())
-
     def full(self) -> sparse.csr_matrix:
         if self._full is None:
             strict = sparse.tril(self.lower, k=-1)
@@ -88,50 +81,64 @@ class SymSparseMatrix:
                 fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
 
 
-def _scatter_symmetric(space, local):
-    """Scatter (T, 6, 6) element matrices into a SymSparseMatrix."""
+def _lower_triplets(space):
+    # global row and column of every free lower-triangle entry of the
+    # (T, 6, 6) element matrices, and the mask that picks those entries
     dofs = space.cell_dofs                      # (T, 6), -1 = constrained
     rows = np.repeat(dofs[:, :, None], 6, axis=2).ravel()
     cols = np.repeat(dofs[:, None, :], 6, axis=1).ravel()
-    vals = local.ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    return SymSparseMatrix.from_triplets(space.ndof, rows[keep], cols[keep],
-                                         vals[keep])
+    keep = (rows >= 0) & (cols >= 0) & (rows >= cols)
+    return rows[keep].astype(np.int32), cols[keep].astype(np.int32), keep
+
+
+def _scatter_symmetric(space, local):
+    """Scatter (T, 6, 6) element matrices into a SymSparseMatrix."""
+    rows, cols, keep = space.derived("lower_triplets", _lower_triplets)
+    n = space.ndof
+    return SymSparseMatrix(n, sparse.coo_matrix((local.ravel()[keep], (rows, cols)),
+                                                shape=(n, n)))
+
+
+def _local_stiffness(space, rows):
+    H = space.basis_hessians[rows]              # (T, 6, 3): h11, h22, h12
+    w = np.sqrt(space.mesh.areas[rows])[:, None, None]
+    feat = H * np.array([1.0, 1.0, np.sqrt(2.0)]) * w
+    return (np.einsum("tia,tja->tij", feat, feat),)
+
+
+def _local_mass(space, rows):
+    rule = triangle_rule(4)
+    vals = _basis_at_rule(space, rule, rows)
+    local = np.einsum("q,tqi,tqj->tij", rule.weights, vals, vals)
+    local *= space.mesh.areas[rows, None, None]
+    return (local,)
 
 
 def assemble_stiffness(space: MorleySpace) -> SymSparseMatrix:
     """Broken-Hessian stiffness matrix; entries are exact."""
-    H = space.basis_hessians                    # (T, 6, 3): h11, h22, h12
-    w = np.sqrt(space.mesh.areas)[:, None, None]
-    feat = H * np.array([1.0, 1.0, np.sqrt(2.0)]) * w
-    local = np.einsum("tia,tja->tij", feat, feat)
-    return _scatter_symmetric(space, local)
+    return _scatter_symmetric(space, space.element_data("stiffness", _local_stiffness)[0])
 
 
 def assemble_mass(space: MorleySpace) -> SymSparseMatrix:
     """L2 mass matrix via a degree-4 rule (exact for quadratic pairs)."""
-    vals = _basis_at_rule(space, triangle_rule(4))
-    local = np.einsum("q,tqi,tqj->tij", triangle_rule(4).weights, vals, vals)
-    local *= space.mesh.areas[:, None, None]
-    return _scatter_symmetric(space, local)
+    return _scatter_symmetric(space, space.element_data("mass", _local_mass)[0])
 
 
-def _basis_at_rule(space, rule):
+def _basis_at_rule(space, rule, rows=slice(None)):
     mesh = space.mesh
-    pts = np.einsum("qi,tid->tqd", rule.points, mesh.vertices[mesh.triangles])
-    d = pts - mesh.centroids[:, None, :]
+    pts = physical_points(rule, mesh.vertices[mesh.triangles[rows]])
+    d = pts - mesh.centroids[rows, None, :]
     mono = np.stack([np.ones_like(d[..., 0]), d[..., 0], d[..., 1],
                      d[..., 0] ** 2, d[..., 0] * d[..., 1], d[..., 1] ** 2],
                     axis=-1)                    # (T, nq, 6)
-    return np.einsum("tqm,tim->tqi", mono, space.basis)
+    return np.einsum("tqm,tim->tqi", mono, space.basis[rows])
 
 
 def load_vector(space: MorleySpace, f, quad_degree=4) -> np.ndarray:
     """Right-hand side with entries ``int f * basis_j`` by quadrature."""
     rule = triangle_rule(quad_degree)
     mesh = space.mesh
-    pts = np.einsum("qi,tid->tqd", rule.points, mesh.vertices[mesh.triangles])
-    fvals = _sample(f, pts)
+    fvals = _sample(f, physical_points(rule, mesh.vertices[mesh.triangles]))
     basis = _basis_at_rule(space, rule)
     local = np.einsum("q,tq,tqi->ti", rule.weights, fvals, basis)
     local *= mesh.areas[:, None]
@@ -200,7 +207,7 @@ def project_pk(mesh, f, k, quad_degree=8):
     if k not in _PK_EXPONENTS:
         raise ValueError("k must be 0, 1 or 2")
     rule = triangle_rule(quad_degree)
-    pts = np.einsum("qi,tid->tqd", rule.points, mesh.vertices[mesh.triangles])
+    pts = physical_points(rule, mesh.vertices[mesh.triangles])
     d = (pts - mesh.centroids[:, None, :]) / mesh.h_t[:, None, None]
     basis = np.stack([d[..., 0] ** a * d[..., 1] ** b
                       for a, b in _PK_EXPONENTS[k]], axis=-1)   # (T, nq, nb)

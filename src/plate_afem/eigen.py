@@ -110,24 +110,31 @@ def solve_gevp(A, M, count, dense_cutoff=900, deterministic=True) -> ClusterSolu
     be dense arrays, scipy sparse matrices or SymSparseMatrix.  Multiple
     eigenvalues return an M-orthonormal basis of the invariant subspace.
     """
+    symmetric = hasattr(A, "full")     # mirrored lower triangle: exact symmetry
     A = _as_csr(A)
     M = _as_csr(M)
     n = A.shape[0]
     if count < 1 or count > n:
         raise EigenError(f"count={count} out of range for dimension {n}")
+    for name, op in (("stiffness", A), ("mass", M)):
+        if not np.isfinite(op.data).all():
+            raise EigenError(f"{name} matrix is not finite")
 
     path = "dense" if n <= dense_cutoff or count >= n - 1 else "shift-invert"
     if path == "dense":
         try:
-            w, v = dla.eigh(A.toarray(), M.toarray(),
-                            subset_by_index=[0, count - 1])
+            # fresh Fortran-ordered copies that LAPACK may overwrite in place
+            w, v = dla.eigh(A.toarray(order="F"), M.toarray(order="F"),
+                            subset_by_index=[0, count - 1], check_finite=False,
+                            overwrite_a=True, overwrite_b=True)
         except dla.LinAlgError as exc:
             if "of B is not positive definite" in str(exc):
                 raise EigenError("mass matrix is not positive definite") from exc
             raise EigenError(f"dense eigensolver failed: {exc}") from exc
     else:
         try:
-            lu = _spd_splu(A)
+            # an exactly symmetric CSR matrix read as CSC is the same matrix
+            lu = _spd_splu(A.T if symmetric else A.tocsc())
             OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
             v0 = np.full(n, 1.0 / np.sqrt(n)) if deterministic else None
             w, v = spla.eigsh(A, k=count, M=M, sigma=0.0, which="LM", v0=v0,
@@ -176,9 +183,9 @@ def solve_gevp(A, M, count, dense_cutoff=900, deterministic=True) -> ClusterSolu
 
 
 def _spd_splu(A):
-    # for SPD A: symmetric mode with a symmetric minimum-degree ordering
-    # fills L+U about 5x less than splu's COLAMD default
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    # for SPD A in CSC: symmetric mode with a symmetric minimum-degree
+    # ordering fills L+U about 5x less than splu's COLAMD default
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
 
 

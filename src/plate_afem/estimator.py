@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import BoundaryPart, Triangulation
-from .quadrature import triangle_rule
+from .quadrature import physical_points, triangle_rule
 from .space import MorleySpace, hessians
 
 __all__ = ["EstimatorField", "MarkSet", "MarkingError", "estimate", "dorfler_mark"]
@@ -117,8 +117,7 @@ def estimate(space: MorleySpace, cluster, edge_weight="h_T") -> EstimatorField:
 
 def _values_at_rule(space, bf, rule):
     mesh = space.mesh
-    pts = np.einsum("qi,tid->tqd", rule.points, mesh.vertices[mesh.triangles])
-    d = pts - mesh.centroids[:, None, :]
+    d = physical_points(rule, mesh.vertices[mesh.triangles]) - mesh.centroids[:, None, :]
     c = bf.coeffs
     return (c[:, None, 0] + c[:, None, 1] * d[..., 0] + c[:, None, 2] * d[..., 1]
             + c[:, None, 3] * d[..., 0] ** 2 + c[:, None, 4] * d[..., 0] * d[..., 1]

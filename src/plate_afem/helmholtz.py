@@ -24,8 +24,7 @@ import scipy.linalg as dla
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from . import assembly
-from .eigen import _norm1, _spd_splu
+from .eigen import _norm1
 from .mesh import BoundaryPart, Triangulation
 from .space import MorleySpace, _p1_gradients, affine_kernel_coefficients
 
@@ -245,15 +244,16 @@ def decompose(space: MorleySpace, xspace: XSpace, sigma) -> DecompositionResult:
     ``sigma`` has shape (T, 3) with components (s11, s22, s12).  The ranges
     of the Hessian map B_H and of the symmetric-Curl map B_C are orthogonal
     in L2(S) coordinates t, so the splitting is two independent projections.
-    The Hessian part solves A phi = B_H^T t with the sparse stiffness matrix
-    A = B_H^T B_H; its kernel, the k affine functions of the space, is
-    removed by fixing k DOFs at zero.  The Curl part is the nodal field psi
-    with C psi = 0 that minimises |S psi - (t - B_H phi)| for the sparse
-    symmetric-Curl operator S of all nodal fields: shifted solves with the
-    factorisation that ``dimension_audit`` uses, refined against the
-    unshifted problem.  When the stiffness factorisation succeeds and the
-    audited Curl rank is dim, the stacked map has rank (ndof - k) + dim; a
-    count other than 3#T, or a failed factorisation, raises HelmholtzError.
+    The Hessian part is the phi that minimises |B_H phi - t|, with its
+    component along the kernel, the k affine functions of the space,
+    removed so that k chosen DOFs are zero.  The Curl part is the nodal
+    field psi with C psi = 0 that minimises |S psi - (t - B_H phi)| for the
+    sparse symmetric-Curl operator S of all nodal fields.  Both are shifted
+    solves with the Gram factorisations that ``dimension_audit`` uses (kept
+    with the space and the XSpace), refined against the unshifted problem.
+    When the audited ranks are ndof - k and dim, the stacked map has rank
+    (ndof - k) + dim; a count other than 3#T, or a failed factorisation,
+    raises HelmholtzError.
     """
     mesh = space.mesh
     sigma = np.asarray(sigma, dtype=float)
@@ -261,27 +261,27 @@ def decompose(space: MorleySpace, xspace: XSpace, sigma) -> DecompositionResult:
         raise HelmholtzError("sigma must have shape (#T, 3)")
     expected = 3 * mesh.num_triangles
     Z = affine_kernel_coefficients(space)
-    rank = space.ndof - Z.shape[1] + xspace.dim
+    free_rank = space.ndof - Z.shape[1]
+    rank = free_rank + xspace.dim
     if rank != expected:
         raise _rank_deficient(expected, rank)
     target = tensor_features(mesh, sigma)
 
-    BH = _hessian_operator(space)
-    phi = np.zeros(space.ndof)
     try:
-        keep = _kernel_free_dofs(Z)
-        if keep.size:
-            A = assembly.assemble_stiffness(space).full()[keep][:, keep]
-            lu = _spd_splu(A)
-            if not np.all(lu.U.diagonal() > 0.0):
-                raise RuntimeError("stiffness matrix is not positive definite")
-            phi[keep] = lu.solve((BH.T @ target)[keep])
+        drop = _kernel_dofs(Z)
     except (RuntimeError, dla.LinAlgError) as exc:
         raise _rank_deficient(expected, f"less than {rank} ({exc})") from exc
+    hessian = _hessian_gram(space)
+    if hessian.rank < free_rank:
+        raise _rank_deficient(expected, rank - free_rank + hessian.rank)
+    phi = hessian.lstsq(target)
+    if drop.size:
+        phi -= Z @ np.linalg.solve(Z[drop], phi[drop])
+        phi[drop] = 0.0
     gram = xspace._curl_gram
     if gram.rank < xspace.dim:
         raise _rank_deficient(expected, rank - xspace.dim + gram.rank)
-    part_h = BH @ phi
+    part_h = hessian.B @ phi
     psi = gram.lstsq(target - part_h)
     part_c = gram.B @ psi
     resid = float(np.linalg.norm(target - part_h - part_c))
@@ -301,20 +301,21 @@ def _rank_deficient(expected, got):
         f"got {got}; the dimension identity fails on this mesh")
 
 
-def _kernel_free_dofs(Z):
-    """DOFs left after dropping one per column of the kernel basis ``Z``.
-
-    The dropped DOFs are the first pivots of a pivoted QR of Z^T, so Z
-    restricted to them is invertible and the stiffness matrix restricted to
-    the rest is positive definite.
-    """
-    ndof, k = Z.shape
+def _kernel_dofs(Z):
+    """One DOF per column of the kernel basis ``Z``, with Z restricted to
+    them invertible: the first pivots of a pivoted QR of Z^T."""
+    k = Z.shape[1]
     if k == 0:
-        return np.arange(ndof)
+        return np.zeros(0, dtype=np.int64)
     R, piv = dla.qr(Z.T, pivoting=True, mode="r")
     if _pivoted_qr_rank(R) < k:
         raise RuntimeError("affine kernel basis is rank deficient")
-    return np.sort(piv[k:])
+    return piv[:k]
+
+
+def _hessian_gram(space: MorleySpace) -> "_Gram":
+    # the one factorisation that dimension_audit and decompose share
+    return space.derived("hessian_gram", lambda s: _Gram(_hessian_operator(s)))
 
 
 def dimension_audit(mesh: Triangulation, space: MorleySpace,
@@ -332,7 +333,7 @@ def dimension_audit(mesh: Triangulation, space: MorleySpace,
     nodal fields and |S^T S|_1 as the scale.
     """
     e1, e2 = mesh.euler_identities()
-    rank_h = _Gram(_hessian_operator(space)).rank
+    rank_h = _hessian_gram(space).rank
     rank_c = xspace._curl_gram.rank
     dims = {
         "num_vertices": mesh.num_vertices,
@@ -438,7 +439,8 @@ class _Gram:
 
     def lstsq(self, b) -> np.ndarray:
         """The x with C x = 0 that minimises |B x - b|, for B of full rank
-        on ker C.
+        on ker C; a kernel of B on ker C is left to the caller, as only
+        rounding reaches it.
 
         Each refinement step solves the shifted system for the residual of
         the unshifted one, which contracts the error by -sigma / (mu - sigma)

@@ -9,6 +9,13 @@ Element polynomials are stored on a per-triangle monomial frame centred at
 the centroid, ``[1, dx, dy, dx^2, dx*dy, dy^2]``, so the (constant) Hessian
 can be read off the coefficients and survives restriction to children
 bitwise.
+
+Element data (the local basis, its duality residual and the element
+matrices of ``assembly``) are computed per triangle from its vertices and
+edge normals alone.  Built with the space on the parent mesh, a space
+copies the rows of the triangles that newest-vertex bisection kept as they
+were and computes only the new ones; the result is bitwise the same as a
+space built from scratch.
 """
 
 import json
@@ -89,10 +96,10 @@ def poly_shift(coeffs, delta):
     return out
 
 
-def _p1_gradients(mesh):
-    """(T, 3, 2) gradients of the barycentric coordinates of every triangle."""
-    A = np.concatenate([np.ones((mesh.num_triangles, 3, 1)),
-                        mesh.vertices[mesh.triangles]], axis=2)  # rows (1, x, y)
+def _p1_gradients(mesh, rows=slice(None)):
+    """(T, 3, 2) gradients of the barycentric coordinates of the triangles ``rows``."""
+    p = mesh.vertices[mesh.triangles[rows]]
+    A = np.concatenate([np.ones((len(p), 3, 1)), p], axis=2)  # rows (1, x, y)
     return np.linalg.inv(A)[:, 1:, :].transpose(0, 2, 1)  # columns: nodal functions
 
 
@@ -111,13 +118,20 @@ class MorleySpace:
     basis : (T, 6, 6) local basis functions in the centroid monomial frame
     basis_hessians : (T, 6, 3) constant Hessian components (h11, h22, h12)
     duality_residual : max deviation of the local DOF/basis duality from
-        the identity, checked against 1e-12 at build time
+        the identity over all triangles, checked against 1e-12
     """
 
-    def __init__(self, mesh: Triangulation):
+    def __init__(self, mesh: Triangulation, coarse=None):
         self.mesh = mesh
         self._number_dofs()
-        self._build_basis()
+        self._fresh, self._inherited = _inherited_rows(mesh, coarse)
+        self._elements = {}
+        self._derived = {}
+        self.basis, resid = self.element_data("basis", _dual_basis)
+        self.duality_residual = float(resid.max())
+        c = self.basis
+        self.basis_hessians = np.stack(
+            [2.0 * c[:, :, 3], 2.0 * c[:, :, 5], c[:, :, 4]], axis=2)
 
     def _number_dofs(self):
         mesh = self.mesh
@@ -137,49 +151,29 @@ class MorleySpace:
             self.edge_dof[mesh.tri_edges],
         ])
 
-    def _build_basis(self):
-        mesh = self.mesh
-        grads = _p1_gradients(mesh)                  # (T, 3, 2) gradients of lambda_i
+    def element_data(self, name, kernel):
+        """Tuple of per-triangle arrays ``kernel(space, rows)`` on every row.
 
-        # DOF matrix of the barycentric monomials lam_a * lam_b
-        D = np.zeros((mesh.num_triangles, 6, 6))
-        for l, (a, b) in enumerate(_LAMBDA_PAIRS):
-            for j in range(3):
-                D[:, j, l] = (1.0 if a == b == j else 0.0)
-        normals = mesh.edge_normals[mesh.tri_edges]  # (T, 3, 2)
-        lam_mid = np.full(3, 0.5)
-        for i in range(3):                           # edge opposite vertex i
-            lam = lam_mid.copy()
-            lam[i] = 0.0
-            for l, (a, b) in enumerate(_LAMBDA_PAIRS):
-                grad = lam[a] * grads[:, b, :] + lam[b] * grads[:, a, :]
-                D[:, 3 + i, l] = np.einsum("td,td->t", normals[:, i, :], grad)
+        ``kernel`` must compute each row from that triangle alone.  It runs
+        once per space, on the rows that are new on this mesh when the
+        coarse space had computed ``name``, and on all rows otherwise.
+        """
+        data = self._elements.get(name)
+        if data is None:
+            data = self._inherited.pop(name, None)
+            if data is None:
+                data = kernel(self, slice(None))
+            else:
+                for full, part in zip(data, kernel(self, self._fresh)):
+                    full[self._fresh] = part
+            self._elements[name] = data
+        return data
 
-        try:
-            C = np.linalg.inv(D)
-        except np.linalg.LinAlgError as exc:
-            raise SpaceError("singular local dual system (degenerate triangle)") from exc
-        resid = np.abs(np.einsum("tkl,tli->tki", D, C)
-                       - np.eye(6)[None, :, :]).max()
-        if resid > _DUALITY_TOL:
-            raise SpaceError(f"local basis duality residual {resid:.3e} exceeds 1e-12")
-        self.duality_residual = float(resid)
-
-        # centroid-frame coefficients of the lambda monomials:
-        # lam_a = 1/3 + g_a . d  =>  lam_a lam_b expands to a quadratic in d
-        g = grads
-        mono = np.zeros((mesh.num_triangles, 6, 6))
-        for l, (a, b) in enumerate(_LAMBDA_PAIRS):
-            mono[:, l, 0] = 1.0 / 9.0
-            mono[:, l, 1] = (g[:, a, 0] + g[:, b, 0]) / 3.0
-            mono[:, l, 2] = (g[:, a, 1] + g[:, b, 1]) / 3.0
-            mono[:, l, 3] = g[:, a, 0] * g[:, b, 0]
-            mono[:, l, 4] = g[:, a, 0] * g[:, b, 1] + g[:, a, 1] * g[:, b, 0]
-            mono[:, l, 5] = g[:, a, 1] * g[:, b, 1]
-        self.basis = np.einsum("tli,tlm->tim", C, mono)
-        c = self.basis
-        self.basis_hessians = np.stack(
-            [2.0 * c[:, :, 3], 2.0 * c[:, :, 5], c[:, :, 4]], axis=2)
+    def derived(self, name, make):
+        """``make(space)``, computed on first use and kept with the space."""
+        if name not in self._derived:
+            self._derived[name] = make(self)
+        return self._derived[name]
 
     # -- coefficient handling ---------------------------------------------
 
@@ -202,9 +196,75 @@ class MorleySpace:
         return mesh_hash(self.mesh)
 
 
-def build_space(mesh: Triangulation) -> MorleySpace:
-    """Build the Morley space with eliminated boundary constraints."""
-    return MorleySpace(mesh)
+def build_space(mesh: Triangulation, coarse=None) -> MorleySpace:
+    """Build the Morley space with eliminated boundary constraints.
+
+    ``coarse`` is the space on ``mesh.coarse``; its element data are reused
+    on the triangles that refinement left untouched.  Any other value, or
+    none, computes every triangle; the result is the same bit for bit.
+    """
+    return MorleySpace(mesh, coarse)
+
+
+def _inherited_rows(mesh, coarse):
+    """Rows whose element data must be computed, and the coarse data by row.
+
+    Refinement keeps an unsplit triangle with its vertices in the same
+    order, and children follow their parents' order, so the plus side and
+    the orientation of each of its edges stay the same as well.
+    """
+    if not isinstance(coarse, MorleySpace) or coarse.mesh is not mesh.coarse:
+        return slice(None), {}
+    src = mesh.parent
+    kept = (mesh.triangles == coarse.mesh.triangles[src]).all(axis=1)
+    if not kept.any():
+        return slice(None), {}
+    inherited = {name: tuple(a[src] for a in data)
+                 for name, data in coarse._elements.items()}
+    return np.nonzero(~kept)[0], inherited
+
+
+def _dual_basis(space, rows):
+    """Local basis in the centroid frame and the duality residual, per triangle."""
+    mesh = space.mesh
+    grads = _p1_gradients(mesh, rows)            # (T, 3, 2) gradients of lambda_i
+    ntri = len(grads)
+
+    # DOF matrix of the barycentric monomials lam_a * lam_b
+    D = np.zeros((ntri, 6, 6))
+    for l, (a, b) in enumerate(_LAMBDA_PAIRS):
+        for j in range(3):
+            D[:, j, l] = (1.0 if a == b == j else 0.0)
+    normals = mesh.edge_normals[mesh.tri_edges[rows]]  # (T, 3, 2)
+    lam_mid = np.full(3, 0.5)
+    for i in range(3):                           # edge opposite vertex i
+        lam = lam_mid.copy()
+        lam[i] = 0.0
+        for l, (a, b) in enumerate(_LAMBDA_PAIRS):
+            grad = lam[a] * grads[:, b, :] + lam[b] * grads[:, a, :]
+            D[:, 3 + i, l] = np.einsum("td,td->t", normals[:, i, :], grad)
+
+    try:
+        C = np.linalg.inv(D)
+    except np.linalg.LinAlgError as exc:
+        raise SpaceError("singular local dual system (degenerate triangle)") from exc
+    resid = np.abs(np.einsum("tkl,tli->tki", D, C)
+                   - np.eye(6)[None, :, :]).max(axis=(1, 2))
+    if resid.max() > _DUALITY_TOL:
+        raise SpaceError(f"local basis duality residual {resid.max():.3e} exceeds 1e-12")
+
+    # centroid-frame coefficients of the lambda monomials:
+    # lam_a = 1/3 + g_a . d  =>  lam_a lam_b expands to a quadratic in d
+    g = grads
+    mono = np.zeros((ntri, 6, 6))
+    for l, (a, b) in enumerate(_LAMBDA_PAIRS):
+        mono[:, l, 0] = 1.0 / 9.0
+        mono[:, l, 1] = (g[:, a, 0] + g[:, b, 0]) / 3.0
+        mono[:, l, 2] = (g[:, a, 1] + g[:, b, 1]) / 3.0
+        mono[:, l, 3] = g[:, a, 0] * g[:, b, 0]
+        mono[:, l, 4] = g[:, a, 0] * g[:, b, 1] + g[:, a, 1] * g[:, b, 0]
+        mono[:, l, 5] = g[:, a, 1] * g[:, b, 1]
+    return np.einsum("tli,tlm->tim", C, mono), resid
 
 
 def _constrained_dofs(mesh):

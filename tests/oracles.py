@@ -8,7 +8,8 @@ integration for the plate forms, per-column and per-cell loops for the
 Helmholtz maps, one dense least-squares solve with the stacked maps for
 the tensor splitting, a pivoted QR for the ranks of the audited maps,
 a dense null-space basis with a Cholesky-factored Gram matrix for the
-constrained Curl space,
+constrained Curl space, a sparse factorisation of the stiffness matrix
+with the kernel DOFs removed for the Hessian side of the splitting,
 all dense eigenvalues for the stiffness kernel, a geometric search for
 the fine sub-edges of every coarse edge in Morley interpolation, a
 row-wise unique with a per-slot orientation search for the edge table,
@@ -339,6 +340,28 @@ def curl_part_dense(mesh, sigma):
     psi = dla.cho_solve(dla.cho_factor(gram), BC.T @ tensor_features(mesh, sigma))
     return (basis.shape[1], constraint_rank, gram_rank_cholesky(gram),
             (basis @ psi).reshape(-1, 2))
+
+
+def hessian_part_stiffness(space, sigma):
+    """The Hessian side phi of the tensor splitting from the stiffness
+    matrix: A phi = B_H^T t on the DOFs left after dropping the first k
+    pivots of a pivoted QR of the affine kernel basis Z^T, which stay zero."""
+    import scipy.linalg as dla
+    import scipy.sparse.linalg as spla
+
+    from plate_afem.assembly import assemble_stiffness
+    from plate_afem.helmholtz import hessian_map, tensor_features
+    from plate_afem.space import affine_kernel_coefficients
+
+    Z = affine_kernel_coefficients(space)
+    k = Z.shape[1]
+    drop = dla.qr(Z.T, pivoting=True, mode="r")[1][:k] if k else np.zeros(0, int)
+    keep = np.setdiff1d(np.arange(space.ndof), drop)
+    A = assemble_stiffness(space).full()[keep][:, keep]
+    rhs = hessian_map(space).T @ tensor_features(space.mesh, sigma)
+    phi = np.zeros(space.ndof)
+    phi[keep] = spla.splu(A.tocsc()).solve(rhs[keep])
+    return phi, drop
 
 
 def _subedges_on(fine, a, b, tol):

@@ -226,6 +226,33 @@ class TestReferenceCycles:
         assert trace.levels[-1].ndof >= 3000
 
 
+class TestSpaceLifetime:
+    def test_no_earlier_space_outlives_its_level(self, monkeypatch):
+        # each level's space is built from the previous one, which must then
+        # be released: before the level's eigensolve, and after the run
+        import weakref
+
+        refs, alive_at_solve = [], []
+        build, solve = afem.build_space, eig.solve_gevp
+
+        def tracked_build(*args, **kwargs):
+            space = build(*args, **kwargs)
+            refs.append(weakref.ref(space))
+            return space
+
+        def counted_solve(*args, **kwargs):
+            alive_at_solve.append(sum(r() is not None for r in refs))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(afem, "build_space", tracked_build)
+        monkeypatch.setattr(eig, "solve_gevp", counted_solve)
+        trace = afem.run_afem(AfemConfig(geometry="lshape", bc="mixed",
+                                         max_levels=64, max_ndof=2000))
+        assert len(refs) == len(trace.levels) > 5
+        assert alive_at_solve == [1] * len(refs)
+        assert all(r() is None for r in refs)
+
+
 class TestRates:
     def test_synthetic_inverse_ndof(self):
         nd = np.array([10, 20, 40, 80, 160, 320])

@@ -109,6 +109,35 @@ class TestSolveGevp:
             bound = np.sqrt(np.einsum("ik,ik->k", r, Mlu.solve(r)))
             assert (bound / sparse.eigenvalues).max() <= 1e-10
 
+    @pytest.mark.parametrize("dense_cutoff", [10 ** 9, 0])
+    @pytest.mark.parametrize("which", ["stiffness", "mass"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected_on_both_paths(self, dense_cutoff, which, bad):
+        # an inf in A once passed the residual gate (inf > inf is false) on
+        # the sparse path and returned a wrong lambda_1; NaN escaped the
+        # dense path as a bare ValueError
+        m = msh.square_mesh("clamped")
+        for _ in range(3):
+            m = msh.uniform_refine(m)
+        S = sp.build_space(m)
+        A = asm.assemble_stiffness(S).full()
+        M = asm.assemble_mass(S).full()
+        assert A.shape[0] == 225
+        target = A if which == "stiffness" else M
+        target.data[target.indptr[7]] = bad
+        with pytest.raises(EigenError, match=f"{which} matrix is not finite"):
+            eig.solve_gevp(A, M, 5, dense_cutoff=dense_cutoff)
+
+    def test_symmetric_csr_arrays_are_its_csc(self):
+        # the shift-invert path hands A's CSR arrays to SuperLU as CSC
+        m = msh.uniform_refine(msh.preset_mesh("lshape", "mixed"))
+        S = sp.build_space(m)
+        for op in (asm.assemble_stiffness(S), asm.assemble_mass(S)):
+            A = op.full()
+            want, got = A.tocsc(), A.T
+            for name in ("data", "indices", "indptr"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     def test_window_slicing(self):
         rng = np.random.default_rng(3)
         A, M = random_spd_pencil(rng, 10)

@@ -12,7 +12,8 @@ from plate_afem import mesh as msh
 from plate_afem import space as sp
 from plate_afem.helmholtz import HelmholtzError
 
-from oracles import (curl_part_dense, decompose_lstsq, hessian_map_loops, qr_rank,
+from oracles import (curl_part_dense, decompose_lstsq, hessian_map_loops,
+                     hessian_part_stiffness, qr_rank,
                      stiffness_kernel_dimension, sym_curl_map_columns)
 
 ALL_CONFIGS = [(g, bc) for g in ("square", "lshape")
@@ -350,6 +351,27 @@ class TestMapOracles:
         assert err <= 1e-10 * np.linalg.norm(want_psi)
         # the dense basis is never formed on the audit and decomposition path
         assert "basis" not in vars(X)
+
+    @pytest.mark.parametrize("geometry,bc,refine", MESHES + [
+        (g, bc, 1) for g, bc in RIGID_BCS])
+    def test_hessian_side_matches_stiffness_oracle(self, geometry, bc, refine):
+        # phi keeps the convention of the stiffness solve: the k DOFs
+        # dropped for the affine kernel are zero
+        m, S, X = self._mesh(geometry, bc, refine)
+        sigma = np.random.default_rng(9).standard_normal((m.num_triangles, 3))
+        phi = hh.decompose(S, X, sigma).phi
+        want, drop = hessian_part_stiffness(S, sigma)
+        assert np.all(phi[drop] == 0.0)
+        assert np.linalg.norm(phi - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_audit_and_decompose_share_one_hessian_factorisation(self, monkeypatch):
+        m, S, X = _setup("lshape", "mixed", refine=2)
+        hh.dimension_audit(m, S, X)
+        gram = hh._hessian_gram(S)
+        assert "_lu" in vars(gram)
+        monkeypatch.setattr(hh.spla, "splu", None)   # no further factorisation
+        hh.decompose(S, X, np.ones((m.num_triangles, 3)))
+        assert hh._hessian_gram(S) is gram
 
     @pytest.mark.parametrize("geometry,bc,refine", MESHES)
     def test_audit_ranks_match_qr(self, geometry, bc, refine):

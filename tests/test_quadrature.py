@@ -30,3 +30,17 @@ def test_integrates_polynomial_on_physical_triangle():
 def test_degree_request_validation():
     with pytest.raises(ValueError):
         triangle_rule(-1)
+
+
+@pytest.mark.parametrize("degree", [4, 8])
+def test_physical_points_match_the_inline_map(degree):
+    # assembly and the estimator map their rule points through this helper;
+    # it must give the bytes of the map they used to write out inline
+    from plate_afem import mesh as msh
+
+    m = msh.refine_nvb(msh.uniform_refine(msh.preset_mesh("lshape", "mixed")), [0, 5])
+    rule = triangle_rule(degree)
+    coords = m.vertices[m.triangles]
+    want = np.einsum("qi,tid->tqd", rule.points, coords)
+    assert physical_points(rule, coords).tobytes() == want.tobytes()
+    assert physical_points(rule, coords[3:5]).tobytes() == want[3:5].tobytes()

@@ -336,3 +336,66 @@ class TestCoefficientSerialization:
         sp.save_coefficients(S1, np.zeros(S1.ndof), path)
         with pytest.raises(SpaceError):
             sp.load_coefficients(S2, path)
+
+
+class TestElementReuse:
+    """``build_space(mesh, coarse)`` copies the element data of the triangles
+    that refinement left untouched; the space must equal one built from
+    scratch bit for bit."""
+
+    BC_LISTS = [("lshape", ["clamped", "free", "simply_supported", "free", "free", "clamped"]),
+                ("square", ["clamped", "simply_supported", "free", "clamped"]),
+                ("lshape", ["simply_supported", "clamped", "free", "clamped",
+                            "simply_supported", "free"])]
+
+    @staticmethod
+    def _assert_chain_matches(meshes):
+        from plate_afem.assembly import assemble_mass, assemble_stiffness
+
+        coarse, reused = None, 0
+        for m in meshes:
+            got, want = sp.build_space(m, coarse), sp.build_space(m)
+            for name in ("basis", "basis_hessians", "duality_residual"):
+                assert (np.asarray(getattr(got, name)).tobytes()
+                        == np.asarray(getattr(want, name)).tobytes()), name
+            for assemble in (assemble_stiffness, assemble_mass):
+                a, b = assemble(got).full(), assemble(want).full()
+                for name in ("data", "indices", "indptr"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            reused += m.num_triangles - len(np.arange(m.num_triangles)[got._fresh])
+            coarse = got
+        return reused
+
+    @pytest.mark.parametrize("geometry,bc,max_ndof", [
+        ("lshape", "mixed", 5000), ("square", "clamped", 3000),
+        *[(g, bc, 2000) for g, bc in BC_LISTS]])
+    def test_adaptive_levels_bitwise(self, geometry, bc, max_ndof):
+        from plate_afem.afem import AfemConfig, run_afem
+
+        trace = run_afem(AfemConfig(geometry=geometry, bc=bc, max_levels=64,
+                                    max_ndof=max_ndof))
+        assert trace.levels[-1].ndof >= max_ndof
+        assert self._assert_chain_matches(trace.meshes) > 0
+
+    def test_start_mesh_from_file(self, tmp_path):
+        from plate_afem.afem import AfemConfig, run_afem
+
+        path = tmp_path / "start.json"
+        msh.save_mesh(msh.uniform_refine(msh.preset_mesh("square", "simply_supported")), path)
+        trace = run_afem(AfemConfig(mesh_file=str(path), max_levels=64, max_ndof=1500))
+        assert self._assert_chain_matches(trace.meshes) > 0
+
+    def test_uniform_refinement_reuses_nothing(self):
+        m = msh.preset_mesh("lshape", "mixed")
+        meshes = [m]
+        for _ in range(3):
+            meshes.append(msh.uniform_refine(meshes[-1]))
+        assert self._assert_chain_matches(meshes) == 0
+
+    def test_space_on_another_mesh_is_ignored(self):
+        m = msh.uniform_refine(msh.preset_mesh("square", "clamped"))
+        fine = msh.refine_nvb(m, [0])
+        other = sp.build_space(msh.uniform_refine(m))
+        got, want = sp.build_space(fine, other), sp.build_space(fine)
+        assert got.basis.tobytes() == want.basis.tobytes()
+        assert isinstance(got._fresh, slice)
