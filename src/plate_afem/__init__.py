@@ -18,8 +18,8 @@ import importlib
 _EXPORTS = {
     "afem": ("AfemConfig", "AfemTrace", "convergence_rate",
              "reference_eigenvalues", "run_afem", "uniform_trace"),
-    "assembly": ("SymSparseMatrix", "assemble_mass", "assemble_stiffness",
-                 "osc_k", "project_pk", "solve_linear"),
+    "assembly": ("assemble_mass", "assemble_stiffness", "osc_k", "project_pk",
+                 "solve_linear"),
     "eigen": ("ClusterSolution", "SeparationReport", "lower_bound",
               "principal_angle", "separation", "solve_gevp"),
     "estimator": ("EstimatorField", "MarkSet", "dorfler_mark", "estimate"),

@@ -29,6 +29,7 @@ __all__ = [
     "run_afem",
     "uniform_trace",
     "convergence_rate",
+    "quantity_rate",
     "fit_rate",
     "richardson_extrapolate",
     "ReferenceResult",
@@ -197,8 +198,7 @@ def _solve_level(level, space, config, timings, reference=None):
         raise eigen.EigenError(
             f"space too small: ndof={space.ndof} cannot host the window")
     with _phase(timings, "solve"):
-        sol = eigen.solve_gevp(A, M, count, dense_cutoff=config.dense_cutoff,
-                               deterministic=True)
+        sol = eigen.solve_gevp(A, M, count, dense_cutoff=config.dense_cutoff)
         if sol.eigenvalues[0] <= 0:
             raise eigen.EigenError(
                 "nonpositive plate eigenvalue: check the boundary conditions")
@@ -299,24 +299,32 @@ def fit_rate(ndofs, values, ndof0=None, tail=None):
     return float(slope)
 
 
-def convergence_rate(trace: AfemTrace, quantity, reference=None, tail=None):
-    """Empirical rate of a trace quantity against degrees of freedom.
+def quantity_rate(ndofs, eta2, lam, quantity, reference=None, tail=None):
+    """Empirical rate of ``"eta2"`` or ``"lambda_err"`` against ndof.
 
-    ``quantity`` is ``"eta2"`` or ``"lambda_err"``; the latter needs a
-    reference eigenvalue array (or scalar for a single-member window).
+    ``eta2`` holds the estimator total per level and ``lam`` the window
+    eigenvalues, one row per level.  ``"lambda_err"`` is the largest
+    deviation of a row from ``reference``, an eigenvalue array (or a scalar
+    for every window member).
     """
-    ndofs = trace.ndofs
     if quantity == "eta2":
-        vals = trace.column("eta2_total")
+        vals = eta2
     elif quantity == "lambda_err":
         if reference is None:
             raise ValueError("lambda_err needs a reference eigenvalue")
-        lam = trace.eigenvalue_matrix()
+        lam = np.asarray(lam, dtype=float)
         ref = np.broadcast_to(np.asarray(reference, dtype=float), lam.shape[1:])
         vals = np.abs(lam - ref).max(axis=1)
     else:
         raise ValueError(f"unknown quantity {quantity!r}")
     return fit_rate(ndofs, vals, tail=tail)
+
+
+def convergence_rate(trace: AfemTrace, quantity, reference=None, tail=None):
+    """Empirical rate of a trace quantity against degrees of freedom, as
+    ``quantity_rate`` over the levels of ``trace``."""
+    return quantity_rate(trace.ndofs, trace.column("eta2_total"),
+                         trace.eigenvalue_matrix(), quantity, reference, tail)
 
 
 def richardson_extrapolate(values):
@@ -362,8 +370,7 @@ class ReferenceResult:
     reliable: np.ndarray
 
 
-def reference_eigenvalues(geometry, bc, J, target_ndof,
-                          dense_cutoff=900) -> ReferenceResult:
+def reference_eigenvalues(geometry, bc, J, target_ndof) -> ReferenceResult:
     """Uniform-refinement reference values for the window ``J``.
 
     Refines until ``target_ndof`` is reached, then extrapolates each window
@@ -372,8 +379,7 @@ def reference_eigenvalues(geometry, bc, J, target_ndof,
     J = np.asarray(sorted(J), dtype=int)
     n, N = int(J[0] - 1), len(J)
     config = AfemConfig(geometry=geometry, bc=bc, n=n, cluster_size=N,
-                        max_levels=64, max_ndof=int(target_ndof),
-                        dense_cutoff=dense_cutoff)
+                        max_levels=64, max_ndof=int(target_ndof))
     trace = uniform_trace(config)
     lam = trace.eigenvalue_matrix()
     limits, ratios, uncs, ok = [], [], [], []

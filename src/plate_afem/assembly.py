@@ -8,7 +8,9 @@ repeated assembly is bit identical.  The element matrices are element data
 of the space: computed once per space, and only on the triangles that are
 new on its mesh when the space was built from the parent mesh's space.  The
 stiffness and the mass matrix scatter through one set of lower-triangle
-triplet indices per space.
+triplet indices per space and are returned as ``scipy.sparse.csr_matrix``
+holding both triangles: the lower triangle is summed once and mirrored, so
+symmetry is exact.
 """
 
 import numpy as np
@@ -16,10 +18,9 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .quadrature import physical_points, triangle_rule
-from .space import MorleySpace, hessians
+from .space import MorleySpace
 
 __all__ = [
-    "SymSparseMatrix",
     "SingularSystemError",
     "assemble_stiffness",
     "assemble_mass",
@@ -40,47 +41,6 @@ class SingularSystemError(Exception):
     """
 
 
-class SymSparseMatrix:
-    """Symmetric sparse matrix stored as its lower triangle.
-
-    Symmetry is exact by construction; ``full()`` mirrors the lower triangle.
-    """
-
-    def __init__(self, n, lower_csr):
-        self.n = int(n)
-        self.lower = lower_csr.tocsr()
-        self.lower.sum_duplicates()
-        self._full = None
-
-    def full(self) -> sparse.csr_matrix:
-        if self._full is None:
-            strict = sparse.tril(self.lower, k=-1)
-            self._full = (self.lower + strict.T).tocsr()
-        return self._full
-
-    def toarray(self) -> np.ndarray:
-        return self.full().toarray()
-
-    def matvec(self, x):
-        return self.full() @ x
-
-    @property
-    def nnz(self):
-        return self.lower.nnz
-
-    def norm1(self) -> float:
-        return float(spla.norm(self.full(), 1)) if self.n else 0.0
-
-    def export_matrixmarket(self, path):
-        """Write MatrixMarket coordinate symmetric format (1-based, lower)."""
-        coo = self.lower.tocoo()
-        with open(path, "w") as fh:
-            fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-            fh.write(f"{self.n} {self.n} {coo.nnz}\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
-
-
 def _lower_triplets(space):
     # global row and column of every free lower-triangle entry of the
     # (T, 6, 6) element matrices, and the mask that picks those entries
@@ -92,11 +52,13 @@ def _lower_triplets(space):
 
 
 def _scatter_symmetric(space, local):
-    """Scatter (T, 6, 6) element matrices into a SymSparseMatrix."""
+    """Symmetric CSR matrix of the (T, 6, 6) element matrices: the lower
+    triangle is summed once and mirrored, so symmetry is exact."""
     rows, cols, keep = space.derived("lower_triplets", _lower_triplets)
     n = space.ndof
-    return SymSparseMatrix(n, sparse.coo_matrix((local.ravel()[keep], (rows, cols)),
-                                                shape=(n, n)))
+    lower = sparse.coo_matrix((local.ravel()[keep], (rows, cols)), shape=(n, n)).tocsr()
+    lower.sum_duplicates()
+    return (lower + sparse.tril(lower, k=-1).T).tocsr()
 
 
 def _local_stiffness(space, rows):
@@ -114,12 +76,12 @@ def _local_mass(space, rows):
     return (local,)
 
 
-def assemble_stiffness(space: MorleySpace) -> SymSparseMatrix:
+def assemble_stiffness(space: MorleySpace) -> sparse.csr_matrix:
     """Broken-Hessian stiffness matrix; entries are exact."""
     return _scatter_symmetric(space, space.element_data("stiffness", _local_stiffness)[0])
 
 
-def assemble_mass(space: MorleySpace) -> SymSparseMatrix:
+def assemble_mass(space: MorleySpace) -> sparse.csr_matrix:
     """L2 mass matrix via a degree-4 rule (exact for quadratic pairs)."""
     return _scatter_symmetric(space, space.element_data("mass", _local_mass)[0])
 
@@ -163,7 +125,7 @@ def _sample(f, pts):
 def solve_with_load(space: MorleySpace, F, method="direct",
                     rtol=1e-10) -> np.ndarray:
     """Solve the stiffness system for a given load vector."""
-    A = assemble_stiffness(space).full()
+    A = assemble_stiffness(space)
     F = np.asarray(F, dtype=float)
     if space.ndof == 0:
         return np.zeros(0)

@@ -147,17 +147,9 @@ def _cmd_rates(args):
         print(f"trace file not found: {args.trace}", file=sys.stderr)
         return _EXIT_USAGE
     cols = afem.read_trace_csv(args.trace)
-    ndofs = cols["ndof"]
-    if args.quantity == "eta2":
-        vals = cols["eta2_total"]
-    else:
-        if args.reference is None:
-            print("lambda_err needs --reference", file=sys.stderr)
-            return _EXIT_USAGE
-        lam_cols = [k for k in cols if k.startswith("lambda_")]
-        lam = np.stack([cols[k] for k in sorted(lam_cols)], axis=1)
-        vals = np.abs(lam - args.reference).max(axis=1)
-    slope = afem.fit_rate(ndofs, vals)
+    lam = np.stack([v for k, v in cols.items() if k.startswith("lambda_")], axis=1)
+    slope = afem.quantity_rate(cols["ndof"], cols["eta2_total"], lam,
+                               args.quantity, args.reference)
     print(f"{args.quantity} rate vs ndof: {slope!r}")
     return _EXIT_OK
 

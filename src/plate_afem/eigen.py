@@ -1,5 +1,10 @@
 """Generalized symmetric eigenpairs, cluster diagnostics and subspace angles.
 
+Both matrices may be dense or scipy-sparse; each is converted to CSR once,
+and only the stiffness factorisation reads a CSC copy.  The assembled
+matrices of ``assembly`` are already symmetric CSR, so that conversion is
+free for them.
+
 The pencil is reduced through a Cholesky factor of the mass matrix and
 solved by the standard dense symmetric path (tridiagonalisation plus
 implicit-shift iteration, via LAPACK); a shift-invert Lanczos path takes
@@ -96,21 +101,20 @@ class SeparationReport:
 
 
 def _as_csr(op):
-    if hasattr(op, "full"):
-        return op.full()
     if sparse.issparse(op):
         return op.tocsr()
     return sparse.csr_matrix(np.atleast_2d(np.asarray(op, dtype=float)))
 
 
-def solve_gevp(A, M, count, dense_cutoff=900, deterministic=True) -> ClusterSolution:
+def solve_gevp(A, M, count, dense_cutoff=900) -> ClusterSolution:
     """Lowest ``count`` eigenpairs of ``A x = lambda M x``.
 
     ``A`` must be symmetric and ``M`` symmetric positive definite; both may
-    be dense arrays, scipy sparse matrices or SymSparseMatrix.  Multiple
-    eigenvalues return an M-orthonormal basis of the invariant subspace.
+    be dense arrays or scipy sparse matrices of any format, and are read as
+    CSR.  The shift-invert path starts Lanczos from the constant unit
+    vector, so repeated solves are identical.  Multiple eigenvalues return
+    an M-orthonormal basis of the invariant subspace.
     """
-    symmetric = hasattr(A, "full")     # mirrored lower triangle: exact symmetry
     A = _as_csr(A)
     M = _as_csr(M)
     n = A.shape[0]
@@ -133,12 +137,10 @@ def solve_gevp(A, M, count, dense_cutoff=900, deterministic=True) -> ClusterSolu
             raise EigenError(f"dense eigensolver failed: {exc}") from exc
     else:
         try:
-            # an exactly symmetric CSR matrix read as CSC is the same matrix
-            lu = _spd_splu(A.T if symmetric else A.tocsc())
+            lu = _spd_splu(A.tocsc())
             OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-            v0 = np.full(n, 1.0 / np.sqrt(n)) if deterministic else None
-            w, v = spla.eigsh(A, k=count, M=M, sigma=0.0, which="LM", v0=v0,
-                              OPinv=OPinv)
+            w, v = spla.eigsh(A, k=count, M=M, sigma=0.0, which="LM",
+                              v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=OPinv)
         except Exception as exc:  # factorization or ARPACK failure
             raise EigenError(f"sparse eigensolver failed: {exc}") from exc
 

@@ -76,6 +76,8 @@ def estimate(space: MorleySpace, cluster, edge_weight="h_T") -> EstimatorField:
         raise MarkingError("edge_weight must be 'h_T' or 'h_F'")
 
     rule = triangle_rule(4)
+    pts = physical_points(rule, mesh.vertices[mesh.triangles]).reshape(-1, 2)
+    tri_of_point = np.repeat(np.arange(mesh.num_triangles), len(rule.weights))
     eta2 = np.zeros(mesh.num_triangles)
     interior_or_clamped = ((mesh.edge_tags == BoundaryPart.INTERIOR)
                            | (mesh.edge_tags == BoundaryPart.CLAMPED))
@@ -85,7 +87,7 @@ def estimate(space: MorleySpace, cluster, edge_weight="h_T") -> EstimatorField:
     for lam, u in zip(lams, vectors.T):
         bf = space.to_broken(u)
         # volume residual: h_T^4 * int_T (lambda u)^2, exact for quadratics
-        vals = _values_at_rule(space, bf, rule)
+        vals = bf.value(tri_of_point, pts).reshape(mesh.num_triangles, -1)
         int_u2 = np.einsum("q,tq->t", rule.weights, vals ** 2) * mesh.areas
         eta2 += mesh.areas ** 2 * lam ** 2 * int_u2
 
@@ -113,15 +115,6 @@ def estimate(space: MorleySpace, cluster, edge_weight="h_T") -> EstimatorField:
 
     return EstimatorField(mesh=mesh, eta2=eta2,
                           j_first=getattr(cluster, "j_first", 1))
-
-
-def _values_at_rule(space, bf, rule):
-    mesh = space.mesh
-    d = physical_points(rule, mesh.vertices[mesh.triangles]) - mesh.centroids[:, None, :]
-    c = bf.coeffs
-    return (c[:, None, 0] + c[:, None, 1] * d[..., 0] + c[:, None, 2] * d[..., 1]
-            + c[:, None, 3] * d[..., 0] ** 2 + c[:, None, 4] * d[..., 0] * d[..., 1]
-            + c[:, None, 5] * d[..., 1] ** 2)
 
 
 def dorfler_mark(field: EstimatorField, theta: float) -> MarkSet:

@@ -62,9 +62,7 @@ class BrokenFunction:
 
     def value(self, t, points):
         d = np.atleast_2d(points) - self.mesh.centroids[t]
-        c = self.coeffs[t].T
-        return (c[0] + c[1] * d[:, 0] + c[2] * d[:, 1] + c[3] * d[:, 0] ** 2
-                + c[4] * d[:, 0] * d[:, 1] + c[5] * d[:, 1] ** 2)
+        return _quadratic(self.coeffs[t].T, d[:, 0], d[:, 1])
 
     def gradient(self, t, points):
         d = np.atleast_2d(points) - self.mesh.centroids[t]
@@ -84,13 +82,18 @@ def hessians(bf: BrokenFunction) -> np.ndarray:
     return np.stack([2.0 * c[:, 3], 2.0 * c[:, 5], c[:, 4]], axis=1)
 
 
+def _quadratic(c, dx, dy):
+    # the one evaluation order, so values and re-centred frames agree bitwise
+    return (c[0] + c[1] * dx + c[2] * dy + c[3] * dx ** 2 + c[4] * dx * dy
+            + c[5] * dy ** 2)
+
+
 def poly_shift(coeffs, delta):
     """Re-centre quadratic coefficients: frames moved by ``delta`` (new - old)."""
     c = np.asarray(coeffs, dtype=float)
     dx, dy = np.moveaxis(np.asarray(delta, dtype=float), -1, 0)
     out = c.copy()
-    out[..., 0] = (c[..., 0] + c[..., 1] * dx + c[..., 2] * dy
-                   + c[..., 3] * dx ** 2 + c[..., 4] * dx * dy + c[..., 5] * dy ** 2)
+    out[..., 0] = _quadratic(np.moveaxis(c, -1, 0), dx, dy)
     out[..., 1] = c[..., 1] + 2.0 * c[..., 3] * dx + c[..., 4] * dy
     out[..., 2] = c[..., 2] + c[..., 4] * dx + 2.0 * c[..., 5] * dy
     return out

@@ -14,7 +14,10 @@ all dense eigenvalues for the stiffness kernel, a geometric search for
 the fine sub-edges of every coarse edge in Morley interpolation, a
 row-wise unique with a per-slot orientation search for the edge table,
 and per-triangle recursion with dict lookups for newest-vertex
-bisection.
+bisection.  The symmetric assembled matrices are the exception: their
+reference repeats the scatter through a stored lower triangle from its
+own triplet indices, since the assembled CSR arrays must equal it byte
+for byte.
 """
 
 import itertools
@@ -357,11 +360,31 @@ def hessian_part_stiffness(space, sigma):
     k = Z.shape[1]
     drop = dla.qr(Z.T, pivoting=True, mode="r")[1][:k] if k else np.zeros(0, int)
     keep = np.setdiff1d(np.arange(space.ndof), drop)
-    A = assemble_stiffness(space).full()[keep][:, keep]
+    A = assemble_stiffness(space)[keep][:, keep]
     rhs = hessian_map(space).T @ tensor_features(space.mesh, sigma)
     phi = np.zeros(space.ndof)
     phi[keep] = spla.splu(A.tocsc()).solve(rhs[keep])
     return phi, drop
+
+
+def symmetric_from_lower_triangle(space, local):
+    """Symmetric CSR matrix of the (T, 6, 6) element matrices ``local``,
+    built as a stored lower triangle: the free lower-triangle entries are
+    scattered by COO and summed into CSR, and the full matrix is that
+    triangle plus its transposed strict lower part."""
+    import scipy.sparse as sparse
+
+    dofs = space.cell_dofs
+    rows = np.repeat(dofs[:, :, None], 6, axis=2).ravel()
+    cols = np.repeat(dofs[:, None, :], 6, axis=1).ravel()
+    keep = (rows >= 0) & (cols >= 0) & (rows >= cols)
+    n = space.ndof
+    lower = sparse.coo_matrix((local.ravel()[keep], (rows[keep].astype(np.int32),
+                                                     cols[keep].astype(np.int32))),
+                              shape=(n, n)).tocsr()
+    lower.sum_duplicates()
+    strict = sparse.tril(lower, k=-1)
+    return (lower + strict.T).tocsr()
 
 
 def _subedges_on(fine, a, b, tol):

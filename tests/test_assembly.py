@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from plate_afem import assembly as asm
 from plate_afem import mesh as msh
@@ -8,7 +9,7 @@ from plate_afem.assembly import SingularSystemError
 from plate_afem.quadrature import triangle_rule
 
 from oracles import (energy_product_symbolic, morley_basis_symbolic, osc_oracle,
-                     stiffness_kernel_dimension)
+                     stiffness_kernel_dimension, symmetric_from_lower_triangle)
 
 
 def _quadratic_pair(c):
@@ -28,8 +29,8 @@ def _quadratic_pair(c):
 class TestStiffness:
     def test_symmetry_exact(self):
         S = sp.build_space(msh.uniform_refine(msh.lshape_mesh("clamped")))
-        A = asm.assemble_stiffness(S).toarray()
-        assert np.array_equal(A, A.T)
+        for A in (asm.assemble_stiffness(S).toarray(), asm.assemble_mass(S).toarray()):
+            assert np.array_equal(A, A.T)
 
     def test_clamped_square_value_symbolic(self):
         """1x1 stiffness entry cross-checked by symbolic element integration."""
@@ -66,7 +67,7 @@ class TestStiffness:
         S = sp.build_space(m)
         c = rng.standard_normal(6)
         q = sp.morley_interpolate(S, _quadratic_pair(c))
-        Aq = asm.assemble_stiffness(S).matvec(q)
+        Aq = asm.assemble_stiffness(S) @ q
         rule = triangle_rule(2)
         bf = S.to_broken(q)
         Hq = sp.hessians(bf)
@@ -117,7 +118,7 @@ class TestMass:
     def test_spd_on_random_vectors(self):
         rng = np.random.default_rng(1)
         S = sp.build_space(msh.uniform_refine(msh.square_mesh("free")))
-        M = asm.assemble_mass(S).full()
+        M = asm.assemble_mass(S)
         X = rng.standard_normal((S.ndof, 100))
         quad = np.einsum("nk,nk->k", X, M @ X)
         assert np.all(quad > 0)
@@ -127,7 +128,7 @@ class TestMass:
         S = sp.build_space(m)
         one = sp.morley_interpolate(S, (lambda p: 1.0, lambda p: np.zeros(2)))
         M = asm.assemble_mass(S)
-        assert one @ M.matvec(one) == pytest.approx(3.0, abs=1e-12)  # meas = 3
+        assert one @ (M @ one) == pytest.approx(3.0, abs=1e-12)  # meas = 3
 
 
 class TestSolveLinear:
@@ -146,7 +147,7 @@ class TestSolveLinear:
             msh.square_mesh("clamped"))))
         F = asm.load_vector(S, lambda x, y: np.cos(3 * x) * y, quad_degree=8)
         u = asm.solve_with_load(S, F)
-        resid = asm.assemble_stiffness(S).matvec(u) - F
+        resid = asm.assemble_stiffness(S) @ u - F
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(F)
 
     def test_quadratic_reproduction_via_discrete_load(self):
@@ -158,7 +159,7 @@ class TestSolveLinear:
         S = sp.build_space(m)
         c = rng.standard_normal(6)
         q = sp.morley_interpolate(S, _quadratic_pair(c))
-        F = asm.assemble_stiffness(S).matvec(q)
+        F = asm.assemble_stiffness(S) @ q
         u = asm.solve_with_load(S, F)
         assert np.abs(u - q).max() <= 1e-10 * max(1.0, np.abs(q).max())
 
@@ -260,18 +261,6 @@ class TestProjectionsAndOscillations:
             asm.project_pk(msh.triangle_mesh(), lambda x, y: x, 3)
 
 
-class TestMatrixExport:
-    def test_matrixmarket_round_trip(self, tmp_path):
-        import scipy.io as sio
-
-        S = sp.build_space(msh.uniform_refine(msh.square_mesh("clamped")))
-        A = asm.assemble_stiffness(S)
-        path = tmp_path / "a.mtx"
-        A.export_matrixmarket(path)
-        B = sio.mmread(path)
-        assert np.abs(B.toarray() - A.toarray()).max() == 0.0
-
-
 class TestDeterministicAssembly:
     def test_bit_identical_reassembly(self):
         S = sp.build_space(msh.uniform_refine(msh.preset_mesh("lshape", "mixed")))
@@ -281,3 +270,45 @@ class TestDeterministicAssembly:
         M2 = asm.assemble_mass(S).toarray()
         assert np.array_equal(A1, A2)
         assert np.array_equal(M1, M2)
+
+
+class TestSymmetricCSR:
+    """A and M are plain CSR matrices holding both triangles, byte for byte
+    the stored-lower-triangle construction mirrored."""
+
+    @staticmethod
+    def _assert_matches_oracle(S):
+        for name, kernel, assemble in (
+                ("stiffness", asm._local_stiffness, asm.assemble_stiffness),
+                ("mass", asm._local_mass, asm.assemble_mass)):
+            got = assemble(S)
+            want = symmetric_from_lower_triangle(S, S.element_data(name, kernel)[0])
+            assert isinstance(got, sparse.csr_matrix) and got.shape == (S.ndof, S.ndof)
+            for attr in ("data", "indices", "indptr"):
+                a, b = getattr(got, attr), getattr(want, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, attr)
+
+    @pytest.mark.parametrize("geometry", ["square", "lshape"])
+    @pytest.mark.parametrize("bc", ["clamped", "simply_supported", "mixed", "free"])
+    def test_presets(self, geometry, bc):
+        self._assert_matches_oracle(sp.build_space(msh.preset_mesh(geometry, bc)))
+
+    def test_uniform_refinement(self):
+        m = msh.preset_mesh("lshape", "mixed")
+        for _ in range(4):
+            self._assert_matches_oracle(sp.build_space(m))
+            m = msh.uniform_refine(m)
+
+    def test_every_level_of_nvb_run_with_element_reuse(self):
+        from plate_afem.afem import AfemConfig, run_afem
+
+        trace = run_afem(AfemConfig(geometry="lshape", bc="mixed", max_levels=64,
+                                    max_ndof=3000))
+        coarse, reused = None, 0
+        for m in trace.meshes:
+            S = sp.build_space(m, coarse)
+            self._assert_matches_oracle(S)
+            if not isinstance(S._fresh, slice):
+                reused += m.num_triangles - len(S._fresh)
+            coarse = S
+        assert reused > 0

@@ -90,8 +90,8 @@ class TestSolveGevp:
             for _ in range(refinements):
                 m = msh.uniform_refine(m)
             S = sp.build_space(m)
-            A = asm.assemble_stiffness(S).full()
-            M = asm.assemble_mass(S).full()
+            A = asm.assemble_stiffness(S)
+            M = asm.assemble_mass(S)
             dense = eig.solve_gevp(A, M, 5, dense_cutoff=10 ** 9)
             sparse = eig.solve_gevp(A, M, 5, dense_cutoff=1)
             assert (dense.path, sparse.path) == ("dense", "shift-invert")
@@ -120,8 +120,8 @@ class TestSolveGevp:
         for _ in range(3):
             m = msh.uniform_refine(m)
         S = sp.build_space(m)
-        A = asm.assemble_stiffness(S).full()
-        M = asm.assemble_mass(S).full()
+        A = asm.assemble_stiffness(S)
+        M = asm.assemble_mass(S)
         assert A.shape[0] == 225
         target = A if which == "stiffness" else M
         target.data[target.indptr[7]] = bad
@@ -129,14 +129,28 @@ class TestSolveGevp:
             eig.solve_gevp(A, M, 5, dense_cutoff=dense_cutoff)
 
     def test_symmetric_csr_arrays_are_its_csc(self):
-        # the shift-invert path hands A's CSR arrays to SuperLU as CSC
+        # SuperLU reads A.tocsc(); for the exactly symmetric assembled A its
+        # arrays are A's CSR arrays, so the factor is that of A read as CSC
         m = msh.uniform_refine(msh.preset_mesh("lshape", "mixed"))
         S = sp.build_space(m)
-        for op in (asm.assemble_stiffness(S), asm.assemble_mass(S)):
-            A = op.full()
+        for A in (asm.assemble_stiffness(S), asm.assemble_mass(S)):
             want, got = A.tocsc(), A.T
             for name in ("data", "indices", "indptr"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("dense_cutoff", [10 ** 9, 1])
+    def test_dense_csr_and_csc_inputs_agree_bitwise(self, dense_cutoff):
+        m = msh.square_mesh("clamped")
+        for _ in range(3):
+            m = msh.uniform_refine(m)
+        S = sp.build_space(m)
+        A, M = asm.assemble_stiffness(S), asm.assemble_mass(S)
+        sols = [eig.solve_gevp(convert(A), convert(M), 5, dense_cutoff=dense_cutoff)
+                for convert in (lambda X: X, lambda X: X.tocsc(), lambda X: X.toarray())]
+        assert sols[0].path == ("dense" if dense_cutoff > 1 else "shift-invert")
+        for sol in sols[1:]:
+            assert sol.eigenvalues.tobytes() == sols[0].eigenvalues.tobytes()
+            assert sol.vectors.tobytes() == sols[0].vectors.tobytes()
 
     def test_window_slicing(self):
         rng = np.random.default_rng(3)
