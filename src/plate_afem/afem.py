@@ -37,6 +37,8 @@ __all__ = [
     "angle_to_reference",
 ]
 
+_ETA2_FLOOR = 1e-12         # an estimator total at or below it counts as converged
+
 
 class ConfigError(Exception):
     """Invalid adaptive-loop configuration."""
@@ -59,10 +61,8 @@ class AfemConfig:
     max_ndof: int = 20000
     buffer: int = 4
     lower_bound_constant: float = 1.0
-    eta2_floor: float = 1e-12
     deterministic: bool = False
     dense_cutoff: int = 900
-    edge_weight: str = "h_T"
     mesh_file: object = None
 
     def __post_init__(self):
@@ -80,23 +80,21 @@ class AfemConfig:
             raise ConfigError("lower-bound constant must be >= 0")
 
     @classmethod
-    def from_dict(cls, doc: dict, strict: bool = True) -> "AfemConfig":
+    def from_dict(cls, doc: dict) -> "AfemConfig":
         """Build a config from a JSON document, applying defaults.
 
         The window may be given as ``{"J": {"n": .., "N": ..}}``.  Unknown
-        keys raise in strict mode.
+        keys raise ConfigError.
         """
         doc = dict(doc)
         j = doc.pop("J", None)
         if j is not None:
             doc["n"] = j.get("n", 0)
             doc["cluster_size"] = j.get("N", 1)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown and strict:
+        unknown = set(doc) - set(cls.__dataclass_fields__)
+        if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {k: v for k, v in doc.items() if k in known}
-        return cls(**kwargs)
+        return cls(**doc)
 
     def window_indices(self):
         return np.arange(self.n + 1, self.n + self.cluster_size + 1)
@@ -110,7 +108,8 @@ class AfemConfig:
 
 @dataclass
 class AfemLevel:
-    """One row of the adaptive trace."""
+    """One row of the adaptive trace; ``wall_time`` is the sum of its phase
+    timings."""
 
     level: int
     ndof: int
@@ -121,10 +120,13 @@ class AfemLevel:
     eta2_total: float
     marked: int
     m_j: float
-    wall_time: float
     sin_angle: float = float("nan")
     timings: dict = field(default_factory=dict)     # seconds per phase
     solver: dict = field(default_factory=dict)      # eigensolver diagnostics
+
+    @property
+    def wall_time(self) -> float:
+        return sum(self.timings.values())
 
 
 @dataclass
@@ -189,7 +191,6 @@ def _phase(timings, name):
 
 def _solve_level(level, space, config, timings, reference=None):
     # the level's record (with nothing marked yet), window and estimate
-    t0 = time.perf_counter()
     with _phase(timings, "assemble"):
         A = assembly.assemble_stiffness(space)
         M = assembly.assemble_mass(space)
@@ -205,10 +206,9 @@ def _solve_level(level, space, config, timings, reference=None):
         cluster = sol.window(config.n, config.cluster_size)
         rep = eigen.separation(sol.computed_spectrum, config.window_indices())
     with _phase(timings, "estimate"):
-        fld = estimator.estimate(space, cluster, edge_weight=config.edge_weight)
+        fld = estimator.estimate(space, cluster)
     sin_angle = (float("nan") if reference is None
                  else angle_to_reference(space, cluster, *reference))
-    wall = time.perf_counter() - t0
     lam = cluster.eigenvalues
     lows = np.array([eigen.lower_bound(v, space.mesh.h_max, config.lower_bound_constant)
                      for v in lam])
@@ -219,8 +219,8 @@ def _solve_level(level, space, config, timings, reference=None):
     record = AfemLevel(
         level=level, ndof=space.ndof, num_triangles=space.mesh.num_triangles,
         h_max=space.mesh.h_max, eigenvalues=lam.copy(), lower_bounds=lows,
-        eta2_total=fld.total, marked=0, m_j=rep.m_j, wall_time=wall,
-        sin_angle=sin_angle, timings=timings, solver=solver)
+        eta2_total=fld.total, marked=0, m_j=rep.m_j, sin_angle=sin_angle,
+        timings=timings, solver=solver)
     return record, cluster, fld
 
 
@@ -269,7 +269,7 @@ def _loop(config, reference, uniform):
         trace.clusters.append(cluster)
         if level >= config.max_levels or space.ndof >= config.max_ndof:
             break
-        if not uniform and (fld.total <= config.eta2_floor or marked.converged):
+        if not uniform and (fld.total <= _ETA2_FLOOR or marked.converged):
             trace.converged = True
             break
         with _phase(timings, "refine"):
@@ -359,7 +359,8 @@ def richardson_extrapolate(values):
 
 @dataclass
 class ReferenceResult:
-    """Uniform-refinement eigenvalue sequences with extrapolated limits."""
+    """Uniform-refinement eigenvalue sequences with extrapolated limits, and
+    the window of the finest solve with that mesh's ``h_max``."""
 
     indices: np.ndarray
     ndofs: np.ndarray
@@ -368,18 +369,22 @@ class ReferenceResult:
     ratios: np.ndarray
     uncertainties: np.ndarray
     reliable: np.ndarray
+    finest: eigen.ClusterSolution
+    h_max: float
 
 
 def reference_eigenvalues(geometry, bc, J, target_ndof) -> ReferenceResult:
     """Uniform-refinement reference values for the window ``J``.
 
     Refines until ``target_ndof`` is reached, then extrapolates each window
-    member.  ``J`` is an iterable of 1-based indices (contiguous).
+    member.  ``J`` is an iterable of 1-based indices (contiguous).  Every
+    level computes at least 8 eigenpairs, all kept in ``finest``.
     """
     J = np.asarray(sorted(J), dtype=int)
     n, N = int(J[0] - 1), len(J)
     config = AfemConfig(geometry=geometry, bc=bc, n=n, cluster_size=N,
-                        max_levels=64, max_ndof=int(target_ndof))
+                        buffer=max(4, 8 - N), max_levels=64,
+                        max_ndof=int(target_ndof))
     trace = uniform_trace(config)
     lam = trace.eigenvalue_matrix()
     limits, ratios, uncs, ok = [], [], [], []
@@ -392,7 +397,8 @@ def reference_eigenvalues(geometry, bc, J, target_ndof) -> ReferenceResult:
     return ReferenceResult(indices=J, ndofs=trace.ndofs, values=lam,
                            limits=np.array(limits), ratios=np.array(ratios),
                            uncertainties=np.array(uncs),
-                           reliable=np.array(ok, dtype=bool))
+                           reliable=np.array(ok, dtype=bool),
+                           finest=trace.clusters[-1], h_max=trace.levels[-1].h_max)
 
 
 def angle_to_reference(space: MorleySpace, cluster,

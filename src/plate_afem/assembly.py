@@ -18,7 +18,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .quadrature import physical_points, triangle_rule
-from .space import MorleySpace
+from .space import MorleySpace, l2s_coordinates
 
 __all__ = [
     "SingularSystemError",
@@ -62,9 +62,7 @@ def _scatter_symmetric(space, local):
 
 
 def _local_stiffness(space, rows):
-    H = space.basis_hessians[rows]              # (T, 6, 3): h11, h22, h12
-    w = np.sqrt(space.mesh.areas[rows])[:, None, None]
-    feat = H * np.array([1.0, 1.0, np.sqrt(2.0)]) * w
+    feat = l2s_coordinates(space.basis_hessians[rows], space.mesh.areas[rows])
     return (np.einsum("tia,tja->tij", feat, feat),)
 
 
@@ -112,36 +110,19 @@ def load_vector(space: MorleySpace, f, quad_degree=4) -> np.ndarray:
 
 
 def _sample(f, pts):
+    # f is vectorised: f(x, y) on coordinate arrays
     flat = pts.reshape(-1, 2)
-    try:
-        vals = np.asarray(f(flat[:, 0], flat[:, 1]), dtype=float)
-        if vals.shape != (len(flat),):
-            raise TypeError
-    except TypeError:
-        vals = np.array([f(p) for p in flat], dtype=float)
-    return vals.reshape(pts.shape[:-1])
+    return np.asarray(f(flat[:, 0], flat[:, 1]), dtype=float).reshape(pts.shape[:-1])
 
 
-def solve_with_load(space: MorleySpace, F, method="direct",
-                    rtol=1e-10) -> np.ndarray:
-    """Solve the stiffness system for a given load vector."""
+def solve_with_load(space: MorleySpace, F, rtol=1e-10) -> np.ndarray:
+    """Solve the stiffness system for a given load vector by a sparse LU."""
     A = assemble_stiffness(space)
     F = np.asarray(F, dtype=float)
     if space.ndof == 0:
         return np.zeros(0)
-    if method == "direct":
-        with np.errstate(all="ignore"):
-            u = spla.spsolve(A.tocsc(), F)
-    elif method == "cg":
-        d = A.diagonal()
-        if np.any(d <= 0):
-            raise SingularSystemError("nonpositive diagonal; system is singular")
-        M = sparse.diags(1.0 / d)
-        u, info = spla.cg(A, F, M=M, rtol=1e-14, atol=0.0, maxiter=20 * space.ndof)
-        if info != 0:
-            raise SingularSystemError("CG failed to converge")
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    with np.errstate(all="ignore"):
+        u = spla.spsolve(A.tocsc(), F)
     norm_f = np.linalg.norm(F)
     resid = np.linalg.norm(A @ u - F)
     if not np.all(np.isfinite(u)) or resid > rtol * max(norm_f, 1e-300):
@@ -151,9 +132,10 @@ def solve_with_load(space: MorleySpace, F, method="direct",
     return u
 
 
-def solve_linear(space: MorleySpace, f, quad_degree=4, method="direct") -> np.ndarray:
-    """Morley solution of the linear plate problem with source ``f``."""
-    return solve_with_load(space, load_vector(space, f, quad_degree), method)
+def solve_linear(space: MorleySpace, f, quad_degree=4) -> np.ndarray:
+    """Morley solution of the linear plate problem with a vectorised source
+    ``f(x, y)``."""
+    return solve_with_load(space, load_vector(space, f, quad_degree))
 
 
 _PK_EXPONENTS = {0: [(0, 0)], 1: [(0, 0), (1, 0), (0, 1)],

@@ -157,7 +157,7 @@ def _cmd_rates(args):
 def _cmd_reference(args):
     import numpy as np
 
-    from . import afem
+    from . import afem, eigen
 
     J = list(range(1, args.J + 1))
     ref = afem.reference_eigenvalues(args.geometry, args.bc, J, args.ndof)
@@ -170,34 +170,16 @@ def _cmd_reference(args):
         print("warning: non-monotone sequence, extrapolation unreliable",
               file=sys.stderr)
     if args.out:
-        _write_spectrum_csv(args)
+        # every pair of the finest solve, with residuals and lower bounds
+        fin = ref.finest
+        with open(args.out, "w") as fh:
+            fh.write("index,eigenvalue,residual,lower_bound\n")
+            for k, (lam, res) in enumerate(zip(fin.computed_spectrum,
+                                               fin.computed_residuals)):
+                lb = eigen.lower_bound(float(lam), ref.h_max, args.lower_bound_constant)
+                fh.write(f"{k + 1},{float(lam)!r},{float(res)!r},{lb!r}\n")
         print(f"wrote {args.out}")
     return _EXIT_OK
-
-
-def _write_spectrum_csv(args):
-    # spectrum of the finest uniform level with residuals and lower bounds
-    from . import assembly, eigen
-    from .mesh import preset_mesh, uniform_refine
-    from .space import build_space
-
-    mesh = preset_mesh(args.geometry, args.bc)
-    while True:
-        space = build_space(mesh)
-        if space.ndof >= args.ndof:
-            break
-        mesh = uniform_refine(mesh)
-    A = assembly.assemble_stiffness(space)
-    M = assembly.assemble_mass(space)
-    count = min(max(args.J + 4, 8), space.ndof)
-    sol = eigen.solve_gevp(A, M, count)
-    with open(args.out, "w") as fh:
-        fh.write("index,eigenvalue,residual,lower_bound\n")
-        for k in range(count):
-            lb = eigen.lower_bound(float(sol.eigenvalues[k]), mesh.h_max,
-                                   args.lower_bound_constant)
-            fh.write(f"{k + 1},{float(sol.eigenvalues[k])!r},"
-                     f"{float(sol.residuals[k])!r},{lb!r}\n")
 
 
 def _cmd_helmholtz_audit(args):

@@ -51,9 +51,10 @@ class ClusterSolution:
     """Eigenvalue window with mass-orthonormal eigenvectors.
 
     ``j_first`` is the 1-based index of the first eigenvalue of the window
-    within the full spectrum; ``computed_spectrum`` keeps every eigenvalue
-    computed by the solve for separation diagnostics; ``path`` names the
-    solver that ran, ``"dense"`` or ``"shift-invert"``.
+    within the full spectrum; ``computed_spectrum`` and
+    ``computed_residuals`` keep every eigenvalue computed by the solve and
+    its residual, for separation diagnostics and spectrum dumps; ``path``
+    names the solver that ran, ``"dense"`` or ``"shift-invert"``.
     """
 
     j_first: int
@@ -63,6 +64,7 @@ class ClusterSolution:
     b_orthonormality_residual: float
     a_diagonality_residual: float
     computed_spectrum: np.ndarray = field(repr=False)
+    computed_residuals: np.ndarray = field(repr=False)
     path: str
 
     @property
@@ -87,6 +89,7 @@ class ClusterSolution:
             b_orthonormality_residual=self.b_orthonormality_residual,
             a_diagonality_residual=self.a_diagonality_residual,
             computed_spectrum=self.computed_spectrum,
+            computed_residuals=self.computed_residuals,
             path=self.path,
         )
 
@@ -180,7 +183,7 @@ def solve_gevp(A, M, count, dense_cutoff=900) -> ClusterSolution:
     return ClusterSolution(
         j_first=1, eigenvalues=w, vectors=v, residuals=resid,
         b_orthonormality_residual=b_res, a_diagonality_residual=a_res,
-        computed_spectrum=w.copy(), path=path,
+        computed_spectrum=w.copy(), computed_residuals=resid.copy(), path=path,
     )
 
 
@@ -195,14 +198,14 @@ def _norm1(op):
     return float(abs(op).sum(axis=0).max())
 
 
-def separation(evals, J, zero_gap_rtol=1e-12) -> SeparationReport:
+def separation(evals, J) -> SeparationReport:
     """Separation estimate for the window ``J`` within computed eigenvalues.
 
     ``J`` is an iterable of 1-based indices.  The estimate maximises
     ``lambda_k / |lambda_j - lambda_k|`` over window members k and computed
-    exterior eigenvalues j.  A vanishing gap means the window splits a
-    multiple eigenvalue and raises ClusterSplitError; if no eigenvalues above
-    the window were computed the report is flagged as truncated.
+    exterior eigenvalues j.  A gap of at most 1e-12 max|lambda| means the
+    window splits a multiple eigenvalue and raises ClusterSplitError; if no
+    eigenvalues above the window were computed the report is truncated.
     """
     evals = np.asarray(evals, dtype=float)
     J = np.asarray(sorted(J), dtype=int)
@@ -219,7 +222,7 @@ def separation(evals, J, zero_gap_rtol=1e-12) -> SeparationReport:
                                 truncated=True)
     gaps = np.abs(lam_out[:, None] - lam_in[None, :])
     scale = max(np.abs(evals).max(), 1e-300)
-    if gaps.min() <= zero_gap_rtol * scale:
+    if gaps.min() <= 1e-12 * scale:
         bad = float(lam_out[np.unravel_index(gaps.argmin(), gaps.shape)[0]])
         raise ClusterSplitError(
             "cluster splits a multiple eigenvalue: exterior eigenvalue "

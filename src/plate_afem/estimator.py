@@ -59,21 +59,17 @@ class MarkSet:
         return len(self.indices)
 
 
-def estimate(space: MorleySpace, cluster, edge_weight="h_T") -> EstimatorField:
+def estimate(space: MorleySpace, cluster) -> EstimatorField:
     """Evaluate the estimator for the eigenpairs of ``cluster`` on ``space``.
 
     ``cluster`` provides ``eigenvalues`` and coefficient ``vectors`` living
-    on this space.  ``edge_weight`` selects the printed-form weight ``h_T``
-    of the adjacent triangle (default) or the edge length ``h_F`` for
-    experiments.
+    on this space.
     """
     mesh = space.mesh
     vectors = np.atleast_2d(np.asarray(cluster.vectors, dtype=float))
     if vectors.shape[0] != space.ndof:
         raise MarkingError("cluster vectors do not live on this space")
     lams = np.asarray(cluster.eigenvalues, dtype=float)
-    if edge_weight not in ("h_T", "h_F"):
-        raise MarkingError("edge_weight must be 'h_T' or 'h_F'")
 
     rule = triangle_rule(4)
     pts = physical_points(rule, mesh.vertices[mesh.triangles]).reshape(-1, 2)
@@ -109,9 +105,7 @@ def estimate(space: MorleySpace, cluster, edge_weight="h_T") -> EstimatorField:
         edge_int = mesh.edge_lengths * edge_sq   # int_F |jump|^2
         for f_ids, t_ids in ((np.arange(mesh.num_edges), plus),
                              (np.nonzero(has_minus)[0], minus[has_minus])):
-            weight = (mesh.h_t[t_ids] if edge_weight == "h_T"
-                      else mesh.edge_lengths[f_ids])
-            np.add.at(eta2, t_ids, weight * edge_int[f_ids])
+            np.add.at(eta2, t_ids, mesh.h_t[t_ids] * edge_int[f_ids])
 
     return EstimatorField(mesh=mesh, eta2=eta2,
                           j_first=getattr(cluster, "j_first", 1))

@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 
 from .eigen import _norm1
 from .mesh import BoundaryPart, Triangulation
-from .space import MorleySpace, _p1_gradients, affine_kernel_coefficients
+from .space import MorleySpace, _p1_gradients, affine_kernel_coefficients, l2s_coordinates
 
 __all__ = [
     "XSpace",
@@ -176,21 +176,15 @@ def sym_curl(mesh: Triangulation, nodal) -> np.ndarray:
                      0.5 * (c[:, 0, 1] + c[:, 1, 0])], axis=1)
 
 
-def _tensor_weights(mesh):
-    # feature scaling that turns component vectors into L2(S) coordinates
-    w = np.sqrt(mesh.areas)
-    return np.stack([w, w, np.sqrt(2.0) * w], axis=1)    # (T, 3)
-
-
 def tensor_features(mesh, comps) -> np.ndarray:
     """Flatten (T, 3) tensor components into L2(S)-isometric vectors."""
-    return (np.asarray(comps, dtype=float) * _tensor_weights(mesh)).ravel()
+    return l2s_coordinates(comps, mesh.areas).ravel()
 
 
 def _hessian_operator(space: MorleySpace) -> sparse.csr_matrix:
     """Sparse (3#T, ndof) matrix of weighted broken Hessians of the basis."""
     mesh = space.mesh
-    feats = space.basis_hessians * _tensor_weights(mesh)[:, None, :]  # (T, 6, 3)
+    feats = l2s_coordinates(space.basis_hessians, mesh.areas)  # (T, 6, 3)
     t, i = np.nonzero(space.cell_dofs >= 0)
     rows = 3 * t[:, None] + np.arange(3)
     cols = np.broadcast_to(space.cell_dofs[t, i][:, None], rows.shape)
@@ -212,10 +206,11 @@ def _sym_curl_operator(mesh) -> sparse.csr_matrix:
     s11 = -D[0, 1], s22 = D[1, 0] and s12 = (D[0, 0] - D[1, 1]) / 2.
     """
     g = _p1_gradients(mesh)                              # (T, 3, 2)
-    w = _tensor_weights(mesh)[:, :, None]                # (T, 3, 1)
-    vals = np.stack([-w[:, 0] * g[:, :, 1], w[:, 1] * g[:, :, 0],
-                     0.5 * w[:, 2] * g[:, :, 0], -0.5 * w[:, 2] * g[:, :, 1]],
-                    axis=1)                              # (T, 4, 3)
+    comps = np.zeros((mesh.num_triangles, 3, 2, 3))      # (T, vertex, beta_i, s)
+    comps[:, :, 0, 0], comps[:, :, 1, 1] = -g[:, :, 1], g[:, :, 0]
+    comps[:, :, 0, 2], comps[:, :, 1, 2] = 0.5 * g[:, :, 0], -0.5 * g[:, :, 1]
+    vals = l2s_coordinates(comps, mesh.areas)[:, :, [0, 1, 0, 1], [0, 1, 2, 2]]
+    vals = vals.transpose(0, 2, 1)                       # (T, 4, 3)
     rows = 3 * np.arange(mesh.num_triangles)[:, None, None] + np.array([0, 1, 2, 2])[:, None]
     cols = 2 * mesh.triangles[:, None, :] + np.array([0, 1, 0, 1])[:, None]
     return sparse.csr_matrix(

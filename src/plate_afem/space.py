@@ -36,6 +36,7 @@ __all__ = [
     "evaluate_broken",
     "prolong_to_fine",
     "hessians",
+    "l2s_coordinates",
     "poly_shift",
     "save_coefficients",
     "load_coefficients",
@@ -80,6 +81,18 @@ def hessians(bf: BrokenFunction) -> np.ndarray:
     """Per-triangle Hessian components (h11, h22, h12) of a broken quadratic."""
     c = bf.coeffs
     return np.stack([2.0 * c[:, 3], 2.0 * c[:, 5], c[:, 4]], axis=1)
+
+
+_L2S_SCALE = np.array([1.0, 1.0, np.sqrt(2.0)])
+
+
+def l2s_coordinates(comps, areas) -> np.ndarray:
+    """Symmetric-tensor components (s11, s22, s12) on the last axis, one
+    leading row per triangle, scaled so that the Euclidean product is the
+    L2(S) product of the piecewise constant fields:
+    ``comps * [1, 1, sqrt(2)] * sqrt(|T|)``."""
+    comps = np.asarray(comps, dtype=float)
+    return comps * _L2S_SCALE * np.sqrt(areas).reshape((-1,) + (1,) * (comps.ndim - 1))
 
 
 def _quadratic(c, dx, dy):
@@ -339,14 +352,6 @@ def _edge_gauss(npts=3):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _callable_pair(v):
-    if isinstance(v, tuple):
-        return v
-    if hasattr(v, "value") and hasattr(v, "gradient") and not isinstance(v, BrokenFunction):
-        return v.value, v.gradient
-    raise SpaceError("expected a BrokenFunction or a (value, gradient) pair")
-
-
 def _edge_mean_normal_derivative_callable(mesh, f_grad, edge):
     a = mesh.vertices[mesh.edges[edge, 0]]
     b = mesh.vertices[mesh.edges[edge, 1]]
@@ -415,23 +420,15 @@ def _broken_dof_values(space, bf):
 
 
 def dof_functional(space: MorleySpace, dof: int, v) -> float:
-    """Evaluate one global DOF functional on ``v``.
+    """Evaluate one global DOF functional on ``v``, as accepted by
+    ``morley_interpolate``.
 
     Vertex DOFs return the point value; edge DOFs return the mean normal
-    derivative along the edge with respect to its stored normal.  ``v`` is a
-    BrokenFunction (on the same mesh or a refinement) or a
-    ``(value, gradient)`` pair of callables.
+    derivative along the edge with respect to its stored normal.
     """
     if not 0 <= dof < space.ndof:
         raise SpaceError("DOF index out of range")
-    if isinstance(v, BrokenFunction):
-        return float(_broken_dof_values(space, v)[dof])
-    f, grad = _callable_pair(v)
-    if dof < space.num_vertex_dofs:
-        z = int(np.nonzero(space.vertex_dof == dof)[0][0])
-        return float(f(space.mesh.vertices[z]))
-    edge = int(np.nonzero(space.edge_dof == dof)[0][0])
-    return _edge_mean_normal_derivative_callable(space.mesh, grad, edge)
+    return float(morley_interpolate(space, v)[dof])
 
 
 def morley_interpolate(space: MorleySpace, v) -> np.ndarray:
@@ -444,9 +441,11 @@ def morley_interpolate(space: MorleySpace, v) -> np.ndarray:
     """
     if isinstance(v, BrokenFunction):
         return _broken_dof_values(space, v)
+    if not isinstance(v, tuple):
+        raise SpaceError("expected a BrokenFunction or a (value, gradient) pair")
     mesh = space.mesh
     out = np.zeros(space.ndof)
-    fval, grad = _callable_pair(v)
+    fval, grad = v
     for z in np.nonzero(space.vertex_dof >= 0)[0]:
         out[space.vertex_dof[z]] = float(fval(mesh.vertices[z]))
     for f in np.nonzero(space.edge_dof >= 0)[0]:

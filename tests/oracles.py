@@ -16,8 +16,11 @@ row-wise unique with a per-slot orientation search for the edge table,
 and per-triangle recursion with dict lookups for newest-vertex
 bisection.  The symmetric assembled matrices are the exception: their
 reference repeats the scatter through a stored lower triangle from its
-own triplet indices, since the assembled CSR arrays must equal it byte
-for byte.
+own triplet indices, from element stiffness matrices with the L2(S)
+weighting written out by hand, since the assembled CSR arrays must equal
+it byte for byte.  The spectrum dump of the ``reference`` command is
+checked against refining a preset from scratch and solving the finest
+level once more.
 """
 
 import itertools
@@ -165,13 +168,25 @@ def richardson_limit_synthetic(limit, c, ratio, n):
     return [limit - c * ratio ** (-k) for k in range(n)]
 
 
+def weighted_basis_hessians(space):
+    """(T, 6, 3) basis Hessians (h11, h22, h12) in L2(S) coordinates,
+    written out: ``H * [1, 1, sqrt(2)] * sqrt(|T|)``."""
+    H = space.basis_hessians
+    return H * np.array([1.0, 1.0, np.sqrt(2.0)]) * np.sqrt(space.mesh.areas)[:, None, None]
+
+
+def local_stiffness(space):
+    """(T, 6, 6) element stiffness matrices: the Euclidean products of the
+    weighted basis Hessians of each triangle."""
+    feat = weighted_basis_hessians(space)
+    return np.einsum("tia,tja->tij", feat, feat)
+
+
 def hessian_map_loops(space):
     """Weighted broken Hessians of the Morley basis, one cell DOF at a time."""
-    from plate_afem.helmholtz import _tensor_weights
-
     mesh = space.mesh
     out = np.zeros((3 * mesh.num_triangles, space.ndof))
-    feats = space.basis_hessians * _tensor_weights(mesh)[:, None, :]
+    feats = weighted_basis_hessians(space)
     for t in range(mesh.num_triangles):
         for i in range(6):
             dof = space.cell_dofs[t, i]
@@ -385,6 +400,32 @@ def symmetric_from_lower_triangle(space, local):
     lower.sum_duplicates()
     strict = sparse.tril(lower, k=-1)
     return (lower + strict.T).tocsr()
+
+
+def spectrum_csv_resolved(path, geometry, bc, J, target_ndof, C=1.0):
+    """Spectrum CSV of the finest uniform level of a preset, made by building
+    every level's space from scratch and solving the finest one again for
+    ``min(max(J + 4, 8), ndof)`` pairs, with residuals and lower bounds."""
+    from plate_afem import assembly, eigen
+    from plate_afem.mesh import preset_mesh, uniform_refine
+    from plate_afem.space import build_space
+
+    mesh = preset_mesh(geometry, bc)
+    while True:
+        space = build_space(mesh)
+        if space.ndof >= target_ndof:
+            break
+        mesh = uniform_refine(mesh)
+    A = assembly.assemble_stiffness(space)
+    M = assembly.assemble_mass(space)
+    count = min(max(J + 4, 8), space.ndof)
+    sol = eigen.solve_gevp(A, M, count)
+    with open(path, "w") as fh:
+        fh.write("index,eigenvalue,residual,lower_bound\n")
+        for k in range(count):
+            lb = eigen.lower_bound(float(sol.eigenvalues[k]), mesh.h_max, C)
+            fh.write(f"{k + 1},{float(sol.eigenvalues[k])!r},"
+                     f"{float(sol.residuals[k])!r},{lb!r}\n")
 
 
 def _subedges_on(fine, a, b, tol):

@@ -40,9 +40,12 @@ class TestConfig:
     def test_unknown_key_strict(self):
         with pytest.raises(ConfigError):
             AfemConfig.from_dict({"geometry": "square", "bogus": 1})
-        cfg = AfemConfig.from_dict({"geometry": "square", "bogus": 1},
-                                   strict=False)
-        assert cfg.geometry == "square"
+
+    @pytest.mark.parametrize("key,value", [("edge_weight", "h_F"),
+                                           ("eta2_floor", 1e-12)])
+    def test_removed_option_keys_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            AfemConfig.from_dict({"geometry": "square", key: value})
 
     def test_buffer_floor(self):
         with pytest.raises(ConfigError):
@@ -76,6 +79,21 @@ class TestRunAfem:
         assert all(r.timings["refine"] > 0.0 for r in tr.levels[:-1])
         assert tr.levels[-1].timings["refine"] == 0.0
         assert not tr.converged
+
+    def test_wall_time_is_the_sum_of_the_phase_timings(self, tmp_path):
+        cfg = AfemConfig(geometry="lshape", bc="mixed", max_levels=3)
+        tr = afem.run_afem(cfg)
+        for r in tr.levels:
+            assert r.wall_time == sum(r.timings.values()) > 0.0
+        # the refinement of a level counts toward that level
+        assert tr.levels[0].timings["refine"] > 0.0
+        path = tmp_path / "t.csv"
+        tr.to_csv(path)
+        assert list(afem.read_trace_csv(path)["wall_time_s"]) == \
+            [r.wall_time for r in tr.levels]
+        cfg.deterministic = True
+        tr.to_csv(path)
+        assert not afem.read_trace_csv(path)["wall_time_s"].any()
 
     def test_theta_one_marks_full_support(self):
         cfg = AfemConfig(geometry="square", bc="clamped", theta=1.0,

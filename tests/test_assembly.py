@@ -8,8 +8,9 @@ from plate_afem import space as sp
 from plate_afem.assembly import SingularSystemError
 from plate_afem.quadrature import triangle_rule
 
-from oracles import (energy_product_symbolic, morley_basis_symbolic, osc_oracle,
-                     stiffness_kernel_dimension, symmetric_from_lower_triangle)
+from oracles import (energy_product_symbolic, local_stiffness, morley_basis_symbolic,
+                     osc_oracle, stiffness_kernel_dimension,
+                     symmetric_from_lower_triangle)
 
 
 def _quadratic_pair(c):
@@ -164,10 +165,11 @@ class TestSolveLinear:
         assert np.abs(u - q).max() <= 1e-10 * max(1.0, np.abs(q).max())
 
     def test_cg_matches_direct(self):
+        # the sparse direct solve against a dense solve of the same system
         S = sp.build_space(msh.uniform_refine(msh.square_mesh("clamped")))
         F = asm.load_vector(S, lambda x, y: x * y + 1.0)
-        u1 = asm.solve_with_load(S, F, method="direct")
-        u2 = asm.solve_with_load(S, F, method="cg")
+        u1 = asm.solve_with_load(S, F)
+        u2 = np.linalg.solve(asm.assemble_stiffness(S).toarray(), F)
         assert np.abs(u1 - u2).max() <= 1e-8 * max(1.0, np.abs(u1).max())
 
     def test_manufactured_solution_energy_and_l2_rates(self):
@@ -274,15 +276,18 @@ class TestDeterministicAssembly:
 
 class TestSymmetricCSR:
     """A and M are plain CSR matrices holding both triangles, byte for byte
-    the stored-lower-triangle construction mirrored."""
+    the stored-lower-triangle construction mirrored; A also byte for byte
+    that of element matrices with the L2(S) weighting written out."""
 
     @staticmethod
     def _assert_matches_oracle(S):
-        for name, kernel, assemble in (
-                ("stiffness", asm._local_stiffness, asm.assemble_stiffness),
-                ("mass", asm._local_mass, asm.assemble_mass)):
+        for name, local, assemble in (
+                ("stiffness", S.element_data("stiffness", asm._local_stiffness)[0],
+                 asm.assemble_stiffness),
+                ("stiffness oracle", local_stiffness(S), asm.assemble_stiffness),
+                ("mass", S.element_data("mass", asm._local_mass)[0], asm.assemble_mass)):
             got = assemble(S)
-            want = symmetric_from_lower_triangle(S, S.element_data(name, kernel)[0])
+            want = symmetric_from_lower_triangle(S, local)
             assert isinstance(got, sparse.csr_matrix) and got.shape == (S.ndof, S.ndof)
             for attr in ("data", "indices", "indptr"):
                 a, b = getattr(got, attr), getattr(want, attr)

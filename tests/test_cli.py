@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from oracles import spectrum_csv_resolved
 from plate_afem import cli
 
 
@@ -95,6 +96,15 @@ class TestRun:
         assert run_cli(["run", "--config", str(bad),
                         "--out", str(tmp_path / "t.csv")]) == 2
 
+    @pytest.mark.parametrize("key,value", [("edge_weight", "h_F"),
+                                           ("eta2_floor", 0.0)])
+    def test_removed_option_key_exit_2(self, key, value, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"geometry": "square", key: value}))
+        assert run_cli(["run", "--config", str(bad),
+                        "--out", str(tmp_path / "t.csv")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_deterministic_byte_identical(self, square_config, tmp_path):
         out1 = str(tmp_path / "t1.csv")
         out2 = str(tmp_path / "t2.csv")
@@ -147,6 +157,37 @@ class TestReference:
         assert lines[0] == "index,eigenvalue,residual,lower_bound"
         first = lines[1].split(",")
         assert float(first[3]) <= float(first[1])
+
+    @pytest.mark.parametrize("geometry,bc,J,ndof", [
+        ("lshape", "mixed", 1, 800), ("lshape", "mixed", 3, 800),
+        ("lshape", "mixed", 5, 800), ("square", "clamped", 1, 200)])
+    def test_spectrum_dump_equals_a_fresh_solve_of_the_finest_level(
+            self, geometry, bc, J, ndof, tmp_path):
+        # the finest level is shift-invert on the L-shape (ndof 3087) and
+        # dense on the square (ndof 225)
+        out, want = tmp_path / "spectrum.csv", tmp_path / "want.csv"
+        assert run_cli(["reference", "--geometry", geometry, "--bc", bc,
+                        "--J", str(J), "--ndof", str(ndof),
+                        "--lower-bound-constant", "0.5", "--out", str(out)]) == 0
+        spectrum_csv_resolved(want, geometry, bc, J, ndof, C=0.5)
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_one_eigensolve_per_level(self, tmp_path, monkeypatch):
+        from plate_afem import afem, eigen
+
+        solve, ndofs = eigen.solve_gevp, []
+
+        def counting(A, M, count, **kwargs):
+            ndofs.append(A.shape[0])
+            return solve(A, M, count, **kwargs)
+
+        monkeypatch.setattr(eigen, "solve_gevp", counting)
+        assert run_cli(["reference", "--geometry", "lshape", "--bc", "mixed",
+                        "--J", "2", "--ndof", "800",
+                        "--out", str(tmp_path / "spectrum.csv")]) == 0
+        monkeypatch.undo()
+        ref = afem.reference_eigenvalues("lshape", "mixed", [1, 2], 800)
+        assert ndofs == list(ref.ndofs)
 
 
 class TestHelmholtzAudit:

@@ -127,17 +127,6 @@ class TestEstimate:
         with pytest.raises(MarkingError):
             est.estimate(S, _Window([1.0], np.zeros((S.ndof + 3, 1))))
 
-    def test_edge_weight_switch(self):
-        rng = np.random.default_rng(3)
-        m = msh.refine_nvb(msh.square_mesh("clamped"), [0])
-        S = sp.build_space(m)
-        u = rng.standard_normal(S.ndof)
-        f_ht = est.estimate(S, _Window([1.0], u[:, None]), edge_weight="h_T")
-        f_hf = est.estimate(S, _Window([1.0], u[:, None]), edge_weight="h_F")
-        assert not np.allclose(f_ht.eta2, f_hf.eta2)
-        with pytest.raises(MarkingError):
-            est.estimate(S, _Window([1.0], u[:, None]), edge_weight="bogus")
-
     def test_csv_dump(self, tmp_path):
         S = sp.build_space(msh.square_mesh("clamped"))
         f = est.estimate(S, _Window([0.0], np.ones((1, 1))))

@@ -304,17 +304,32 @@ class TestSerialization:
 
     def test_round_trip_of_1024_boundary_edges_loads_fast(self, tmp_path):
         # boundary matching is one array pass, not a loop over every
-        # boundary edge and every labelled segment
+        # boundary edge and every labelled segment: building the labelled
+        # mesh costs a small multiple of building the bare triangulation
+        # from the same decoded arrays: about 2x, and 40x or more with a
+        # Python loop over edges and segments
         m = msh.preset_mesh("lshape", "mixed")
         for _ in range(7):
             m = msh.uniform_refine(m)
         assert len(m.boundary_edges()) == 1024
         path = tmp_path / "mesh.json"
         msh.save_mesh(m, path)
-        t0 = time.perf_counter()
-        m2 = msh.load_mesh(path)
-        assert time.perf_counter() - t0 < 0.5
-        assert msh.mesh_hash(m2) == msh.mesh_hash(m)
+        assert msh.mesh_hash(msh.load_mesh(path)) == msh.mesh_hash(m)
+        doc = json.loads(path.read_text())
+        tri = np.asarray(doc["triangles"], dtype=np.int64)
+        vertices = np.asarray(doc["vertices"], dtype=float)
+
+        def best_of_3(build):
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                build()
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        labelled = best_of_3(lambda: msh.mesh_from_dict(doc))
+        bare = best_of_3(lambda: msh.Triangulation(vertices, tri[:, :3], tri[:, 3]))
+        assert labelled <= 8.0 * bare
 
     def test_hash_stable_and_sensitive(self):
         m = msh.square_mesh("clamped")
