@@ -212,7 +212,8 @@ def _solve_level(level, space, config, timings, reference=None):
     lam = cluster.eigenvalues
     lows = np.array([eigen.lower_bound(v, space.mesh.h_max, config.lower_bound_constant)
                      for v in lam])
-    solver = {"path": sol.path, "max_residual": float(sol.residuals.max()),
+    solver = {"path": sol.path, "lanczos_solves": sol.lanczos_solves,
+              "max_residual": float(sol.residuals.max()),
               "b_orthonormality_residual": sol.b_orthonormality_residual,
               "a_diagonality_residual": sol.a_diagonality_residual, "truncated": rep.truncated,
               "nearest_gap": None if np.isnan(rep.nearest_gap) else rep.nearest_gap}

@@ -11,6 +11,14 @@ implicit-shift iteration, via LAPACK); a shift-invert Lanczos path takes
 over beyond the dense cutoff.  That path factors the stiffness matrix once
 with SuperLU in symmetric mode (diagonal pivots, MMD_AT_PLUS_A minimum-degree
 ordering) and hands the solve to ARPACK as the shift-invert operator.
+ARPACK stops once every wanted Ritz value of the shift-inverted operator
+is converged to the relative tolerance 1e-10 (its stopping rule, Lehoucq,
+Sorensen & Yang, *ARPACK Users' Guide*, 1998, §4.6), not to machine
+precision.  On the adaptive levels of the mixed L-shape that ends the
+iteration after its first Lanczos cycle, without an implicit restart (21
+instead of 32 stiffness solves at ndof 24641), and moves λ by at most
+1.3e-15 and the estimator η² by at most 3.3e-14 relative.  The residual,
+orthonormality and diagonality gates that follow are unchanged by it.
 Eigenvectors are returned mass-orthonormal with a deterministic sign
 convention.
 """
@@ -35,6 +43,7 @@ __all__ = [
 ]
 
 _RESID_FACTOR = 1e-8
+_LANCZOS_TOL = 1e-10        # ARPACK relative Ritz tolerance of the shift-invert path
 _GRAM_CONDITION_LIMIT = 1e12
 
 
@@ -54,7 +63,9 @@ class ClusterSolution:
     within the full spectrum; ``computed_spectrum`` and
     ``computed_residuals`` keep every eigenvalue computed by the solve and
     its residual, for separation diagnostics and spectrum dumps; ``path``
-    names the solver that ran, ``"dense"`` or ``"shift-invert"``.
+    names the solver that ran, ``"dense"`` or ``"shift-invert"``, and
+    ``lanczos_solves`` counts the applications of the shift-invert operator
+    (stiffness solves with its factor; 0 on the dense path).
     """
 
     j_first: int
@@ -66,6 +77,7 @@ class ClusterSolution:
     computed_spectrum: np.ndarray = field(repr=False)
     computed_residuals: np.ndarray = field(repr=False)
     path: str
+    lanczos_solves: int
 
     @property
     def indices(self) -> np.ndarray:
@@ -91,6 +103,7 @@ class ClusterSolution:
             computed_spectrum=self.computed_spectrum,
             computed_residuals=self.computed_residuals,
             path=self.path,
+            lanczos_solves=self.lanczos_solves,
         )
 
 
@@ -115,8 +128,13 @@ def solve_gevp(A, M, count, dense_cutoff=900) -> ClusterSolution:
     ``A`` must be symmetric and ``M`` symmetric positive definite; both may
     be dense arrays or scipy sparse matrices of any format, and are read as
     CSR.  The shift-invert path starts Lanczos from the constant unit
-    vector, so repeated solves are identical.  Multiple eigenvalues return
-    an M-orthonormal basis of the invariant subspace.
+    vector, so repeated solves are identical, and stops at ARPACK's
+    relative Ritz tolerance 1e-10 rather than at machine precision, which
+    saves a second restart cycle (32 → 21 stiffness solves at ndof 24641)
+    and moves λ by at most 1.3e-15 relative.  The returned pairs pass the
+    same gates on both paths: residual 1e-8 of ``‖A‖₁ + |λ|‖M‖₁``, mass
+    orthonormality 1e-10 and stiffness diagonality 1e-8.  Multiple
+    eigenvalues return an M-orthonormal basis of the invariant subspace.
     """
     A = _as_csr(A)
     M = _as_csr(M)
@@ -128,6 +146,7 @@ def solve_gevp(A, M, count, dense_cutoff=900) -> ClusterSolution:
             raise EigenError(f"{name} matrix is not finite")
 
     path = "dense" if n <= dense_cutoff or count >= n - 1 else "shift-invert"
+    lanczos_solves = 0
     if path == "dense":
         try:
             # fresh Fortran-ordered copies that LAPACK may overwrite in place
@@ -141,9 +160,16 @@ def solve_gevp(A, M, count, dense_cutoff=900) -> ClusterSolution:
     else:
         try:
             lu = _spd_splu(A.tocsc())
-            OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+
+            def shift_invert(x):
+                nonlocal lanczos_solves
+                lanczos_solves += 1
+                return lu.solve(x)
+
+            OPinv = spla.LinearOperator((n, n), matvec=shift_invert, dtype=float)
             w, v = spla.eigsh(A, k=count, M=M, sigma=0.0, which="LM",
-                              v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=OPinv)
+                              v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=OPinv,
+                              tol=_LANCZOS_TOL)
         except Exception as exc:  # factorization or ARPACK failure
             raise EigenError(f"sparse eigensolver failed: {exc}") from exc
 
@@ -165,16 +191,17 @@ def solve_gevp(A, M, count, dense_cutoff=900) -> ClusterSolution:
     signs[signs == 0] = 1.0
     v *= signs
 
-    resid = np.linalg.norm(A @ v - (M @ v) * w, axis=0)
+    Av, Mv = A @ v, M @ v
+    resid = np.linalg.norm(Av - Mv * w, axis=0)
     scale = _norm1(A) + np.abs(w) * _norm1(M)
     bound = _RESID_FACTOR * scale * np.linalg.norm(v, axis=0)
     if np.any(resid > np.maximum(bound, 1e-300)):
         raise EigenError(
             f"eigenpair residual {resid.max():.3e} exceeds tolerance")
 
-    G = v.T @ (M @ v)
+    G = v.T @ Mv
     b_res = float(np.abs(G - np.eye(count)).max())
-    D = v.T @ (A @ v)
+    D = v.T @ Av
     a_res = float((np.abs(D - np.diag(w)).max()) / max(np.abs(w).max(), 1e-300))
     if b_res > 1e-10:
         raise EigenError(f"mass orthonormality residual {b_res:.3e} exceeds 1e-10")
@@ -184,6 +211,7 @@ def solve_gevp(A, M, count, dense_cutoff=900) -> ClusterSolution:
         j_first=1, eigenvalues=w, vectors=v, residuals=resid,
         b_orthonormality_residual=b_res, a_diagonality_residual=a_res,
         computed_spectrum=w.copy(), computed_residuals=resid.copy(), path=path,
+        lanczos_solves=lanczos_solves,
     )
 
 

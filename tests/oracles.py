@@ -1,7 +1,10 @@
 """Independent oracles used by the test suite.
 
 Each oracle takes a different computational route from the implementation
-it checks: cyclic Jacobi rotations for the eigensolver, exhaustive subset
+it checks: cyclic Jacobi rotations for the eigensolver, shift-invert
+Lanczos run to machine precision for the stopping rule of its sparse path
+(on the same stiffness factor, so that only the stopping rule differs; a
+COLAMD-ordered factor alone moves λ by about 2e-12), exhaustive subset
 search for bulk marking, pointwise weighted least squares on an unrelated
 quadrature rule for elementwise projections, symbolic element
 integration for the plate forms, per-column and per-cell loops for the
@@ -60,6 +63,26 @@ def jacobi_gevp(A, M, sweeps=100, tol=1e-14):
     order = np.argsort(w)
     vecs = np.linalg.solve(L.T, V[:, order])
     return w[order], vecs
+
+
+def lanczos_machine_precision(A, M, count):
+    """Lowest ``count`` eigenpairs of the sparse pencil by ARPACK shift-invert
+    at ``tol=0`` (machine precision) on the eigensolver's stiffness factor,
+    vectors made M-orthonormal by a Cholesky polish."""
+    import scipy.linalg as dla
+    import scipy.sparse.linalg as spla
+
+    from plate_afem.eigen import _spd_splu
+
+    n = A.shape[0]
+    lu = _spd_splu(A.tocsc())
+    OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    w, v = spla.eigsh(A, k=count, M=M, sigma=0.0, which="LM", OPinv=OPinv,
+                      v0=np.full(n, 1.0 / np.sqrt(n)), tol=0)
+    order = np.argsort(w)
+    w, v = w[order], v[:, order]
+    L = dla.cholesky(v.T @ (M @ v), lower=True)
+    return w, dla.solve_triangular(L, v.T, lower=True).T
 
 
 def dorfler_min_cardinality(eta2, theta):

@@ -68,6 +68,8 @@ class TestRunAfem:
                          for r in tr.levels]
         assert {"dense", "shift-invert"} <= set(paths)
         for r, cluster in zip(tr.levels, tr.clusters):
+            assert r.solver["lanczos_solves"] == cluster.lanczos_solves
+            assert (r.solver["lanczos_solves"] > 0) == (r.solver["path"] == "shift-invert")
             assert r.solver["max_residual"] >= cluster.residuals.max()
             assert r.solver["b_orthonormality_residual"] == \
                 cluster.b_orthonormality_residual

@@ -1,16 +1,20 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plate_afem import afem
 from plate_afem import assembly as asm
 from plate_afem import eigen as eig
+from plate_afem import estimator as est
 from plate_afem import mesh as msh
 from plate_afem import space as sp
 from plate_afem.eigen import ClusterSplitError, EigenError
 
-from oracles import jacobi_gevp
+from oracles import jacobi_gevp, lanczos_machine_precision
 
 
 def random_spd_pencil(rng, n):
@@ -163,6 +167,53 @@ class TestSolveGevp:
         assert win.path == sol.path == "dense"
         with pytest.raises(EigenError):
             sol.window(6, 4)
+
+
+@pytest.fixture(scope="module")
+def lshape_mixed_trace():
+    # the reference adaptive run: mixed L-shape, J={1}, to ndof 20000
+    return afem.run_afem(afem.AfemConfig(geometry="lshape", bc="mixed", theta=0.5,
+                                         max_levels=64, max_ndof=20000))
+
+
+class TestLanczosStoppingRule:
+    """The shift-invert path stops at ARPACK's relative Ritz tolerance 1e-10
+    instead of machine precision; these bound what that costs and saves."""
+
+    def test_lshape_level_matches_machine_precision(self, lshape_mixed_trace):
+        levels = lshape_mixed_trace.levels
+        k = next(k for k, r in enumerate(levels) if r.ndof >= 5000)
+        S = sp.build_space(lshape_mixed_trace.meshes[k])
+        A, M = asm.assemble_stiffness(S), asm.assemble_mass(S)
+        sol = eig.solve_gevp(A, M, 5)
+        assert (sol.path, sol.eigenvalues[0]) == ("shift-invert", levels[k].eigenvalues[0])
+        w, v = lanczos_machine_precision(A, M, 5)
+        assert (np.abs(sol.eigenvalues - w) / w).max() <= 1e-13
+        eta2 = est.estimate(S, sol.window(0, 1)).total
+        eta2_ref = est.estimate(S, SimpleNamespace(eigenvalues=w[:1], vectors=v[:, :1])).total
+        assert abs(eta2 - eta2_ref) <= 1e-12 * eta2_ref
+
+    def test_double_eigenvalue_window_matches_machine_precision(self):
+        # clamped square, ndof 961: lambda_2 = lambda_3, window J={2,3}
+        # with the adaptive loop's buffer of 4
+        m = msh.square_mesh("clamped")
+        for _ in range(4):
+            m = msh.uniform_refine(m)
+        S = sp.build_space(m)
+        A, M = asm.assemble_stiffness(S), asm.assemble_mass(S)
+        sol = eig.solve_gevp(A, M, 7)
+        assert sol.path == "shift-invert"
+        w, v = lanczos_machine_precision(A, M, 7)
+        assert w[1] == pytest.approx(w[2], rel=1e-10)
+        R = np.linalg.cholesky(M.toarray()).T
+        assert eig.sin_max_angle(R @ sol.window(1, 2).vectors, R @ v[:, 1:3]) <= 1e-10
+
+    def test_lshape_levels_stop_after_one_lanczos_cycle(self, lshape_mixed_trace):
+        solver = [r.solver for r in lshape_mixed_trace.levels]
+        large = [d["lanczos_solves"] for d in solver if d["path"] == "shift-invert"]
+        assert len(large) >= 10
+        assert max(large) <= 22
+        assert all(d["lanczos_solves"] == 0 for d in solver if d["path"] == "dense")
 
 
 class TestSeparation:

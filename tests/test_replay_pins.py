@@ -1,7 +1,9 @@
 """A fixed sample of the benchmark's pinned outcomes replays on this tree.
 
 ``tests/replay_pins.py`` replays every pin; this runs it in a subprocess,
-with its one-thread BLAS setting, on a sample of 12 pinned runs.
+with its one-thread BLAS setting, on a sample of 13 pinned runs.  The
+benchmark's reference run is among them: it is the only pin whose late
+levels take the shift-invert path at ndof above 10000.
 """
 
 import json
@@ -11,7 +13,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SCRIPT = os.path.join(HERE, "replay_pins.py")
-PINS = os.path.join(os.path.dirname(HERE), "perfbench", "pins", "bc_sweep.json")
+PIN_DIR = os.path.join(os.path.dirname(HERE), "perfbench", "pins")
 
 _C, _S, _F = "clamped", "simply_supported", "free"
 
@@ -28,7 +30,8 @@ SOLVED = [_key("lshape", bcs) for bcs in (
     [_S, _C, _C, _C, _C, _F], [_C, _F, _S, _C, _S, _C])]
 SQUARE = [_key("square", bcs) for bcs in ([_S, _S, _F, _C], [_S, _F, _C, _C])]
 CLUSTERS = [_key("square", [bc], "J2-3", "uniform2") for bc in (_C, _S)]
-SAMPLE = RAISING + SOLVED + SQUARE + CLUSTERS
+REFERENCE = _key("lshape", ["mixed"])
+SAMPLE = RAISING + SOLVED + SQUARE + CLUSTERS + [REFERENCE]
 
 
 def _replay(keys):
@@ -36,10 +39,15 @@ def _replay(keys):
                           text=True, timeout=120)
 
 
+def _pins(workload):
+    with open(os.path.join(PIN_DIR, f"{workload}.json")) as fh:
+        return json.load(fh)
+
+
 def test_sample_covers_pinned_raises():
-    with open(PINS) as fh:
-        pins = json.load(fh)
-    assert all(key in pins for key in SAMPLE)
+    pins = _pins("bc_sweep")
+    assert all(key in pins for key in SAMPLE if key != REFERENCE)
+    assert max(_pins("lshape_adaptive")[REFERENCE]["ndofs"]) > 20000
     assert [("raises" in pins[key]) for key in RAISING + SOLVED] == [True] * 4 + [False] * 4
 
 
