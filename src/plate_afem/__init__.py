@@ -4,9 +4,10 @@ The package computes eigenvalue windows of the fourth-order plate operator
 on polygonal domains with clamped, simply supported and free boundary
 parts, runs a residual-driven adaptive bisection loop, and verifies the
 structural identities behind the method: the Hessian mean-projection
-property of the nonconforming interpolation, the discrete splitting of
-piecewise constant symmetric tensor fields, two-sided eigenvalue bounds
-and principal subspace angles.
+property of the nonconforming interpolation and the discrete splitting of
+piecewise constant symmetric tensor fields.  It reports lower eigenvalue
+bounds, guaranteed only under a configured constant, and principal
+subspace angles; upper bounds are not computed.
 
 The public names below are imported from their submodules on first use
 (PEP 562), so importing the package or its CLI does not load numpy; the
@@ -16,19 +17,18 @@ CLI caps the linear-algebra thread pools before numpy starts them.
 import importlib
 
 _EXPORTS = {
-    "afem": ("AfemConfig", "AfemTrace", "convergence_rate",
+    "afem": ("AfemConfig", "AfemTrace",
              "reference_eigenvalues", "run_afem", "uniform_trace"),
-    "assembly": ("assemble_mass", "assemble_stiffness", "osc_k", "project_pk",
-                 "solve_linear"),
+    "assembly": ("assemble_mass", "assemble_stiffness"),
     "eigen": ("ClusterSolution", "SeparationReport", "lower_bound",
-              "principal_angle", "separation", "solve_gevp"),
+              "separation", "solve_gevp"),
     "estimator": ("EstimatorField", "MarkSet", "dorfler_mark", "estimate"),
     "helmholtz": ("XSpace", "build_xspace", "decompose", "dimension_audit"),
     "mesh": ("BoundaryPart", "Triangulation", "build_mesh", "load_mesh",
              "lshape_mesh", "preset_mesh", "refine_nvb", "save_mesh",
              "square_mesh", "uniform_refine"),
-    "space": ("BrokenFunction", "MorleySpace", "build_space", "dof_functional",
-              "evaluate_broken", "morley_interpolate", "prolong_to_fine"),
+    "space": ("BrokenFunction", "MorleySpace", "build_space",
+              "morley_interpolate", "prolong_to_fine"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -28,7 +28,6 @@ __all__ = [
     "ConfigError",
     "run_afem",
     "uniform_trace",
-    "convergence_rate",
     "quantity_rate",
     "fit_rate",
     "richardson_extrapolate",
@@ -319,13 +318,6 @@ def quantity_rate(ndofs, eta2, lam, quantity, reference=None, tail=None):
     else:
         raise ValueError(f"unknown quantity {quantity!r}")
     return fit_rate(ndofs, vals, tail=tail)
-
-
-def convergence_rate(trace: AfemTrace, quantity, reference=None, tail=None):
-    """Empirical rate of a trace quantity against degrees of freedom, as
-    ``quantity_rate`` over the levels of ``trace``."""
-    return quantity_rate(trace.ndofs, trace.column("eta2_total"),
-                         trace.eigenvalue_matrix(), quantity, reference, tail)
 
 
 def richardson_extrapolate(values):

@@ -1,5 +1,4 @@
-"""Assembly of the broken-Hessian stiffness form, mass form, loads and
-elementwise polynomial projections.
+"""Assembly of the broken-Hessian stiffness form and the mass form.
 
 Stiffness entries are exact (piecewise quadratics have constant Hessians);
 mass entries use a rule of degree four which is exact for products of
@@ -15,30 +14,14 @@ symmetry is exact.
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from .quadrature import physical_points, triangle_rule
 from .space import MorleySpace, l2s_coordinates
 
 __all__ = [
-    "SingularSystemError",
     "assemble_stiffness",
     "assemble_mass",
-    "load_vector",
-    "solve_linear",
-    "solve_with_load",
-    "project_pk",
-    "osc_k",
 ]
-
-
-class SingularSystemError(Exception):
-    """The reduced linear system is singular.
-
-    For the plate forms this signals that the boundary conditions admit a
-    nonzero affine function, i.e. the space intersects the affine functions
-    nontrivially.
-    """
 
 
 def _lower_triplets(space):
@@ -92,81 +75,3 @@ def _basis_at_rule(space, rule, rows=slice(None)):
                      d[..., 0] ** 2, d[..., 0] * d[..., 1], d[..., 1] ** 2],
                     axis=-1)                    # (T, nq, 6)
     return np.einsum("tqm,tim->tqi", mono, space.basis[rows])
-
-
-def load_vector(space: MorleySpace, f, quad_degree=4) -> np.ndarray:
-    """Right-hand side with entries ``int f * basis_j`` by quadrature."""
-    rule = triangle_rule(quad_degree)
-    mesh = space.mesh
-    fvals = _sample(f, physical_points(rule, mesh.vertices[mesh.triangles]))
-    basis = _basis_at_rule(space, rule)
-    local = np.einsum("q,tq,tqi->ti", rule.weights, fvals, basis)
-    local *= mesh.areas[:, None]
-    out = np.zeros(space.ndof)
-    dofs = space.cell_dofs.ravel()
-    keep = dofs >= 0
-    np.add.at(out, dofs[keep], local.ravel()[keep])
-    return out
-
-
-def _sample(f, pts):
-    # f is vectorised: f(x, y) on coordinate arrays
-    flat = pts.reshape(-1, 2)
-    return np.asarray(f(flat[:, 0], flat[:, 1]), dtype=float).reshape(pts.shape[:-1])
-
-
-def solve_with_load(space: MorleySpace, F, rtol=1e-10) -> np.ndarray:
-    """Solve the stiffness system for a given load vector by a sparse LU."""
-    A = assemble_stiffness(space)
-    F = np.asarray(F, dtype=float)
-    if space.ndof == 0:
-        return np.zeros(0)
-    with np.errstate(all="ignore"):
-        u = spla.spsolve(A.tocsc(), F)
-    norm_f = np.linalg.norm(F)
-    resid = np.linalg.norm(A @ u - F)
-    if not np.all(np.isfinite(u)) or resid > rtol * max(norm_f, 1e-300):
-        raise SingularSystemError(
-            "singular stiffness system: the boundary conditions leave a "
-            "nonzero affine function in the space")
-    return u
-
-
-def solve_linear(space: MorleySpace, f, quad_degree=4) -> np.ndarray:
-    """Morley solution of the linear plate problem with a vectorised source
-    ``f(x, y)``."""
-    return solve_with_load(space, load_vector(space, f, quad_degree))
-
-
-_PK_EXPONENTS = {0: [(0, 0)], 1: [(0, 0), (1, 0), (0, 1)],
-                 2: [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]}
-
-
-def project_pk(mesh, f, k, quad_degree=8):
-    """Elementwise L2 projection onto polynomials of degree <= k.
-
-    Returns coefficients (T, n_k) in scaled centroid monomials and the
-    projected values at the quadrature points used.
-    """
-    if k not in _PK_EXPONENTS:
-        raise ValueError("k must be 0, 1 or 2")
-    rule = triangle_rule(quad_degree)
-    pts = physical_points(rule, mesh.vertices[mesh.triangles])
-    d = (pts - mesh.centroids[:, None, :]) / mesh.h_t[:, None, None]
-    basis = np.stack([d[..., 0] ** a * d[..., 1] ** b
-                      for a, b in _PK_EXPONENTS[k]], axis=-1)   # (T, nq, nb)
-    w = rule.weights
-    G = np.einsum("q,tqa,tqb->tab", w, basis, basis)
-    fvals = _sample(f, pts)
-    rhs = np.einsum("q,tq,tqa->ta", w, fvals, basis)
-    coeffs = np.linalg.solve(G, rhs[..., None])[..., 0]
-    proj_at_pts = np.einsum("ta,tqa->tq", coeffs, basis)
-    return coeffs, proj_at_pts, fvals, rule
-
-
-def osc_k(mesh, f, k, quad_degree=8) -> float:
-    """Data oscillation ``|| h^2 (1 - Pi_k) f ||_L2``."""
-    _, proj, fvals, rule = project_pk(mesh, f, k, quad_degree)
-    res2 = np.einsum("q,tq->t", rule.weights, (fvals - proj) ** 2) * mesh.areas
-    return float(np.sqrt(np.sum(mesh.areas ** 2 * res2)))
-

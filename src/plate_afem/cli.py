@@ -159,6 +159,11 @@ def _cmd_reference(args):
 
     from . import afem, eigen
 
+    if args.J < 1:
+        raise ValueError(f"--J must be at least 1, got {args.J}")
+    if not args.lower_bound_constant >= 0:
+        raise ValueError("--lower-bound-constant must be >= 0, "
+                         f"got {args.lower_bound_constant}")
     J = list(range(1, args.J + 1))
     ref = afem.reference_eigenvalues(args.geometry, args.bc, J, args.ndof)
     for k, j in enumerate(ref.indices):
@@ -186,12 +191,9 @@ def _cmd_helmholtz_audit(args):
     import numpy as np
 
     from . import helmholtz
-    from .mesh import preset_mesh, uniform_refine
     from .space import build_space
 
-    mesh = preset_mesh(args.geometry, args.bc)
-    for _ in range(args.refine):
-        mesh = uniform_refine(mesh)
+    mesh = _refined_preset(args)
     space = build_space(mesh)
     xspace = helmholtz.build_xspace(mesh)
     report = helmholtz.dimension_audit(mesh, space, xspace)
@@ -221,14 +223,22 @@ def _cmd_helmholtz_audit(args):
 
 
 def _cmd_mesh_export(args):
-    from .mesh import preset_mesh, save_mesh, uniform_refine
+    from .mesh import save_mesh
 
+    save_mesh(_refined_preset(args), args.out)
+    print(f"wrote {args.out}")
+    return _EXIT_OK
+
+
+def _refined_preset(args):
+    from .mesh import preset_mesh, uniform_refine
+
+    if args.refine < 0:
+        raise ValueError(f"--refine must be >= 0, got {args.refine}")
     mesh = preset_mesh(args.geometry, args.bc)
     for _ in range(args.refine):
         mesh = uniform_refine(mesh)
-    save_mesh(mesh, args.out)
-    print(f"wrote {args.out}")
-    return _EXIT_OK
+    return mesh
 
 
 def _version():
@@ -245,7 +255,6 @@ def main(argv=None) -> int:
         return _EXIT_USAGE
 
     from .afem import ConfigError
-    from .assembly import SingularSystemError
     from .eigen import EigenError
     from .helmholtz import HelmholtzError
     from .mesh import MeshError
@@ -265,7 +274,7 @@ def main(argv=None) -> int:
     except (MeshError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except (EigenError, SingularSystemError, HelmholtzError) as exc:
+    except (EigenError, HelmholtzError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
 

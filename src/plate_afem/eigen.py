@@ -37,7 +37,6 @@ __all__ = [
     "ClusterSplitError",
     "solve_gevp",
     "separation",
-    "principal_angle",
     "sin_max_angle",
     "lower_bound",
 ]
@@ -82,10 +81,6 @@ class ClusterSolution:
     @property
     def indices(self) -> np.ndarray:
         return np.arange(self.j_first, self.j_first + len(self.eigenvalues))
-
-    @property
-    def interval(self):
-        return float(self.eigenvalues[0]), float(self.eigenvalues[-1])
 
     def window(self, n: int, N: int) -> "ClusterSolution":
         """Sub-window covering eigenvalue indices n+1 .. n+N (1-based)."""
@@ -283,24 +278,6 @@ def sin_max_angle(FX, FY) -> float:
     R = QX - QY @ (QY.T @ QX)
     s = dla.svd(R, compute_uv=False)
     return float(s[0]) if s.size else 0.0
-
-
-def principal_angle(X, Y, gram=None) -> float:
-    """Largest-principal-angle sine between spans of coefficient vectors.
-
-    ``gram`` is the SPD matrix of the ambient scalar product (identity when
-    omitted); it is factored once and both bases are mapped to feature space.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if gram is None:
-        return sin_max_angle(X, Y)
-    G = gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram, dtype=float)
-    try:
-        R = dla.cholesky(G, lower=False)
-    except dla.LinAlgError as exc:
-        raise EigenError("gram matrix is not positive definite") from exc
-    return sin_max_angle(R @ X, R @ Y)
 
 
 def lower_bound(lam_disc: float, h_max: float, C: float = 1.0) -> float:

@@ -35,8 +35,6 @@ __all__ = [
     "build_xspace",
     "sym_curl",
     "full_curl",
-    "hessian_map",
-    "sym_curl_map",
     "decompose",
     "dimension_audit",
 ]
@@ -80,10 +78,6 @@ class XSpace:
     def _curl_gram(self) -> "_Gram":
         # the one factorisation that dimension_audit and decompose share
         return _Gram(_sym_curl_operator(self.mesh), self.constraints)
-
-    def nodal(self, coeffs) -> np.ndarray:
-        """Nodal (N, 2) representation of a coefficient vector."""
-        return (self.basis @ np.asarray(coeffs, dtype=float)).reshape(-1, 2)
 
 
 def build_xspace(mesh: Triangulation) -> XSpace:
@@ -194,11 +188,6 @@ def _hessian_operator(space: MorleySpace) -> sparse.csr_matrix:
         shape=(3 * mesh.num_triangles, space.ndof))
 
 
-def hessian_map(space: MorleySpace) -> np.ndarray:
-    """Dense (3#T, ndof) matrix of weighted broken Hessians of the basis."""
-    return _hessian_operator(space).toarray()
-
-
 def _sym_curl_operator(mesh) -> sparse.csr_matrix:
     """Sparse (3#T, 2#N) matrix of weighted symmetric Curls of nodal fields.
 
@@ -216,11 +205,6 @@ def _sym_curl_operator(mesh) -> sparse.csr_matrix:
     return sparse.csr_matrix(
         (vals.ravel(), (np.broadcast_to(rows, vals.shape).ravel(), cols.ravel())),
         shape=(3 * mesh.num_triangles, 2 * mesh.num_vertices))
-
-
-def sym_curl_map(xspace: XSpace) -> np.ndarray:
-    """Dense (3#T, dim) matrix of weighted symmetric Curls of the basis."""
-    return _sym_curl_operator(xspace.mesh) @ xspace.basis
 
 
 @dataclass

@@ -19,7 +19,6 @@ A triangulation is an immutable snapshot; refinement returns a new snapshot
 that keeps a reference to its parent mesh and a triangle parent map.
 """
 
-import copy
 import hashlib
 import json
 from enum import IntEnum
@@ -220,10 +219,6 @@ class Triangulation:
     def h_max(self) -> float:
         return float(self.h_t.max())
 
-    def edges_of(self, t):
-        """Edges of triangle ``t`` (global indices, opposite-vertex order)."""
-        return self.tri_edges[t]
-
     def edges_with_tag(self, *parts) -> np.ndarray:
         """Indices of edges whose tag is one of ``parts``."""
         mask = np.isin(self.edge_tags, [int(p) for p in parts])
@@ -234,11 +229,6 @@ class Triangulation:
 
     def boundary_edges(self):
         return np.nonzero(self.boundary_edge_mask)[0]
-
-    def edge_patch(self, f):
-        """Adjacent triangle indices of edge ``f`` (one entry on the boundary)."""
-        pair = self.edge_tris[f]
-        return pair[pair >= 0]
 
     def vertices_on(self, *parts) -> np.ndarray:
         """Boolean mask of vertices lying on edges tagged with any of ``parts``."""
@@ -260,49 +250,6 @@ class Triangulation:
         fi = int(self.interior_edge_mask.sum())
         return n + t - 1 - f, 2 * t + 1 - n - fi
 
-    def min_angle(self) -> float:
-        p = self.vertices[self.triangles]
-        angles = []
-        for k in range(3):
-            a = p[:, (k + 1) % 3] - p[:, k]
-            b = p[:, (k + 2) % 3] - p[:, k]
-            cosang = np.einsum("td,td->t", a, b) / (
-                np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-            angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return float(np.min(angles))
-
-    def similarity_classes(self, decimals=12):
-        """Set of triangle shapes as normalised, sorted side-length triples."""
-        p = self.vertices[self.triangles]
-        sides = np.stack([
-            np.linalg.norm(p[:, 1] - p[:, 2], axis=1),
-            np.linalg.norm(p[:, 2] - p[:, 0], axis=1),
-            np.linalg.norm(p[:, 0] - p[:, 1], axis=1),
-        ], axis=1)
-        sides.sort(axis=1)
-        sides /= sides[:, 2:3]
-        return {tuple(row) for row in np.round(sides, decimals)}
-
-    def matching_neighbor_violations(self) -> np.ndarray:
-        """Interior edges that are the refinement edge of exactly one neighbour.
-
-        Newest-vertex bisection terminates and stays shape regular for any
-        initial assignment audited here; an empty result certifies the usual
-        compatibility condition.
-        """
-        is_ref = np.zeros(self.num_edges, dtype=np.int64)
-        ref_global = self.tri_edges[np.arange(self.num_triangles), self.refedge]
-        np.add.at(is_ref, ref_global, 1)
-        interior = self.interior_edge_mask
-        return np.nonzero(interior & (is_ref == 1))[0]
-
-    def split_parents(self) -> np.ndarray:
-        """Coarse triangles no longer present (bisected away by the last refine)."""
-        if self.parent is None:
-            return np.array([], dtype=np.int64)
-        counts = np.bincount(self.parent, minlength=self.coarse.num_triangles)
-        return np.nonzero(counts > 1)[0]
-
 
 def _edge_keys(pairs, num_vertices):
     # one int64 per undirected edge; ascending keys are the lexicographic
@@ -310,25 +257,6 @@ def _edge_keys(pairs, num_vertices):
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     return lo * num_vertices + hi
-
-
-def _flip_edge_orientation(mesh, edge_id):
-    """Copy of ``mesh`` with the stored normal of one interior edge reversed.
-
-    Test hook for the sign-convention invariance checks.
-    """
-    if not mesh.interior_edge_mask[edge_id]:
-        raise MeshError("can only flip interior edge normals")
-    out = copy.copy(mesh)
-    out.edges = mesh.edges.copy()
-    out.edges[edge_id] = mesh.edges[edge_id, ::-1]
-    out.edge_tris = mesh.edge_tris.copy()
-    out.edge_tris[edge_id] = mesh.edge_tris[edge_id, ::-1]
-    out.edge_tangents = mesh.edge_tangents.copy()
-    out.edge_tangents[edge_id] *= -1.0
-    out.edge_normals = mesh.edge_normals.copy()
-    out.edge_normals[edge_id] *= -1.0
-    return out
 
 
 # -- building ------------------------------------------------------------------

@@ -18,8 +18,6 @@ were and computes only the new ones; the result is bitwise the same as a
 space built from scratch.
 """
 
-import json
-
 import numpy as np
 
 from .mesh import BoundaryPart, Triangulation, ancestor_map
@@ -31,15 +29,11 @@ __all__ = [
     "build_space",
     "affine_kernel_dimension",
     "affine_kernel_coefficients",
-    "dof_functional",
     "morley_interpolate",
-    "evaluate_broken",
     "prolong_to_fine",
     "hessians",
     "l2s_coordinates",
     "poly_shift",
-    "save_coefficients",
-    "load_coefficients",
 ]
 
 _DUALITY_TOL = 1e-12
@@ -71,10 +65,6 @@ class BrokenFunction:
         gx = c[1] + 2.0 * c[3] * d[:, 0] + c[4] * d[:, 1]
         gy = c[2] + c[4] * d[:, 0] + 2.0 * c[5] * d[:, 1]
         return np.stack([gx, gy], axis=-1)
-
-    def hessian(self, t):
-        c = self.coeffs[t]
-        return np.array([[2.0 * c[3], c[4]], [c[4], 2.0 * c[5]]])
 
 
 def hessians(bf: BrokenFunction) -> np.ndarray:
@@ -206,10 +196,6 @@ class MorleySpace:
         vals = self.local_dof_values(u)
         coeffs = np.einsum("ti,tim->tm", vals, self.basis)
         return BrokenFunction(self.mesh, coeffs)
-
-    def fingerprint(self) -> str:
-        from .mesh import mesh_hash
-        return mesh_hash(self.mesh)
 
 
 def build_space(mesh: Triangulation, coarse=None) -> MorleySpace:
@@ -347,21 +333,6 @@ def affine_kernel_coefficients(space: MorleySpace) -> np.ndarray:
 # -- DOF functionals -----------------------------------------------------------
 
 
-def _edge_gauss(npts=3):
-    x, w = np.polynomial.legendre.leggauss(npts)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _edge_mean_normal_derivative_callable(mesh, f_grad, edge):
-    a = mesh.vertices[mesh.edges[edge, 0]]
-    b = mesh.vertices[mesh.edges[edge, 1]]
-    nu = mesh.edge_normals[edge]
-    s, w = _edge_gauss()
-    pts = a[None, :] * (1.0 - s)[:, None] + b[None, :] * s[:, None]
-    grads = np.asarray([f_grad(p) for p in pts], dtype=float)
-    return float(np.sum(w * (grads @ nu)))
-
-
 def _subedges(fine, coarse, amap):
     """Fine edges that lie on a coarse edge, and that coarse edge.
 
@@ -419,84 +390,16 @@ def _broken_dof_values(space, bf):
     return out
 
 
-def dof_functional(space: MorleySpace, dof: int, v) -> float:
-    """Evaluate one global DOF functional on ``v``, as accepted by
-    ``morley_interpolate``.
-
-    Vertex DOFs return the point value; edge DOFs return the mean normal
-    derivative along the edge with respect to its stored normal.
-    """
-    if not 0 <= dof < space.ndof:
-        raise SpaceError("DOF index out of range")
-    return float(morley_interpolate(space, v)[dof])
-
-
 def morley_interpolate(space: MorleySpace, v) -> np.ndarray:
     """Interpolate ``v`` into the space by matching all DOF functionals.
 
-    ``v`` may be a smooth function given as a ``(value, gradient)`` pair or a
-    BrokenFunction living on a refinement of the space's mesh.  The result
-    reproduces quadratics and its piecewise Hessian equals the elementwise
-    mean of the broken Hessian of ``v``.
+    ``v`` is a BrokenFunction living on the space's mesh or a refinement of
+    it.  The result reproduces quadratics and its piecewise Hessian equals
+    the elementwise mean of the broken Hessian of ``v``.
     """
-    if isinstance(v, BrokenFunction):
-        return _broken_dof_values(space, v)
-    if not isinstance(v, tuple):
-        raise SpaceError("expected a BrokenFunction or a (value, gradient) pair")
-    mesh = space.mesh
-    out = np.zeros(space.ndof)
-    fval, grad = v
-    for z in np.nonzero(space.vertex_dof >= 0)[0]:
-        out[space.vertex_dof[z]] = float(fval(mesh.vertices[z]))
-    for f in np.nonzero(space.edge_dof >= 0)[0]:
-        out[space.edge_dof[f]] = _edge_mean_normal_derivative_callable(
-            mesh, grad, int(f))
-    return out
-
-
-def evaluate_broken(bf: BrokenFunction, point, triangle: int, tol=1e-12):
-    """Value, gradient and Hessian of a broken function at ``point``.
-
-    The point must lie in the hinted triangle up to barycentric tolerance.
-    """
-    mesh = bf.mesh
-    tri = mesh.triangles[triangle]
-    p = mesh.vertices[tri]
-    A = np.vstack([np.ones(3), p.T])
-    lam = np.linalg.solve(A, np.array([1.0, point[0], point[1]]))
-    if lam.min() < -tol:
-        raise SpaceError("point lies outside the hinted triangle")
-    point = np.asarray(point, dtype=float)
-    return (float(bf.value(triangle, point)[0]),
-            bf.gradient(triangle, point)[0],
-            bf.hessian(triangle))
-
-
-def save_coefficients(space: MorleySpace, u, path):
-    """Write a coefficient vector as JSON together with a space fingerprint.
-
-    The fingerprint hashes the mesh including its boundary labels, so a
-    vector cannot silently be reused on a different space.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (space.ndof,):
-        raise SpaceError(f"expected coefficient vector of length {space.ndof}")
-    doc = {"fingerprint": space.fingerprint(), "ndof": space.ndof,
-           "coefficients": [float(v) for v in u]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_coefficients(space: MorleySpace, path) -> np.ndarray:
-    """Read a coefficient vector, rejecting fingerprint mismatches."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("fingerprint") != space.fingerprint():
-        raise SpaceError("coefficient file belongs to a different space")
-    u = np.asarray(doc["coefficients"], dtype=float)
-    if u.shape != (space.ndof,):
-        raise SpaceError("coefficient length mismatch")
-    return u
+    if not isinstance(v, BrokenFunction):
+        raise SpaceError("expected a BrokenFunction")
+    return _broken_dof_values(space, v)
 
 
 def prolong_to_fine(arg, fine_mesh: Triangulation, space: MorleySpace = None) -> BrokenFunction:

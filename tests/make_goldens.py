@@ -1,17 +1,42 @@
 """Regenerate the golden regression records under tests/golden/.
 
-Run from the repository root:  python3 tests/make_goldens.py
+Run from the repository root:
+
+    python3 tests/make_goldens.py          # write every record
+    python3 tests/make_goldens.py NAME     # print one record as JSON, write nothing
+
+``square_clamped_theta05`` is the J={1} trace of the clamped square with
+the estimator efficiency ratio of every level against an extrapolated
+reference.  ``square_clamped_J23_path`` is the adaptive path of the window
+J={2,3} started from the twice uniformly refined clamped square: the mesh
+hash, ndof and marked count of every level.  A marking tie flip that keeps
+every count shows there as a changed hash.
+
+BLAS runs on one thread, set before numpy loads, as in the benchmark
+(``perfbench/run.configure_threads``): adaptive paths depend on the thread
+count.  Regenerate a record only in a change that moves it on purpose and
+lists each moved level in CHANGES.md; rewriting one to make its test pass
+hides the regression the record exists to catch.
 """
 
 import json
 import os
+import sys
+import tempfile
 
-from plate_afem import afem
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+import run  # noqa: E402  (standard library only, so numpy is still unloaded)
+
+run.configure_threads()
+run.add_source_path()
+
+from plate_afem import afem, mesh  # noqa: E402
 
 
-def square_clamped_trace():
+def square_clamped_theta05():
     cfg = afem.AfemConfig(geometry="square", bc="clamped", n=0, cluster_size=1,
                           theta=0.5, max_levels=8, deterministic=True)
     trace = afem.run_afem(cfg)
@@ -31,13 +56,38 @@ def square_clamped_trace():
     }
 
 
-def main():
+def square_clamped_J23_path():
+    start = mesh.uniform_refine(mesh.uniform_refine(mesh.preset_mesh("square", "clamped")))
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "square_uniform2_clamped.json")
+        mesh.save_mesh(start, path)
+        trace = afem.run_afem(afem.AfemConfig(mesh_file=path, n=1, cluster_size=2,
+                                              theta=0.5, max_levels=64, max_ndof=5000))
+    return {
+        "config": {"start": "square clamped, 2 uniform refinements", "J": [2, 3],
+                   "theta": 0.5, "max_ndof": 5000, "blas_threads": run.BLAS_THREADS},
+        "ndof": [int(r.ndof) for r in trace.levels],
+        "marked": [int(r.marked) for r in trace.levels],
+        "mesh_hash": [mesh.mesh_hash(m) for m in trace.meshes],
+    }
+
+
+RECORDS = {"square_clamped_theta05": square_clamped_theta05,
+           "square_clamped_J23_path": square_clamped_J23_path}
+
+
+def main(names):
+    if names:
+        for name in names:
+            print(json.dumps(RECORDS[name]()))
+        return
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    path = os.path.join(GOLDEN_DIR, "square_clamped_theta05.json")
-    with open(path, "w") as fh:
-        json.dump(square_clamped_trace(), fh, indent=2)
-    print(f"wrote {path}")
+    for name, make in RECORDS.items():
+        path = os.path.join(GOLDEN_DIR, f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump(make(), fh, indent=2)
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

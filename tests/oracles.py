@@ -5,9 +5,9 @@ it checks: cyclic Jacobi rotations for the eigensolver, shift-invert
 Lanczos run to machine precision for the stopping rule of its sparse path
 (on the same stiffness factor, so that only the stopping rule differs; a
 COLAMD-ordered factor alone moves λ by about 2e-12), exhaustive subset
-search for bulk marking, pointwise weighted least squares on an unrelated
-quadrature rule for elementwise projections, symbolic element
-integration for the plate forms, per-column and per-cell loops for the
+search for bulk marking, a collapsed Gauss rule for the load vector of
+a manufactured solution, symbolic element integration for the plate
+forms, per-column and per-cell loops for the
 Helmholtz maps, one dense least-squares solve with the stacked maps for
 the tensor splitting, a pivoted QR for the ranks of the audited maps,
 a dense null-space basis with a Cholesky-factored Gram matrix for the
@@ -24,6 +24,12 @@ weighting written out by hand, since the assembled CSR arrays must equal
 it byte for byte.  The spectrum dump of the ``reference`` command is
 checked against refining a preset from scratch and solving the finest
 level once more.
+
+Quadratics enter Morley interpolation as broken functions whose
+centroid-frame coefficients are written out by hand.  The mesh shape
+diagnostics (minimum angle, similarity classes, the matching-neighbour
+condition) and the edge-normal flip behind the sign-convention checks
+live here because only tests use them.
 """
 
 import itertools
@@ -113,27 +119,38 @@ def duffy_rule(n):
     return pts, wts
 
 
-def osc_oracle(mesh, f, k, n_gauss=10):
-    """Oscillation norm by weighted pointwise least squares per element.
-
-    Builds the projection from scratch: sample on a dense collapsed rule and
-    solve the sqrt-weighted least-squares fit with monomials, then integrate
-    the squared residual with the same rule.
-    """
-    exps = {0: [(0, 0)], 1: [(0, 0), (1, 0), (0, 1)],
-            2: [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]}[k]
+def load_vector_duffy(space, f, n_gauss=8):
+    """Load vector ``int f * basis_j`` on a collapsed Gauss rule: the basis
+    polynomials evaluated from their centroid-frame coefficients at the
+    mapped points of every triangle, scattered with ``np.add.at``."""
+    mesh = space.mesh
     pts_b, wts = duffy_rule(n_gauss)
-    total = 0.0
-    for t in range(mesh.num_triangles):
-        P = mesh.vertices[mesh.triangles[t]]
-        pts = pts_b @ P
-        fv = np.array([f(x, y) for x, y in pts], dtype=float)
-        A = np.stack([pts[:, 0] ** a * pts[:, 1] ** b for a, b in exps], axis=1)
-        sw = np.sqrt(wts)
-        coef, *_ = np.linalg.lstsq(A * sw[:, None], fv * sw, rcond=None)
-        res2 = np.sum(wts * (fv - A @ coef) ** 2) * mesh.areas[t]
-        total += mesh.areas[t] ** 2 * res2
-    return float(np.sqrt(total))
+    pts = np.einsum("qi,tid->tqd", pts_b, mesh.vertices[mesh.triangles])
+    d = pts - mesh.centroids[:, None, :]
+    mono = np.stack([np.ones_like(d[..., 0]), d[..., 0], d[..., 1], d[..., 0] ** 2,
+                     d[..., 0] * d[..., 1], d[..., 1] ** 2], axis=-1)
+    vals = np.einsum("tqm,tim->tqi", mono, space.basis)
+    fvals = f(pts[..., 0], pts[..., 1])
+    local = mesh.areas[:, None] * np.einsum("q,tq,tqi->ti", wts, fvals, vals)
+    out = np.zeros(space.ndof)
+    keep = space.cell_dofs >= 0
+    np.add.at(out, space.cell_dofs[keep], local[keep])
+    return out
+
+
+def quadratic_on(mesh, c):
+    """BrokenFunction of ``c0 + c1 x + c2 y + c3 x^2 + c4 xy + c5 y^2`` on
+    every triangle: its Taylor coefficients at each centroid."""
+    from plate_afem.space import BrokenFunction
+
+    c = np.asarray(c, dtype=float)
+    x, y = mesh.centroids[:, 0], mesh.centroids[:, 1]
+    coeffs = np.empty((mesh.num_triangles, 6))
+    coeffs[:, 0] = c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
+    coeffs[:, 1] = c[1] + 2 * c[3] * x + c[4] * y
+    coeffs[:, 2] = c[2] + c[4] * x + 2 * c[5] * y
+    coeffs[:, 3:] = c[3:]
+    return BrokenFunction(mesh, coeffs)
 
 
 def morley_basis_symbolic(tri_coords, normals, lengths):
@@ -257,14 +274,13 @@ def decompose_lstsq(space, xspace, sigma):
     """Tensor splitting by one dense least-squares solve with the stacked
     (3#T, ndof + dim) map, its rank taken from the singular values."""
     from plate_afem.helmholtz import (DecompositionResult, HelmholtzError,
-                                      full_curl, hessian_map, sym_curl_map,
-                                      tensor_features)
+                                      full_curl, tensor_features)
 
     mesh = space.mesh
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (mesh.num_triangles, 3):
         raise HelmholtzError("sigma must have shape (#T, 3)")
-    B = np.hstack([hessian_map(space), sym_curl_map(xspace)])
+    B = np.hstack([hessian_map_loops(space), sym_curl_map_columns(xspace)])
     target = tensor_features(mesh, sigma)
     sol, _, rank, _ = np.linalg.lstsq(B, target, rcond=None)
     if rank < 3 * mesh.num_triangles:
@@ -278,7 +294,7 @@ def decompose_lstsq(space, xspace, sigma):
     part_c = B[:, space.ndof:] @ psi
     resid = float(np.linalg.norm(target - part_h - part_c))
     ortho = float(part_h @ part_c)
-    psi_nodal = xspace.nodal(psi)
+    psi_nodal = (xspace.basis @ psi).reshape(-1, 2)
     curl = full_curl(mesh, psi_nodal)
     curl_norm = float(np.sqrt(np.einsum("t,tab->", mesh.areas, curl ** 2)))
     return DecompositionResult(
@@ -391,7 +407,7 @@ def hessian_part_stiffness(space, sigma):
     import scipy.sparse.linalg as spla
 
     from plate_afem.assembly import assemble_stiffness
-    from plate_afem.helmholtz import hessian_map, tensor_features
+    from plate_afem.helmholtz import tensor_features
     from plate_afem.space import affine_kernel_coefficients
 
     Z = affine_kernel_coefficients(space)
@@ -399,7 +415,7 @@ def hessian_part_stiffness(space, sigma):
     drop = dla.qr(Z.T, pivoting=True, mode="r")[1][:k] if k else np.zeros(0, int)
     keep = np.setdiff1d(np.arange(space.ndof), drop)
     A = assemble_stiffness(space)[keep][:, keep]
-    rhs = hessian_map(space).T @ tensor_features(space.mesh, sigma)
+    rhs = hessian_map_loops(space).T @ tensor_features(space.mesh, sigma)
     phi = np.zeros(space.ndof)
     phi[keep] = spla.splu(A.tocsc()).solve(rhs[keep])
     return phi, drop
@@ -482,7 +498,7 @@ def morley_interpolate_geometric(space, bf):
         total = 0.0
         for f in _subedges_on(fine, a, b, 1e-12 * scale):
             mid = fine.edge_midpoints[f]
-            dn = np.mean([bf.gradient(t, mid)[0] @ nu for t in fine.edge_patch(f)])
+            dn = np.mean([bf.gradient(t, mid)[0] @ nu for t in fine.edge_tris[f] if t >= 0])
             total += fine.edge_lengths[f] * dn
         out[space.edge_dof[e]] = total / coarse.edge_lengths[e]
     return out
@@ -602,3 +618,51 @@ def refine_nvb_recursive(mesh, marked=None):
     split_edge[mesh.tri_edges[marked, mesh.refedge[marked]]] = True
     _closure(mesh, split_edge)
     return apply_split_recursive(mesh, split_edge)
+
+
+def min_angle(mesh):
+    """Smallest interior angle of the mesh, from the law of cosines."""
+    p = mesh.vertices[mesh.triangles]
+    angles = []
+    for k in range(3):
+        a = p[:, (k + 1) % 3] - p[:, k]
+        b = p[:, (k + 2) % 3] - p[:, k]
+        cosang = np.einsum("td,td->t", a, b) / (
+            np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+        angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return float(np.min(angles))
+
+
+def similarity_classes(mesh, decimals=12):
+    """Set of triangle shapes as normalised, sorted side-length triples."""
+    p = mesh.vertices[mesh.triangles]
+    sides = np.linalg.norm(p[:, [1, 2, 0]] - p[:, [2, 0, 1]], axis=2)
+    sides.sort(axis=1)
+    sides /= sides[:, 2:3]
+    return {tuple(row) for row in np.round(sides, decimals)}
+
+
+def matching_neighbor_violations(mesh):
+    """Interior edges that are the refinement edge of exactly one neighbour;
+    none is the usual compatibility condition of newest-vertex bisection."""
+    ref_global = mesh.tri_edges[np.arange(mesh.num_triangles), mesh.refedge]
+    is_ref = np.bincount(ref_global, minlength=mesh.num_edges)
+    return np.nonzero(mesh.interior_edge_mask & (is_ref == 1))[0]
+
+
+def flip_edge_orientation(mesh, edge_id):
+    """Copy of ``mesh`` with the stored normal of one interior edge reversed,
+    and its endpoints and adjacent triangles swapped to match."""
+    import copy
+
+    assert mesh.interior_edge_mask[edge_id], "can only flip interior edge normals"
+    out = copy.copy(mesh)
+    for name in ("edges", "edge_tris"):
+        arr = getattr(mesh, name).copy()
+        arr[edge_id] = arr[edge_id, ::-1]
+        setattr(out, name, arr)
+    for name in ("edge_tangents", "edge_normals"):
+        arr = getattr(mesh, name).copy()
+        arr[edge_id] *= -1.0
+        setattr(out, name, arr)
+    return out

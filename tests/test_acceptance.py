@@ -9,11 +9,12 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg as dla
 
 from plate_afem import afem, assembly as asm, eigen as eig, estimator as est
 from plate_afem import helmholtz as hh, mesh as msh, space as sp
 
-from oracles import dorfler_min_cardinality, jacobi_gevp
+from oracles import dorfler_min_cardinality, jacobi_gevp, quadratic_on
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "square_clamped_theta05.json")
@@ -48,19 +49,14 @@ def test_criterion_1_structural_identities():
         S = sp.build_space(m)
         for _ in range(5):
             c = rng.standard_normal(6)
-            val = lambda p, c=c: (c[0] + c[1] * p[0] + c[2] * p[1]
-                                  + c[3] * p[0] ** 2 + c[4] * p[0] * p[1]
-                                  + c[5] * p[1] ** 2)
-            grad = lambda p, c=c: np.array([
-                c[1] + 2 * c[3] * p[0] + c[4] * p[1],
-                c[2] + c[4] * p[0] + 2 * c[5] * p[1]])
-            u = sp.morley_interpolate(S, (val, grad))
+            u = sp.morley_interpolate(S, quadratic_on(m, c))
             bf = S.to_broken(u)
             scale = max(1.0, np.abs(c).max())
             for t in range(m.num_triangles):
                 cx, cy = m.centroids[t]
                 exact = np.array([
-                    val((cx, cy)), c[1] + 2 * c[3] * cx + c[4] * cy,
+                    c[0] + c[1] * cx + c[2] * cy + c[3] * cx ** 2 + c[4] * cx * cy
+                    + c[5] * cy ** 2, c[1] + 2 * c[3] * cx + c[4] * cy,
                     c[2] + c[4] * cx + 2 * c[5] * cy, c[3], c[4], c[5]])
                 assert np.abs(bf.coeffs[t] - exact).max() <= 1e-12 * scale
 
@@ -252,10 +248,11 @@ def test_criterion_8_angle_identities():
         X = rng.standard_normal((n, dim))
         Y = rng.standard_normal((n, dim))
         Z = rng.standard_normal((n, dim))
-        sxy = eig.principal_angle(X, Y, G)
-        assert sxy == pytest.approx(eig.principal_angle(Y, X, G), abs=1e-9)
-        sxz = eig.principal_angle(X, Z, G)
-        szy = eig.principal_angle(Z, Y, G)
+        R = dla.cholesky(G, lower=False)        # G = R^T R: features R X
+        sxy = eig.sin_max_angle(R @ X, R @ Y)
+        assert sxy == pytest.approx(eig.sin_max_angle(R @ Y, R @ X), abs=1e-9)
+        sxz = eig.sin_max_angle(R @ X, R @ Z)
+        szy = eig.sin_max_angle(R @ Z, R @ Y)
         assert sxy <= sxz + szy + 1e-9
         assert -1e-12 <= sxy <= 1.0 + 1e-12
     _report(8, "angle symmetry and triangle inequality, 50 samples", t0)

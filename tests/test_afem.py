@@ -293,18 +293,19 @@ class TestRates:
         with pytest.raises(ValueError):
             afem.fit_rate([1, 2, 3, 4], [1.0, 0.5, 0.0, -0.1])
 
-    def test_convergence_rate_quantities(self):
+    def test_quantity_rate_of_a_trace(self):
         cfg = AfemConfig(geometry="square", bc="clamped", theta=0.5,
                          max_levels=6)
         tr = afem.run_afem(cfg)
-        s_eta = afem.convergence_rate(tr, "eta2")
+        cols = (tr.ndofs, tr.column("eta2_total"), tr.eigenvalue_matrix())
+        s_eta = afem.quantity_rate(*cols, "eta2")
         assert np.isfinite(s_eta)
-        s_lam = afem.convergence_rate(tr, "lambda_err", reference=1294.96)
+        s_lam = afem.quantity_rate(*cols, "lambda_err", reference=1294.96)
         assert np.isfinite(s_lam)
         with pytest.raises(ValueError):
-            afem.convergence_rate(tr, "lambda_err")
+            afem.quantity_rate(*cols, "lambda_err")
         with pytest.raises(ValueError):
-            afem.convergence_rate(tr, "bogus")
+            afem.quantity_rate(*cols, "bogus")
 
 
 class TestRichardson:

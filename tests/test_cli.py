@@ -237,6 +237,33 @@ class TestMeshExport:
         assert m.num_triangles == 24
 
 
+class TestOutOfRangeOptions:
+    """Out-of-range options fail with exit code 2 before any mesh is built
+    or any eigenvalue is solved, whether or not ``--out`` is given."""
+
+    @pytest.mark.parametrize("args", [
+        ["reference", "--J", "0"], ["reference", "--J", "-2"],
+        ["reference", "--lower-bound-constant", "-1"],
+        ["reference", "--lower-bound-constant", "nan"],
+        ["helmholtz-audit", "--refine", "-1"], ["mesh-export", "--refine", "-1"]])
+    @pytest.mark.parametrize("with_out", [True, False])
+    def test_rejected_up_front(self, args, with_out, tmp_path, capsys, monkeypatch):
+        from plate_afem import afem, mesh
+
+        def no_work(*_, **__):
+            raise AssertionError("work started before the options were checked")
+
+        monkeypatch.setattr(afem, "reference_eigenvalues", no_work)
+        monkeypatch.setattr(mesh, "preset_mesh", no_work)
+        out = tmp_path / "out"
+        if with_out or args[0] == "mesh-export":
+            args = args + ["--out", str(out)]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: --")
+        assert not out.exists()
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
         # the installed script must work in a fresh interpreter

@@ -8,7 +8,7 @@ from plate_afem import mesh as msh
 from plate_afem import space as sp
 from plate_afem.estimator import EstimatorField, MarkingError
 
-from oracles import dorfler_min_cardinality
+from oracles import dorfler_min_cardinality, quadratic_on
 
 
 class _Window:
@@ -33,9 +33,7 @@ class TestEstimate:
         # globally C2 input in a free configuration: only the volume term
         m = msh.uniform_refine(msh.square_mesh("free"))
         S = sp.build_space(m)
-        val = lambda p: p[0] ** 2 - 0.3 * p[0] * p[1]
-        grad = lambda p: np.array([2 * p[0] - 0.3 * p[1], -0.3 * p[0]])
-        q = sp.morley_interpolate(S, (val, grad))
+        q = sp.morley_interpolate(S, quadratic_on(m, [0, 0, 0, 1.0, -0.3, 0]))
         lam = 2.0
         f = est.estimate(S, _Window([lam], q[:, None]))
         from plate_afem.quadrature import triangle_rule

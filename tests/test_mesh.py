@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import (apply_split_recursive, edge_table_unique_rows,
-                     refine_nvb_recursive)
+                     matching_neighbor_violations, min_angle, refine_nvb_recursive,
+                     similarity_classes)
 from plate_afem import mesh as msh
 from plate_afem.mesh import BoundaryPart, MeshError
 
@@ -132,8 +133,8 @@ class TestNormalsAndIncidence:
         assert len(m.interior_edges()) == 1
         assert len(m.edges_with_tag(BoundaryPart.CLAMPED)) == 4
         diag = m.interior_edges()[0]
-        assert sorted(m.edge_patch(diag)) == [0, 1]
-        assert set(m.edges_of(0)).union(m.edges_of(1)) == set(range(5))
+        assert sorted(m.edge_tris[diag]) == [0, 1]
+        assert set(m.tri_edges[0]).union(m.tri_edges[1]) == set(range(5))
 
     def test_free_corner_vertices(self):
         m = msh.square_mesh("free")
@@ -202,10 +203,10 @@ class TestRefine:
             assert np.all(counts[marked] >= 2)
             m = r
 
-    def test_split_parents_queryable(self):
+    def test_closure_splits_both_parents(self):
         m = msh.square_mesh("clamped")
         r = msh.refine_nvb(m, [0])
-        assert set(r.split_parents()) == {0, 1}
+        assert set(np.nonzero(np.bincount(r.parent) > 1)[0]) == {0, 1}
 
     def test_boundary_tags_inherited(self):
         m = msh.preset_mesh("square", "mixed")
@@ -234,10 +235,10 @@ class TestShapeRegularity:
     def test_min_angle_stable_over_uniform_refinement(self):
         m0 = msh.square_mesh("clamped")
         m = m0
-        base = m0.min_angle()
+        base = min_angle(m0)
         for _ in range(5):
             m = msh.uniform_refine(m)
-            assert m.min_angle() >= base - 1e-12
+            assert min_angle(m) >= base - 1e-12
 
     def test_similarity_classes_bounded(self):
         rng = np.random.default_rng(11)
@@ -248,14 +249,14 @@ class TestShapeRegularity:
                                 size=max(1, m.num_triangles // 3), replace=False)
             m = msh.refine_nvb(m, marked)
             if k == 1:
-                classes_round2 = len(m.similarity_classes())
-        assert len(m.similarity_classes()) <= 4 * classes_round2
+                classes_round2 = len(similarity_classes(m))
+        assert len(similarity_classes(m)) <= 4 * classes_round2
 
     def test_matching_condition_on_presets(self):
         for preset in (msh.square_mesh("clamped"), msh.preset_mesh("lshape", "mixed")):
-            assert len(preset.matching_neighbor_violations()) == 0
+            assert len(matching_neighbor_violations(preset)) == 0
             u = msh.uniform_refine(preset)
-            assert len(u.matching_neighbor_violations()) == 0
+            assert len(matching_neighbor_violations(u)) == 0
 
 
 class TestAncestry:

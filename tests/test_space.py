@@ -5,22 +5,7 @@ from plate_afem import mesh as msh
 from plate_afem import space as sp
 from plate_afem.space import SpaceError
 
-from oracles import morley_interpolate_geometric
-
-
-def quadratic(c):
-    """(value, gradient) pair for c0 + c1 x + c2 y + c3 x^2 + c4 xy + c5 y^2."""
-    def val(p):
-        x, y = p
-        return (c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y
-                + c[5] * y * y)
-
-    def grad(p):
-        x, y = p
-        return np.array([c[1] + 2 * c[3] * x + c[4] * y,
-                         c[2] + c[4] * x + 2 * c[5] * y])
-
-    return val, grad
+from oracles import flip_edge_orientation, morley_interpolate_geometric, quadratic_on
 
 
 class TestDofCounts:
@@ -67,36 +52,33 @@ class TestDuality:
 
 
 class TestDofFunctional:
+    X_SQUARED = [0, 0, 0, 1, 0, 0]
+
     def test_vertex_value(self):
-        S = sp.build_space(msh.square_mesh("free"))
-        val, grad = quadratic([0, 0, 0, 1, 0, 0])  # x^2
+        m = msh.square_mesh("free")
+        S = sp.build_space(m)
+        u = sp.morley_interpolate(S, quadratic_on(m, self.X_SQUARED))
         dof = S.vertex_dof[1]  # vertex (1, 0)
-        assert sp.dof_functional(S, dof, (val, grad)) == pytest.approx(1.0, abs=1e-14)
+        assert u[dof] == pytest.approx(1.0, abs=1e-14)
 
     def test_edge_mean_zero_normal_derivative(self):
         m = msh.square_mesh("free")
         S = sp.build_space(m)
-        val, grad = quadratic([0, 0, 0, 1, 0, 0])  # x^2, grad = (2x, 0)
+        u = sp.morley_interpolate(S, quadratic_on(m, self.X_SQUARED))  # grad = (2x, 0)
         left = [f for f in m.boundary_edges()
                 if np.isclose(m.edge_midpoints[f][0], 0.0)][0]
-        assert sp.dof_functional(S, S.edge_dof[left], (val, grad)) == pytest.approx(0.0, abs=1e-14)
+        assert u[S.edge_dof[left]] == pytest.approx(0.0, abs=1e-14)
 
     def test_edge_mean_diagonal(self):
         # mean of the normal derivative of x^2 over the diagonal is
         # 2 * mid_x * nu_x for the stored normal
         m = msh.square_mesh("free")
         S = sp.build_space(m)
-        val, grad = quadratic([0, 0, 0, 1, 0, 0])
         diag = m.interior_edges()[0]
         nu = m.edge_normals[diag]
-        got = sp.dof_functional(S, S.edge_dof[diag], (val, grad))
+        got = sp.morley_interpolate(S, quadratic_on(m, self.X_SQUARED))[S.edge_dof[diag]]
         assert got == pytest.approx(2 * 0.5 * nu[0], abs=1e-14)
         assert abs(got) == pytest.approx(np.sqrt(2) / 2, abs=1e-14)
-
-    def test_out_of_range(self):
-        S = sp.build_space(msh.square_mesh("free"))
-        with pytest.raises(SpaceError):
-            sp.dof_functional(S, S.ndof, (lambda p: 0.0, lambda p: np.zeros(2)))
 
 
 class TestInterpolation:
@@ -106,7 +88,7 @@ class TestInterpolation:
         S = sp.build_space(m)
         for _ in range(5):
             c = rng.standard_normal(6)
-            u = sp.morley_interpolate(S, quadratic(c))
+            u = sp.morley_interpolate(S, quadratic_on(m, c))
             bf = S.to_broken(u)
             exact = np.array([c[0] + c[1] * cx + c[2] * cy + c[3] * cx ** 2
                               + c[4] * cx * cy + c[5] * cy ** 2
@@ -120,8 +102,13 @@ class TestInterpolation:
     def test_zero_input(self):
         m = msh.uniform_refine(msh.square_mesh("clamped"))
         S = sp.build_space(m)
-        z = sp.morley_interpolate(S, (lambda p: 0.0, lambda p: np.zeros(2)))
+        z = sp.morley_interpolate(S, quadratic_on(m, np.zeros(6)))
         assert np.all(z == 0.0)
+
+    def test_rejects_value_gradient_pair(self):
+        S = sp.build_space(msh.square_mesh("free"))
+        with pytest.raises(SpaceError, match="expected a BrokenFunction"):
+            sp.morley_interpolate(S, (lambda p: 0.0, lambda p: np.zeros(2)))
 
     def test_hessian_mean_projection(self):
         # elementwise mean of the fine broken Hessian equals the Hessian of
@@ -161,8 +148,6 @@ class TestInterpolation:
         bf = sp.BrokenFunction(fine, np.zeros((fine.num_triangles, 6)))
         with pytest.raises(msh.MeshError):
             sp.morley_interpolate(S, bf)
-        with pytest.raises(msh.MeshError):
-            sp.dof_functional(S, 0, bf)
 
 
 def _nvb_toward_origin(m, steps):
@@ -200,40 +185,6 @@ class TestBrokenInterpolation:
         S = sp.build_space(_nvb_toward_origin(msh.preset_mesh(geometry, bc), 3))
         u = rng.standard_normal(S.ndof)
         assert np.abs(sp.morley_interpolate(S, S.to_broken(u)) - u).max() <= 1e-13
-
-    @pytest.mark.parametrize("refinement", ["uniform", "adaptive"])
-    def test_dof_functional_agrees_entrywise(self, refinement):
-        rng = np.random.default_rng(7)
-        coarse = msh.uniform_refine(msh.preset_mesh("lshape", "mixed"))
-        fine = self._fine(coarse, refinement)
-        S = sp.build_space(coarse)
-        bf = sp.BrokenFunction(fine, rng.standard_normal((fine.num_triangles, 6)))
-        u = sp.morley_interpolate(S, bf)
-        assert S.num_vertex_dofs > 0
-        for dof in range(S.ndof):
-            assert sp.dof_functional(S, dof, bf) == u[dof]
-
-
-class TestEvaluateBroken:
-    def test_point_evaluation_matches_basis(self):
-        m = msh.square_mesh("free")
-        S = sp.build_space(m)
-        u = np.zeros(S.ndof)
-        u[0] = 1.0
-        bf = S.to_broken(u)
-        # duality: value at the vertex carrying DOF 0 is one
-        z = int(np.nonzero(S.vertex_dof == 0)[0][0])
-        t = int(m.vertex_tri[z])
-        val, grad, hess = sp.evaluate_broken(bf, m.vertices[z], t)
-        assert val == pytest.approx(1.0, abs=1e-12)
-        assert hess.shape == (2, 2)
-
-    def test_outside_point_rejected(self):
-        m = msh.triangle_mesh()
-        S = sp.build_space(m)
-        bf = S.to_broken(np.zeros(S.ndof))
-        with pytest.raises(SpaceError):
-            sp.evaluate_broken(bf, np.array([2.0, 2.0]), 0)
 
 
 class TestProlongation:
@@ -287,16 +238,14 @@ class TestProlongation:
 
 class TestSignConvention:
     def test_normal_flip_flips_exactly_one_dof(self):
-        from plate_afem.mesh import _flip_edge_orientation
-
         m = msh.uniform_refine(msh.square_mesh("clamped"))
         edge = int(m.interior_edges()[2])
-        m2 = _flip_edge_orientation(m, edge)
+        m2 = flip_edge_orientation(m, edge)
         S1 = sp.build_space(m)
         S2 = sp.build_space(m2)
-        val, grad = quadratic([0.0, 0.3, -0.2, 1.0, 0.5, -0.7])
-        u1 = sp.morley_interpolate(S1, (val, grad))
-        u2 = sp.morley_interpolate(S2, (val, grad))
+        c = [0.0, 0.3, -0.2, 1.0, 0.5, -0.7]
+        u1 = sp.morley_interpolate(S1, quadratic_on(m, c))
+        u2 = sp.morley_interpolate(S2, quadratic_on(m2, c))
         flipped = np.nonzero(np.abs(u1 - u2) > 1e-13)[0]
         assert len(flipped) == 1
         assert flipped[0] == S1.edge_dof[edge]
@@ -304,11 +253,10 @@ class TestSignConvention:
 
     def test_physical_quantities_invariant_under_flip(self):
         from plate_afem.assembly import assemble_mass, assemble_stiffness
-        from plate_afem.mesh import _flip_edge_orientation
 
         m = msh.uniform_refine(msh.square_mesh("clamped"))
         edge = int(m.interior_edges()[1])
-        m2 = _flip_edge_orientation(m, edge)
+        m2 = flip_edge_orientation(m, edge)
         S1, S2 = sp.build_space(m), sp.build_space(m2)
         A1 = assemble_stiffness(S1).toarray()
         A2 = assemble_stiffness(S2).toarray()
@@ -318,24 +266,6 @@ class TestSignConvention:
         M1 = assemble_mass(S1).toarray()
         M2 = assemble_mass(S2).toarray()
         assert np.abs(M2 - sign[:, None] * M1 * sign[None, :]).max() < 1e-13
-
-
-class TestCoefficientSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        S = sp.build_space(msh.uniform_refine(msh.square_mesh("clamped")))
-        u = rng.standard_normal(S.ndof)
-        path = tmp_path / "u.json"
-        sp.save_coefficients(S, u, path)
-        assert np.array_equal(sp.load_coefficients(S, path), u)
-
-    def test_cross_space_misuse_rejected(self, tmp_path):
-        S1 = sp.build_space(msh.square_mesh("simply_supported"))
-        S2 = sp.build_space(msh.square_mesh("free"))
-        path = tmp_path / "u.json"
-        sp.save_coefficients(S1, np.zeros(S1.ndof), path)
-        with pytest.raises(SpaceError):
-            sp.load_coefficients(S2, path)
 
 
 class TestElementReuse:
