@@ -212,6 +212,7 @@ def _solve_level(level, space, config, timings, reference=None):
     lows = np.array([eigen.lower_bound(v, space.mesh.h_max, config.lower_bound_constant)
                      for v in lam])
     solver = {"path": sol.path, "lanczos_solves": sol.lanczos_solves,
+              "factor_nnz": sol.factor_nnz,
               "max_residual": float(sol.residuals.max()),
               "b_orthonormality_residual": sol.b_orthonormality_residual,
               "a_diagonality_residual": sol.a_diagonality_residual, "truncated": rep.truncated,

@@ -2,8 +2,9 @@
 
 Run from the repository root:
 
-    python3 tests/make_goldens.py          # write every record
-    python3 tests/make_goldens.py NAME     # print one record as JSON, write nothing
+    python3 tests/make_goldens.py                       # write every record
+    python3 tests/make_goldens.py --write NAME [NAME ...] # write the named records only
+    python3 tests/make_goldens.py NAME [NAME ...]         # print records as JSON, write nothing
 
 ``square_clamped_theta05`` is the J={1} trace of the clamped square with
 the estimator efficiency ratio of every level against an extrapolated
@@ -15,8 +16,9 @@ every count shows there as a changed hash.
 BLAS runs on one thread, set before numpy loads, as in the benchmark
 (``perfbench/run.configure_threads``): adaptive paths depend on the thread
 count.  Regenerate a record only in a change that moves it on purpose and
-lists each moved level in CHANGES.md; rewriting one to make its test pass
-hides the regression the record exists to catch.
+lists each moved level in CHANGES.md, and regenerate only the records that
+change moves (``--write NAME``): rewriting one to make its test pass hides
+the regression the record exists to catch.
 """
 
 import json
@@ -76,16 +78,22 @@ RECORDS = {"square_clamped_theta05": square_clamped_theta05,
            "square_clamped_J23_path": square_clamped_J23_path}
 
 
-def main(names):
-    if names:
+def main(argv):
+    write = argv[:1] == ["--write"]
+    names = argv[1:] if write else argv
+    unknown = [name for name in names if name not in RECORDS]
+    if unknown or (write and not names):
+        raise SystemExit("usage: make_goldens.py [--write] [NAME ...]; "
+                         f"records: {', '.join(RECORDS)}")
+    if names and not write:
         for name in names:
             print(json.dumps(RECORDS[name]()))
         return
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name, make in RECORDS.items():
+    for name in names or RECORDS:
         path = os.path.join(GOLDEN_DIR, f"{name}.json")
         with open(path, "w") as fh:
-            json.dump(make(), fh, indent=2)
+            json.dump(RECORDS[name](), fh, indent=2)
         print(f"wrote {path}")
 
 

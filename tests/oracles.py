@@ -75,16 +75,23 @@ def lanczos_machine_precision(A, M, count):
     """Lowest ``count`` eigenpairs of the sparse pencil by ARPACK shift-invert
     at ``tol=0`` (machine precision) on the eigensolver's stiffness factor,
     vectors made M-orthonormal by a Cholesky polish."""
+    from plate_afem.eigen import _spd_splu
+
+    return shift_invert_lanczos(A, M, count, _spd_splu(A.tocsc()), tol=0)
+
+
+def shift_invert_lanczos(A, M, count, lu, tol):
+    """Lowest ``count`` eigenpairs of the sparse pencil by ARPACK shift-invert
+    on the stiffness factor ``lu`` at relative tolerance ``tol``, started
+    from the constant unit vector, vectors made M-orthonormal by a Cholesky
+    polish."""
     import scipy.linalg as dla
     import scipy.sparse.linalg as spla
 
-    from plate_afem.eigen import _spd_splu
-
     n = A.shape[0]
-    lu = _spd_splu(A.tocsc())
     OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     w, v = spla.eigsh(A, k=count, M=M, sigma=0.0, which="LM", OPinv=OPinv,
-                      v0=np.full(n, 1.0 / np.sqrt(n)), tol=0)
+                      v0=np.full(n, 1.0 / np.sqrt(n)), tol=tol)
     order = np.argsort(w)
     w, v = w[order], v[:, order]
     L = dla.cholesky(v.T @ (M @ v), lower=True)

@@ -196,6 +196,8 @@ def test_criterion_6_efficiency_band():
         gold = json.load(fh)
     lam_ref = afem.reference_eigenvalues("square", "clamped", [1],
                                          20000).limits[0]
+    # the band is only as good as the reference it was recorded against
+    assert abs(lam_ref - gold["lambda_ref"]) <= 1e-10 * gold["lambda_ref"]
     cfg = afem.AfemConfig(geometry="square", bc="clamped", theta=0.5,
                           max_levels=8, deterministic=True)
     trace = afem.run_afem(cfg)

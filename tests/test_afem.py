@@ -70,6 +70,9 @@ class TestRunAfem:
         for r, cluster in zip(tr.levels, tr.clusters):
             assert r.solver["lanczos_solves"] == cluster.lanczos_solves
             assert (r.solver["lanczos_solves"] > 0) == (r.solver["path"] == "shift-invert")
+            assert r.solver["factor_nnz"] == cluster.factor_nnz
+            assert (r.solver["factor_nnz"] >= r.ndof if r.solver["path"] == "shift-invert"
+                    else r.solver["factor_nnz"] == 0)
             assert r.solver["max_residual"] >= cluster.residuals.max()
             assert r.solver["b_orthonormality_residual"] == \
                 cluster.b_orthonormality_residual

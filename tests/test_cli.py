@@ -50,6 +50,7 @@ class TestRun:
             d = r["solver"]
             assert d["path"] == "dense"  # ndof stays below the cutoff
             assert d["lanczos_solves"] == 0
+            assert d["factor_nnz"] == 0
             assert 0.0 <= d["max_residual"]
             assert d["b_orthonormality_residual"] <= 1e-10
             assert d["a_diagonality_residual"] <= 1e-8

@@ -14,7 +14,7 @@ from plate_afem import mesh as msh
 from plate_afem import space as sp
 from plate_afem.eigen import ClusterSplitError, EigenError
 
-from oracles import jacobi_gevp, lanczos_machine_precision
+from oracles import jacobi_gevp, lanczos_machine_precision, shift_invert_lanczos
 
 
 def random_spd_pencil(rng, n):
@@ -133,14 +133,59 @@ class TestSolveGevp:
             eig.solve_gevp(A, M, 5, dense_cutoff=dense_cutoff)
 
     def test_symmetric_csr_arrays_are_its_csc(self):
-        # SuperLU reads A.tocsc(); for the exactly symmetric assembled A its
-        # arrays are A's CSR arrays, so the factor is that of A read as CSC
+        # SuperLU reads the CSC view A.T; for the exactly symmetric assembled
+        # A its arrays are those of A.tocsc(), so the factor is that of A
         m = msh.uniform_refine(msh.preset_mesh("lshape", "mixed"))
         S = sp.build_space(m)
         for A in (asm.assemble_stiffness(S), asm.assemble_mass(S)):
             want, got = A.tocsc(), A.T
             for name in ("data", "indices", "indptr"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_factor_reads_the_stiffness_matrix_own_arrays(self, monkeypatch):
+        # clamped square, ndof 961, above the dense cutoff: SuperLU gets the
+        # CSC view A.T of the assembled CSR, not a tocsc() copy
+        m = msh.square_mesh("clamped")
+        for _ in range(4):
+            m = msh.uniform_refine(m)
+        S = sp.build_space(m)
+        A, M = asm.assemble_stiffness(S), asm.assemble_mass(S)
+        seen, spd_splu = [], eig._spd_splu
+
+        def spy(B):
+            seen.append(B)
+            return spd_splu(B)
+
+        monkeypatch.setattr(eig, "_spd_splu", spy)
+        sol = eig.solve_gevp(A, M, 5)
+        assert sol.path == "shift-invert" and len(seen) == 1
+        assert np.shares_memory(seen[0].data, A.data)
+        assert sol.factor_nnz > A.nnz
+
+    @pytest.mark.parametrize("dense_cutoff", [10 ** 9, 1])
+    def test_non_canonical_csr_is_left_unchanged(self, dense_cutoff):
+        # splu sums duplicates in place; through a view of a non-canonical
+        # input that would rewrite the caller's arrays
+        m = msh.square_mesh("clamped")
+        for _ in range(3):
+            m = msh.uniform_refine(m)
+        S = sp.build_space(m)
+        A, M = asm.assemble_stiffness(S), asm.assemble_mass(S)
+        # every entry split into two exact halves, each row's order reversed
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        order = np.lexsort((-A.indices, rows))
+        data = np.repeat(0.5 * A.data[order], 2)
+        indices = np.repeat(A.indices[order], 2)
+        B = type(A)((data, indices, 2 * A.indptr), shape=A.shape)
+        assert not B.has_canonical_format
+        before = [getattr(B, name).copy() for name in ("data", "indices", "indptr")]
+        got = eig.solve_gevp(B, M, 5, dense_cutoff=dense_cutoff)
+        want = eig.solve_gevp(A, M, 5, dense_cutoff=dense_cutoff)
+        for name, old in zip(("data", "indices", "indptr"), before):
+            assert getattr(B, name).tobytes() == old.tobytes()
+        assert got.path == want.path
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()
 
     @pytest.mark.parametrize("dense_cutoff", [10 ** 9, 1])
     def test_dense_csr_and_csc_inputs_agree_bitwise(self, dense_cutoff):
@@ -206,6 +251,26 @@ class TestLanczosStoppingRule:
         assert w[1] == pytest.approx(w[2], rel=1e-10)
         R = np.linalg.cholesky(M.toarray()).T
         assert eig.sin_max_angle(R @ sol.window(1, 2).vectors, R @ v[:, 1:3]) <= 1e-10
+
+    def test_lshape_level_matches_default_supernodes(self, lshape_mixed_trace):
+        # the factor is built with relax=1 and panel size 10; SuperLU's
+        # default relaxed supernodes store more entries for the same solve.
+        # Measured at ndof 6428: 214,978 against 244,564 entries, λ moved
+        # by 9.4e-14 and η² by 7.6e-14 relative (1.3e-12 and 2.4e-13 at
+        # ndof 24641, with 1,053,138 against 1,241,866 entries)
+        levels = lshape_mixed_trace.levels
+        k = next(k for k, r in enumerate(levels) if r.ndof >= 5000)
+        S = sp.build_space(lshape_mixed_trace.meshes[k])
+        A, M = asm.assemble_stiffness(S), asm.assemble_mass(S)
+        sol = eig.solve_gevp(A, M, 5)
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+        assert sol.factor_nnz <= lu.nnz
+        w, v = shift_invert_lanczos(A, M, 5, lu, tol=eig._LANCZOS_TOL)
+        assert (np.abs(sol.eigenvalues - w) / w).max() <= 1e-11
+        eta2 = est.estimate(S, sol.window(0, 1)).total
+        eta2_ref = est.estimate(S, SimpleNamespace(eigenvalues=w[:1], vectors=v[:, :1])).total
+        assert abs(eta2 - eta2_ref) <= 1e-9 * eta2_ref
 
     def test_lshape_levels_stop_after_one_lanczos_cycle(self, lshape_mixed_trace):
         solver = [r.solver for r in lshape_mixed_trace.levels]
