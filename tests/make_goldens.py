@@ -10,8 +10,10 @@ Run from the repository root:
 the estimator efficiency ratio of every level against an extrapolated
 reference.  ``square_clamped_J23_path`` is the adaptive path of the window
 J={2,3} started from the twice uniformly refined clamped square: the mesh
-hash, ndof and marked count of every level.  A marking tie flip that keeps
-every count shows there as a changed hash.
+hash, ndof and marked count of every level.  ``lshape_mixed_J1_path`` is
+the same record for the benchmark's reference run (``lshape_adaptive``:
+the mixed L-shape, J={1}, theta 0.5, ``max_ndof`` 20000).  A marking tie
+flip that keeps every count shows there as a changed hash.
 
 BLAS runs on one thread, set before numpy loads, as in the benchmark
 (``perfbench/run.configure_threads``): adaptive paths depend on the thread
@@ -58,6 +60,12 @@ def square_clamped_theta05():
     }
 
 
+def _path(trace):
+    return {"ndof": [int(r.ndof) for r in trace.levels],
+            "marked": [int(r.marked) for r in trace.levels],
+            "mesh_hash": [mesh.mesh_hash(m) for m in trace.meshes]}
+
+
 def square_clamped_J23_path():
     start = mesh.uniform_refine(mesh.uniform_refine(mesh.preset_mesh("square", "clamped")))
     with tempfile.TemporaryDirectory() as workdir:
@@ -68,14 +76,23 @@ def square_clamped_J23_path():
     return {
         "config": {"start": "square clamped, 2 uniform refinements", "J": [2, 3],
                    "theta": 0.5, "max_ndof": 5000, "blas_threads": run.BLAS_THREADS},
-        "ndof": [int(r.ndof) for r in trace.levels],
-        "marked": [int(r.marked) for r in trace.levels],
-        "mesh_hash": [mesh.mesh_hash(m) for m in trace.meshes],
+        **_path(trace),
+    }
+
+
+def lshape_mixed_J1_path():
+    trace = afem.run_afem(afem.AfemConfig(geometry="lshape", bc="mixed", theta=0.5,
+                                          max_levels=64, max_ndof=20000))
+    return {
+        "config": {"start": "lshape mixed preset", "J": [1], "theta": 0.5,
+                   "max_ndof": 20000, "blas_threads": run.BLAS_THREADS},
+        **_path(trace),
     }
 
 
 RECORDS = {"square_clamped_theta05": square_clamped_theta05,
-           "square_clamped_J23_path": square_clamped_J23_path}
+           "square_clamped_J23_path": square_clamped_J23_path,
+           "lshape_mixed_J1_path": lshape_mixed_J1_path}
 
 
 def main(argv):

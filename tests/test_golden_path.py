@@ -1,9 +1,10 @@
-"""The adaptive path of the J={2,3} window on the clamped square, level by
-level, against ``tests/golden/square_clamped_J23_path.json``.
+"""Adaptive paths, level by level, against their records in ``tests/golden/``:
+the J={2,3} window on the clamped square and the benchmark's reference run
+(J={1} on the mixed L-shape to ``max_ndof`` 20000).
 
 The ndof path and the last eigenvalues, which the benchmark's pins
 compare, do not see a marking tie flip that keeps every count; the mesh
-hash of every level does.  The record is made by ``tests/make_goldens.py``
+hash of every level does.  Each record is made by ``tests/make_goldens.py``
 in a subprocess, with its one-thread BLAS setting, because the path
 depends on the thread count.
 """
@@ -14,15 +15,22 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-NAME = "square_clamped_J23_path"
 
 
 def test_window_path_matches_golden_level_by_level():
-    done = subprocess.run([sys.executable, os.path.join(HERE, "make_goldens.py"), NAME],
+    _check_path("square_clamped_J23_path")
+
+
+def test_reference_run_path_matches_golden_level_by_level():
+    _check_path("lshape_mixed_J1_path")
+
+
+def _check_path(name):
+    done = subprocess.run([sys.executable, os.path.join(HERE, "make_goldens.py"), name],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout)
-    with open(os.path.join(HERE, "golden", f"{NAME}.json")) as fh:
+    with open(os.path.join(HERE, "golden", f"{name}.json")) as fh:
         gold = json.load(fh)
     assert got["config"] == gold["config"]
     for key in ("ndof", "marked", "mesh_hash"):
