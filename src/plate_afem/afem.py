@@ -130,7 +130,8 @@ class AfemLevel:
 
 @dataclass
 class AfemTrace:
-    """Per-level records plus the meshes and window solutions of the run."""
+    """Per-level records plus the meshes and window solutions of the run;
+    each window solution owns its ndof x N vectors (``ClusterSolution.window``)."""
 
     config: AfemConfig
     levels: list = field(default_factory=list)

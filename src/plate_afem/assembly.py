@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .quadrature import physical_points, triangle_rule
-from .space import MorleySpace, l2s_coordinates
+from .space import MorleySpace, _hessian_components, l2s_coordinates
 
 __all__ = [
     "assemble_stiffness",
@@ -45,7 +45,9 @@ def _scatter_symmetric(space, local):
 
 
 def _local_stiffness(space, rows):
-    feat = l2s_coordinates(space.basis_hessians[rows], space.mesh.areas[rows])
+    # the Hessians of these rows only, not the space's (T, 6, 3) array
+    hess = _hessian_components(space.basis[rows])
+    feat = l2s_coordinates(hess, space.mesh.areas[rows])
     return (np.einsum("tia,tja->tij", feat, feat),)
 
 

@@ -34,7 +34,9 @@ instead of 32 stiffness solves at ndof 24641), and moves λ by at most
 1.3e-15 and the estimator η² by at most 3.3e-14 relative.  The residual,
 orthonormality and diagonality gates that follow are unchanged by it.
 Eigenvectors are returned mass-orthonormal with a deterministic sign
-convention.
+convention; a window of a solution holds copies of its columns.  The
+Helmholtz Gram factorisations share the stiffness factor's SuperLU setting
+(``_symmetric_splu``).
 """
 
 from dataclasses import dataclass, field
@@ -100,16 +102,20 @@ class ClusterSolution:
         return np.arange(self.j_first, self.j_first + len(self.eigenvalues))
 
     def window(self, n: int, N: int) -> "ClusterSolution":
-        """Sub-window covering eigenvalue indices n+1 .. n+N (1-based)."""
+        """Sub-window covering eigenvalue indices n+1 .. n+N (1-based).
+
+        Its eigenvalues, vectors and residuals are copies, so a kept window
+        holds ndof x N floats, not the solve's whole block.
+        """
         lo = n + 1 - self.j_first
         hi = lo + N
         if lo < 0 or hi > len(self.eigenvalues):
             raise EigenError("window exceeds the computed spectrum")
         return ClusterSolution(
             j_first=n + 1,
-            eigenvalues=self.eigenvalues[lo:hi],
-            vectors=self.vectors[:, lo:hi],
-            residuals=self.residuals[lo:hi],
+            eigenvalues=self.eigenvalues[lo:hi].copy(),
+            vectors=self.vectors[:, lo:hi].copy(),
+            residuals=self.residuals[lo:hi].copy(),
             b_orthonormality_residual=self.b_orthonormality_residual,
             a_diagonality_residual=self.a_diagonality_residual,
             computed_spectrum=self.computed_spectrum,
@@ -179,7 +185,7 @@ def solve_gevp(A, M, count, dense_cutoff=900) -> ClusterSolution:
             raise EigenError(f"dense eigensolver failed: {exc}") from exc
     else:
         try:
-            lu = _spd_splu(A.T)
+            lu = _symmetric_splu(A.T, 0.0)
             factor_nnz = lu.nnz
 
             def shift_invert(x):
@@ -236,16 +242,18 @@ def solve_gevp(A, M, count, dense_cutoff=900) -> ClusterSolution:
     )
 
 
-def _spd_splu(A):
-    # for SPD A in CSC: symmetric mode with a symmetric minimum-degree
+def _symmetric_splu(A, diag_pivot_thresh):
+    # for symmetric A in CSC: symmetric mode with a symmetric minimum-degree
     # ordering fills L+U about 5x less than splu's COLAMD default.  relax=1
     # turns off relaxed supernodes, whose explicit zeros padded the factor
     # at ndof 24641 (mixed L-shape) from 1,053,138 to 1,241,866 entries and
     # the memory added while it is built from 17.3 to 23.0 MB; panel size 10
     # was the fastest of 4..20 for the factor plus 21 solves, summed over
     # the 12 shift-invert levels of that run (0.61 s against 0.92 s with
-    # SuperLU's defaults, 1 BLAS thread)
-    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    # SuperLU's defaults, 1 BLAS thread).  The stiffness matrix is SPD and
+    # takes diagonal pivots only (threshold 0); the Helmholtz saddle-point
+    # matrices pass 0.01 for their zero block.
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=diag_pivot_thresh,
                      relax=1, panel_size=10, options=dict(SymmetricMode=True))
 
 

@@ -24,7 +24,7 @@ import scipy.linalg as dla
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .eigen import _norm1
+from .eigen import _norm1, _symmetric_splu
 from .mesh import BoundaryPart, Triangulation
 from .space import MorleySpace, _p1_gradients, affine_kernel_coefficients, l2s_coordinates
 
@@ -362,11 +362,11 @@ class _Gram:
         K = sparse.bmat([[self.G - self.sigma * sparse.identity(n), self.C.T],
                          [self.C, None]], format="csc")
         try:
-            # diagonal pivots unless one is below 1e-2 of its column, as the
-            # zero block makes some; a larger threshold multiplies the fill
-            # of the unconstrained Hessian Gram matrix
-            return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-                             options=dict(SymmetricMode=True))
+            # the stiffness factor's setting; diagonal pivots unless one is
+            # below 1e-2 of its column, as the zero block makes some; a
+            # larger threshold multiplies the fill of the unconstrained
+            # Hessian Gram matrix
+            return _symmetric_splu(K, 0.01)
         except RuntimeError as exc:
             raise HelmholtzError(f"rank computation failed: {exc}") from exc
 

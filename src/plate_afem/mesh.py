@@ -91,6 +91,12 @@ class Triangulation:
     tri_edges : (T, 3) int array, global edge index opposite local vertex i
     edge_tris : (F, 2) int array, adjacent triangles (t_plus, t_minus);
         t_minus is -1 on the boundary
+    areas, h_t, centroids : per triangle |T|, |T|^(1/2) and the centroid
+    edge_lengths, edge_tangents, edge_normals, edge_midpoints : per edge
+
+    A refined mesh also keeps its parent map, its coarse mesh and the
+    coarse edge each new vertex bisects.  Orientation and vertex use are
+    checked on temporaries that the mesh does not keep.
     """
 
     def __init__(self, vertices, triangles, refedge=None, edge_tags=None,
@@ -132,11 +138,11 @@ class Triangulation:
         p = self.vertices[self.triangles]           # (T, 3, 2)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
-        self.signed_areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        if np.any(self.signed_areas <= 0.0):
-            bad = int(np.argmin(self.signed_areas))
+        areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        if np.any(areas <= 0.0):
+            bad = int(np.argmin(areas))
             raise MeshError(f"triangle {bad} is degenerate or not counterclockwise")
-        self.areas = self.signed_areas.copy()
+        self.areas = areas
         self.h_t = np.sqrt(self.areas)
         self.centroids = p.mean(axis=1)
 
@@ -180,12 +186,10 @@ class Triangulation:
         self.edge_midpoints = 0.5 * (self.vertices[endpoints[:, 0]]
                                      + self.vertices[endpoints[:, 1]])
 
-        # vertex -> incident triangle (any), for point evaluation at vertices
-        vt = np.full(len(self.vertices), -1, dtype=np.int64)
-        vt[tris.ravel()] = np.repeat(np.arange(ntri), 3)
-        if np.any(vt < 0):
+        used = np.zeros(len(self.vertices), dtype=bool)
+        used[tris.ravel()] = True
+        if not used.all():
             raise MeshError("mesh contains a vertex not used by any triangle")
-        self.vertex_tri = vt
 
     def _set_tags(self, edge_tags):
         self.edge_tags = np.ascontiguousarray(edge_tags, dtype=np.int64)

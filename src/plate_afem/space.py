@@ -18,6 +18,8 @@ were and computes only the new ones; the result is bitwise the same as a
 space built from scratch.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .mesh import BoundaryPart, Triangulation, ancestor_map
@@ -69,8 +71,12 @@ class BrokenFunction:
 
 def hessians(bf: BrokenFunction) -> np.ndarray:
     """Per-triangle Hessian components (h11, h22, h12) of a broken quadratic."""
-    c = bf.coeffs
-    return np.stack([2.0 * c[:, 3], 2.0 * c[:, 5], c[:, 4]], axis=1)
+    return _hessian_components(bf.coeffs)
+
+
+def _hessian_components(c):
+    # (h11, h22, h12) of centroid-frame quadratic coefficients on the last axis
+    return np.stack([2.0 * c[..., 3], 2.0 * c[..., 5], c[..., 4]], axis=-1)
 
 
 _L2S_SCALE = np.array([1.0, 1.0, np.sqrt(2.0)])
@@ -123,8 +129,14 @@ class MorleySpace:
         where e_i is the edge opposite vertex i
     basis : (T, 6, 6) local basis functions in the centroid monomial frame
     basis_hessians : (T, 6, 3) constant Hessian components (h11, h22, h12)
+        of the basis, formed from ``basis`` on first read and kept from
+        then on; the adaptive loop never reads it
     duality_residual : max deviation of the local DOF/basis duality from
         the identity over all triangles, checked against 1e-12
+
+    Besides these, a space keeps its element data (the basis with its
+    duality residual and, once assembled, the element stiffness and mass
+    matrices) and what ``derived`` made.
     """
 
     def __init__(self, mesh: Triangulation, coarse=None):
@@ -135,9 +147,10 @@ class MorleySpace:
         self._derived = {}
         self.basis, resid = self.element_data("basis", _dual_basis)
         self.duality_residual = float(resid.max())
-        c = self.basis
-        self.basis_hessians = np.stack(
-            [2.0 * c[:, :, 3], 2.0 * c[:, :, 5], c[:, :, 4]], axis=2)
+
+    @cached_property
+    def basis_hessians(self) -> np.ndarray:
+        return _hessian_components(self.basis)
 
     def _number_dofs(self):
         mesh = self.mesh

@@ -75,9 +75,9 @@ def lanczos_machine_precision(A, M, count):
     """Lowest ``count`` eigenpairs of the sparse pencil by ARPACK shift-invert
     at ``tol=0`` (machine precision) on the eigensolver's stiffness factor,
     vectors made M-orthonormal by a Cholesky polish."""
-    from plate_afem.eigen import _spd_splu
+    from plate_afem.eigen import _symmetric_splu
 
-    return shift_invert_lanczos(A, M, count, _spd_splu(A.tocsc()), tol=0)
+    return shift_invert_lanczos(A, M, count, _symmetric_splu(A.tocsc(), 0.0), tol=0)
 
 
 def shift_invert_lanczos(A, M, count, lu, tol):

@@ -1,16 +1,23 @@
-"""Replay the benchmark's pinned ``run_afem`` outcomes against this tree.
+"""Replay the benchmark's pinned outcomes against this tree.
 
 Run from the repository root:
 
-    python3 tests/replay_pins.py              # all pinned runs (minutes)
+    python3 tests/replay_pins.py              # every pin (minutes)
     python3 tests/replay_pins.py KEY [KEY ...]
 
-The pins in ``perfbench/pins/`` (``lshape_adaptive`` and ``bc_sweep``) are
-only read.  Each case runs with one BLAS thread, as in the benchmark, and
-is compared with ``workloads.afem_matches``: the same exception with its
-numbers masked, or the same ndof path and eigenvalues to 1e-9 relative.
-Every mismatch is printed on its own line, then the count; the exit status
-is 1 when any case mismatches or a key is unknown.
+The pins in ``perfbench/pins/`` are only read, and every case runs with
+one BLAS thread, as in the benchmark.  A ``run_afem`` pin
+(``lshape_adaptive`` and ``bc_sweep``) is compared with
+``workloads.afem_matches``: the same exception with its numbers masked, or
+the same ndof path and eigenvalues to 1e-9 relative.  A ``side_tools`` pin
+(key ``geometry|bc``) is replayed on the inputs of each of the seeds
+``SIDE_SEEDS`` through the benchmark's own checks (``workloads.run_pass``):
+the audit report exactly equal to the pin, the decomposition's relative
+residual and its share outside the Curl space each at most 1e-9
+(``workloads.decomposition_errors``), and the interpolant within 1e-12
+relative of the pinned interpolation matrix applied to the input.
+Every mismatch is printed on its own line, then the counts; the exit
+status is 1 when any case mismatches or a key is unknown.
 """
 
 import json
@@ -29,6 +36,7 @@ run.add_source_path()
 import workloads as wl  # noqa: E402
 
 WORKLOADS = ("lshape_adaptive", "bc_sweep")
+SIDE_SEEDS = (0, 1, 2)
 
 
 def pinned_cases(workdir):
@@ -51,24 +59,46 @@ def outcome(case):
         return wl.raised_outcome(exc)
 
 
+def side_results(keys, workdir):
+    """The benchmark's OpResults of the side-tools cases ``keys``, one
+    pass per seed of ``SIDE_SEEDS``, as (seed, result) pairs."""
+    pins = wl.load_pins("side_tools")
+    out = []
+    for seed in SIDE_SEEDS:
+        cases = [case for case in wl.make_inputs("side_tools", seed, workdir)
+                 if case.key in keys]
+        expected = wl.expected_values(cases, pins)
+        out += [(seed, res) for res in wl.run_pass(cases, pins, expected)]
+    return out
+
+
 def main(keys):
     with tempfile.TemporaryDirectory() as workdir:
         pinned = pinned_cases(workdir)
-        unknown = [key for key in keys if key not in pinned]
+        side_keys = set(wl.load_pins("side_tools"))
+        unknown = [key for key in keys if key not in pinned and key not in side_keys]
         for key in unknown:
             print(f"unknown key {key!r}")
         mismatches = 0
-        for key in keys or sorted(pinned):
-            if key not in pinned:
-                continue
+        afem_keys = [key for key in keys or sorted(pinned) if key in pinned]
+        for key in afem_keys:
             pin, case = pinned[key]
             got = {"raises": "no case", "message": ""} if case is None else outcome(case)
             if not wl.afem_matches(got, pin):
                 mismatches += 1
                 print(f"MISMATCH {key}: pinned {json.dumps(pin)[:160]} "
                       f"got {json.dumps(got)[:160]}")
-        replayed = len(keys) - len(unknown) if keys else len(pinned)
-    print(f"{mismatches} mismatches over {replayed} pinned runs")
+        side_sel = [key for key in keys or sorted(side_keys) if key in side_keys]
+        side = side_results(side_sel, workdir) if side_sel else []
+        for seed, res in side:
+            if not res.ok:
+                mismatches += 1
+                print(f"MISMATCH {res.key} {res.kind} seed {seed}: "
+                      f"{res.raised} {res.detail}"[:400])
+    counts = [f"{len(afem_keys)} pinned runs"] if afem_keys or not side else []
+    if side:
+        counts.append(f"{len(side)} side-tools operations ({len(SIDE_SEEDS)} seeds)")
+    print(f"{mismatches} mismatches over {' and '.join(counts)}")
     return 1 if mismatches or unknown else 0
 
 

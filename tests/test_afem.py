@@ -276,6 +276,16 @@ class TestSpaceLifetime:
         assert all(r() is None for r in refs)
 
 
+class TestTraceMemory:
+    def test_trace_keeps_only_the_window_vectors(self):
+        # ndof x N floats per level, not the solve's ndof x (n + N + buffer) block
+        cfg = AfemConfig(geometry="lshape", bc="mixed", max_levels=64, max_ndof=3000)
+        trace = afem.run_afem(cfg)
+        owned = [c.vectors if c.vectors.base is None else c.vectors.base
+                 for c in trace.clusters]
+        assert sum(v.nbytes for v in owned) == 8 * cfg.cluster_size * int(trace.ndofs.sum())
+
+
 class TestRates:
     def test_synthetic_inverse_ndof(self):
         nd = np.array([10, 20, 40, 80, 160, 320])

@@ -150,13 +150,13 @@ class TestSolveGevp:
             m = msh.uniform_refine(m)
         S = sp.build_space(m)
         A, M = asm.assemble_stiffness(S), asm.assemble_mass(S)
-        seen, spd_splu = [], eig._spd_splu
+        seen, symmetric_splu = [], eig._symmetric_splu
 
-        def spy(B):
+        def spy(B, diag_pivot_thresh):
             seen.append(B)
-            return spd_splu(B)
+            return symmetric_splu(B, diag_pivot_thresh)
 
-        monkeypatch.setattr(eig, "_spd_splu", spy)
+        monkeypatch.setattr(eig, "_symmetric_splu", spy)
         sol = eig.solve_gevp(A, M, 5)
         assert sol.path == "shift-invert" and len(seen) == 1
         assert np.shares_memory(seen[0].data, A.data)
@@ -211,6 +211,21 @@ class TestSolveGevp:
         assert win.path == sol.path == "dense"
         with pytest.raises(EigenError):
             sol.window(6, 4)
+
+    @pytest.mark.parametrize("dense_cutoff", [10 ** 9, 1])
+    def test_window_copies_its_columns(self, dense_cutoff):
+        # a kept window must not pin the solve's whole eigenvector block
+        m = msh.square_mesh("clamped")
+        for _ in range(3):
+            m = msh.uniform_refine(m)
+        S = sp.build_space(m)
+        sol = eig.solve_gevp(asm.assemble_stiffness(S), asm.assemble_mass(S), 6,
+                             dense_cutoff=dense_cutoff)
+        win = sol.window(1, 2)
+        for name in ("eigenvalues", "vectors", "residuals"):
+            assert not np.shares_memory(getattr(win, name), getattr(sol, name)), name
+        assert win.vectors.tobytes() == sol.vectors[:, 1:3].tobytes()
+        assert win.residuals.tobytes() == sol.residuals[1:3].tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -373,6 +373,24 @@ class TestMapOracles:
         hh.decompose(S, X, np.ones((m.num_triangles, 3)))
         assert hh._hessian_gram(S) is gram
 
+    def test_hessian_factor_no_larger_than_superlu_defaults(self):
+        # the stiffness factor's setting (no relaxed supernodes) on the
+        # saddle-point matrix K of the Hessian Gram matrix, against splu's
+        # default relaxation with the same ordering and pivot threshold
+        m, S, X = _setup("lshape", "mixed", refine=3)
+        gram = hh._hessian_gram(S)
+        n = gram.G.shape[0]
+        K = sparse.bmat([[gram.G - gram.sigma * sparse.identity(n), gram.C.T],
+                         [gram.C, None]], format="csc")
+        default = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                            options=dict(SymmetricMode=True))
+        assert gram._lu.nnz <= default.nnz
+        assert hh.dimension_audit(m, S, X) == {
+            "dim_identity_ok": True, "euler_ok": True, "x_constraints_independent": True,
+            "dims": {"dim_x": 377, "dim_x_expected": 377, "ndof": 775, "num_edges": 608,
+                     "num_interior_edges": 544, "num_triangles": 384, "num_vertices": 225,
+                     "rank_hessian_map": 775, "rank_sym_curl_map": 377}}
+
     @pytest.mark.parametrize("geometry,bc,refine", MESHES)
     def test_audit_ranks_match_qr(self, geometry, bc, refine):
         m, S, X = self._mesh(geometry, bc, refine)

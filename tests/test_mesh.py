@@ -40,6 +40,19 @@ class TestBuild:
         with pytest.raises(MeshError):
             msh.build_mesh(v, [(0, 2, 1)], [(0, 1, "free"), (1, 2, "free"), (2, 0, "free")])
 
+    def test_unused_vertex_rejected_with_message(self):
+        v = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        with pytest.raises(MeshError, match="^mesh contains a vertex not used by any triangle$"):
+            msh.Triangulation(v, [(0, 1, 2)])
+
+    @pytest.mark.parametrize("fourth,second", [((1.0, 1.0), (1, 2, 3)),    # clockwise
+                                               ((0.5, 0.5), (1, 3, 2))])   # zero area
+    def test_bad_orientation_names_the_triangle(self, fourth, second):
+        v = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), fourth]
+        with pytest.raises(MeshError,
+                           match="^triangle 1 is degenerate or not counterclockwise$"):
+            msh.Triangulation(v, [(0, 1, 2), second])
+
     def test_nonconforming_rejected(self):
         # three triangles sharing one edge
         v = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, -1.0), (1.0, 1.0)]

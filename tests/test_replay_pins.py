@@ -1,9 +1,10 @@
 """A fixed sample of the benchmark's pinned outcomes replays on this tree.
 
 ``tests/replay_pins.py`` replays every pin; this runs it in a subprocess,
-with its one-thread BLAS setting, on a sample of 13 pinned runs.  The
-benchmark's reference run is among them: it is the only pin whose late
-levels take the shift-invert path at ndof above 10000.
+with its one-thread BLAS setting, on a sample of 13 pinned runs and on two
+of the side-tools pins.  The benchmark's reference run is among them: it
+is the only pin whose late levels take the shift-invert path at ndof above
+10000.
 """
 
 import json
@@ -55,6 +56,15 @@ def test_pinned_sample_replays():
     done = _replay(SAMPLE)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines()[-1] == f"0 mismatches over {len(SAMPLE)} pinned runs"
+
+
+def test_side_tools_pins_replay():
+    # three operations per case and seed, through the benchmark's own checks
+    keys = ["lshape|mixed", "square|clamped"]
+    done = _replay(keys)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == (
+        f"0 mismatches over {3 * len(keys) * 3} side-tools operations (3 seeds)")
 
 
 def test_unknown_key_fails():

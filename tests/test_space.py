@@ -268,6 +268,21 @@ class TestSignConvention:
         assert np.abs(M2 - sign[:, None] * M1 * sign[None, :]).max() < 1e-13
 
 
+class TestBasisHessians:
+    def test_formed_on_first_read_only(self):
+        from plate_afem.assembly import assemble_stiffness
+
+        m = msh.uniform_refine(msh.preset_mesh("lshape", "mixed"))
+        space = sp.build_space(m)
+        assemble_stiffness(space)
+        assert "basis_hessians" not in vars(space)
+        c = space.basis
+        want = np.stack([2.0 * c[:, :, 3], 2.0 * c[:, :, 5], c[:, :, 4]], axis=2)
+        assert space.basis_hessians.shape == (m.num_triangles, 6, 3)
+        assert space.basis_hessians.tobytes() == want.tobytes()
+        assert space.basis_hessians is space.basis_hessians
+
+
 class TestElementReuse:
     """``build_space(mesh, coarse)`` copies the element data of the triangles
     that refinement left untouched; the space must equal one built from
