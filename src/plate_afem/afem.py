@@ -119,7 +119,6 @@ class AfemLevel:
     eta2_total: float
     marked: int
     m_j: float
-    sin_angle: float = float("nan")
     timings: dict = field(default_factory=dict)     # seconds per phase
     solver: dict = field(default_factory=dict)      # eigensolver diagnostics
 
@@ -155,7 +154,6 @@ class AfemTrace:
                 "marked", "m_j", "wall_time_s"]
         cols += [f"lambda_{j}" for j in js]
         cols += [f"lower_bound_{j}" for j in js]
-        cols += ["sin_angle_ref"]
         return ",".join(cols)
 
     def to_csv(self, path):
@@ -169,7 +167,6 @@ class AfemTrace:
                        repr(r.m_j), repr(wall)]
                 row += [repr(float(v)) for v in r.eigenvalues]
                 row += [repr(float(v)) for v in r.lower_bounds]
-                row += [repr(float(r.sin_angle))]
                 fh.write(",".join(row) + "\n")
 
 
@@ -189,7 +186,7 @@ def _phase(timings, name):
     timings[name] = time.perf_counter() - t0
 
 
-def _solve_level(level, space, config, timings, reference=None):
+def _solve_level(level, space, config, timings):
     # the level's record (with nothing marked yet), window and estimate
     with _phase(timings, "assemble"):
         A = assembly.assemble_stiffness(space)
@@ -207,8 +204,6 @@ def _solve_level(level, space, config, timings, reference=None):
         rep = eigen.separation(sol.computed_spectrum, config.window_indices())
     with _phase(timings, "estimate"):
         fld = estimator.estimate(space, cluster)
-    sin_angle = (float("nan") if reference is None
-                 else angle_to_reference(space, cluster, *reference))
     lam = cluster.eigenvalues
     lows = np.array([eigen.lower_bound(v, space.mesh.h_max, config.lower_bound_constant)
                      for v in lam])
@@ -221,29 +216,27 @@ def _solve_level(level, space, config, timings, reference=None):
     record = AfemLevel(
         level=level, ndof=space.ndof, num_triangles=space.mesh.num_triangles,
         h_max=space.mesh.h_max, eigenvalues=lam.copy(), lower_bounds=lows,
-        eta2_total=fld.total, marked=0, m_j=rep.m_j, sin_angle=sin_angle,
-        timings=timings, solver=solver)
+        eta2_total=fld.total, marked=0, m_j=rep.m_j, timings=timings,
+        solver=solver)
     return record, cluster, fld
 
 
-def run_afem(config: AfemConfig, reference=None) -> AfemTrace:
+def run_afem(config: AfemConfig) -> AfemTrace:
     """Run the adaptive loop until a stopping criterion fires.
 
-    ``reference`` is an optional pair (fine_space, fine_cluster) against
-    which the subspace angle of each level's window is recorded.  Raises
-    ClusterSplitError when the configured window cuts a numerically multiple
-    eigenvalue.
+    Raises ClusterSplitError when the configured window cuts a numerically
+    multiple eigenvalue.
     """
-    return _loop(config, reference, uniform=False)
+    return _loop(config, uniform=False)
 
 
 def uniform_trace(config: AfemConfig) -> AfemTrace:
     """Uniform-refinement counterpart of ``run_afem`` with the same records;
     every triangle counts as marked, and only the level and ndof limits stop."""
-    return _loop(config, None, uniform=True)
+    return _loop(config, uniform=True)
 
 
-def _loop(config, reference, uniform):
+def _loop(config, uniform):
     # decided from the boundary alone, so the dense and the sparse eigen
     # paths reject the same configs; refinement keeps the boundary parts
     mesh = config.initial_mesh()
@@ -261,7 +254,7 @@ def _loop(config, reference, uniform):
         with _phase(timings, "build_space"):
             # rebinding drops the previous level's space before the solve
             space = build_space(mesh, space)
-        record, cluster, fld = _solve_level(level, space, config, timings, reference)
+        record, cluster, fld = _solve_level(level, space, config, timings)
         record.solver["affine_kernel_dimension"] = rigid
         with _phase(timings, "mark"):
             marked = None if uniform else estimator.dorfler_mark(fld, config.theta)

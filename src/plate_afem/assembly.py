@@ -1,7 +1,7 @@
 """Assembly of the broken-Hessian stiffness form and the mass form.
 
 Stiffness entries are exact (piecewise quadratics have constant Hessians);
-mass entries use a rule of degree four which is exact for products of
+mass entries use the 7-point rule, which is exact for products of
 quadratics.  Element loops are vectorised and reduce in a fixed order, so
 repeated assembly is bit identical.  The element matrices are element data
 of the space: computed once per space, and only on the triangles that are
@@ -15,7 +15,7 @@ symmetry is exact.
 import numpy as np
 import scipy.sparse as sparse
 
-from .quadrature import physical_points, triangle_rule
+from .quadrature import SEVEN_POINT, physical_points
 from .space import MorleySpace, _hessian_components, l2s_coordinates
 
 __all__ = [
@@ -52,9 +52,8 @@ def _local_stiffness(space, rows):
 
 
 def _local_mass(space, rows):
-    rule = triangle_rule(4)
-    vals = _basis_at_rule(space, rule, rows)
-    local = np.einsum("q,tqi,tqj->tij", rule.weights, vals, vals)
+    vals = _basis_at_rule(space, rows)
+    local = np.einsum("q,tqi,tqj->tij", SEVEN_POINT.weights, vals, vals)
     local *= space.mesh.areas[rows, None, None]
     return (local,)
 
@@ -65,13 +64,13 @@ def assemble_stiffness(space: MorleySpace) -> sparse.csr_matrix:
 
 
 def assemble_mass(space: MorleySpace) -> sparse.csr_matrix:
-    """L2 mass matrix via a degree-4 rule (exact for quadratic pairs)."""
+    """L2 mass matrix via the 7-point rule (exact for quadratic pairs)."""
     return _scatter_symmetric(space, space.element_data("mass", _local_mass)[0])
 
 
-def _basis_at_rule(space, rule, rows=slice(None)):
+def _basis_at_rule(space, rows):
     mesh = space.mesh
-    pts = physical_points(rule, mesh.vertices[mesh.triangles[rows]])
+    pts = physical_points(SEVEN_POINT, mesh.vertices[mesh.triangles[rows]])
     d = pts - mesh.centroids[rows, None, :]
     mono = np.stack([np.ones_like(d[..., 0]), d[..., 0], d[..., 1],
                      d[..., 0] ** 2, d[..., 0] * d[..., 1], d[..., 1] ** 2],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import BoundaryPart, Triangulation
-from .quadrature import physical_points, triangle_rule
+from .quadrature import SEVEN_POINT, physical_points
 from .space import MorleySpace, hessians
 
 __all__ = ["EstimatorField", "MarkSet", "MarkingError", "estimate", "dorfler_mark"]
@@ -30,7 +30,6 @@ class EstimatorField:
 
     mesh: Triangulation
     eta2: np.ndarray          # (T,)
-    j_first: int
 
     @property
     def total(self) -> float:
@@ -71,9 +70,8 @@ def estimate(space: MorleySpace, cluster) -> EstimatorField:
         raise MarkingError("cluster vectors do not live on this space")
     lams = np.asarray(cluster.eigenvalues, dtype=float)
 
-    rule = triangle_rule(4)
-    pts = physical_points(rule, mesh.vertices[mesh.triangles]).reshape(-1, 2)
-    tri_of_point = np.repeat(np.arange(mesh.num_triangles), len(rule.weights))
+    pts = physical_points(SEVEN_POINT, mesh.vertices[mesh.triangles]).reshape(-1, 2)
+    tri_of_point = np.repeat(np.arange(mesh.num_triangles), len(SEVEN_POINT.weights))
     eta2 = np.zeros(mesh.num_triangles)
     interior_or_clamped = ((mesh.edge_tags == BoundaryPart.INTERIOR)
                            | (mesh.edge_tags == BoundaryPart.CLAMPED))
@@ -84,7 +82,7 @@ def estimate(space: MorleySpace, cluster) -> EstimatorField:
         bf = space.to_broken(u)
         # volume residual: h_T^4 * int_T (lambda u)^2, exact for quadratics
         vals = bf.value(tri_of_point, pts).reshape(mesh.num_triangles, -1)
-        int_u2 = np.einsum("q,tq->t", rule.weights, vals ** 2) * mesh.areas
+        int_u2 = np.einsum("q,tq->t", SEVEN_POINT.weights, vals ** 2) * mesh.areas
         eta2 += mesh.areas ** 2 * lam ** 2 * int_u2
 
         # tangential Hessian jumps, constant per edge
@@ -107,8 +105,7 @@ def estimate(space: MorleySpace, cluster) -> EstimatorField:
                              (np.nonzero(has_minus)[0], minus[has_minus])):
             np.add.at(eta2, t_ids, mesh.h_t[t_ids] * edge_int[f_ids])
 
-    return EstimatorField(mesh=mesh, eta2=eta2,
-                          j_first=getattr(cluster, "j_first", 1))
+    return EstimatorField(mesh=mesh, eta2=eta2)
 
 
 def dorfler_mark(field: EstimatorField, theta: float) -> MarkSet:

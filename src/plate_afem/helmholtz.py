@@ -26,7 +26,8 @@ import scipy.sparse.linalg as spla
 
 from .eigen import _norm1, _symmetric_splu
 from .mesh import BoundaryPart, Triangulation
-from .space import MorleySpace, _p1_gradients, affine_kernel_coefficients, l2s_coordinates
+from .space import (MorleySpace, _numerical_rank, _p1_gradients, affine_kernel_coefficients,
+                    l2s_coordinates)
 
 __all__ = [
     "XSpace",
@@ -39,7 +40,6 @@ __all__ = [
     "dimension_audit",
 ]
 
-_RANK_RTOL = 1e-10
 _KERNEL_RTOL, _RANGE_RTOL, _SHIFT_RTOL = 1e-13, 1e-9, 1e-11
 _REFINE_RTOL, _REFINE_STEPS = 1e-14, 8
 
@@ -129,7 +129,7 @@ def build_xspace(mesh: Triangulation) -> XSpace:
     C = sparse.csr_matrix((vals, (rows, cols)), shape=(n_constraints, 2 * n))
     C.eliminate_zeros()
     R, piv = dla.qr(C.T.toarray(), pivoting=True, mode="r")
-    rank = _pivoted_qr_rank(R)
+    rank = _numerical_rank(np.abs(np.diag(R)))
     expected = 2 * n - 3 - len(sf) - len(corners)
     return XSpace(mesh=mesh, constraints=C[np.sort(piv[:rank])], dim=2 * n - rank,
                   expected_dim=expected, n_constraints=n_constraints,
@@ -139,14 +139,6 @@ def build_xspace(mesh: Triangulation) -> XSpace:
 def _null_basis(C):
     """Orthonormal basis of the null space of independent sparse rows C."""
     return dla.qr(C.T.toarray(), mode="full")[0][:, C.shape[0]:]
-
-
-def _pivoted_qr_rank(R):
-    """Numerical rank read off the diagonal of a pivoted QR factor."""
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return 0
-    return int(np.sum(diag > _RANK_RTOL * diag[0]))
 
 
 def full_curl(mesh: Triangulation, nodal) -> np.ndarray:
@@ -213,7 +205,6 @@ class DecompositionResult:
     psi_nodal: np.ndarray      # (N, 2)
     residual: float            # L2 norm of sigma - D^2 phi - sym Curl psi
     orthogonality: float       # (D^2 phi, sym Curl psi)_L2
-    hessian_norm: float
     curl_norm: float           # L2 norm of the full Curl of psi
 
 
@@ -270,8 +261,7 @@ def decompose(space: MorleySpace, xspace: XSpace, sigma) -> DecompositionResult:
     curl_norm = float(np.sqrt(np.einsum("t,tab->", mesh.areas, curl ** 2)))
     return DecompositionResult(
         phi=phi, psi_nodal=psi_nodal, residual=resid,
-        orthogonality=ortho, hessian_norm=float(np.linalg.norm(part_h)),
-        curl_norm=curl_norm)
+        orthogonality=ortho, curl_norm=curl_norm)
 
 
 def _rank_deficient(expected, got):
@@ -287,7 +277,7 @@ def _kernel_dofs(Z):
     if k == 0:
         return np.zeros(0, dtype=np.int64)
     R, piv = dla.qr(Z.T, pivoting=True, mode="r")
-    if _pivoted_qr_rank(R) < k:
+    if _numerical_rank(np.abs(np.diag(R))) < k:
         raise RuntimeError("affine kernel basis is rank deficient")
     return piv[:k]
 

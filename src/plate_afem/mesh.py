@@ -100,8 +100,7 @@ class Triangulation:
     """
 
     def __init__(self, vertices, triangles, refedge=None, edge_tags=None,
-                 generation=None, parent=None, coarse=None,
-                 vertex_parent_edge=None):
+                 parent=None, coarse=None, vertex_parent_edge=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -119,8 +118,6 @@ class Triangulation:
             _longest_edge_assignment(self) if refedge is None else refedge,
             dtype=np.int64)
 
-        self.generation = (np.zeros(len(self.triangles), dtype=np.int64)
-                           if generation is None else np.asarray(generation))
         self.parent = None if parent is None else np.asarray(parent, dtype=np.int64)
         self.coarse = coarse
         # for refined meshes: coarse edge that each new vertex bisects (-1 otherwise)
@@ -345,8 +342,8 @@ def refine_nvb(mesh: Triangulation, marked) -> Triangulation:
     or its halves ``(m1, m, a)`` and ``(m1, p, m)`` when ``conv{a, p}`` is
     split at ``m1``, then ``(m, q, a)``, or its halves ``(m2, m, q)`` and
     ``(m2, a, m)`` when ``conv{q, a}`` is split at ``m2``.  Every child
-    refines the edge opposite its local vertex 0 next and is one generation
-    younger per bisection; an unsplit triangle is kept as it is.  New
+    refines the edge opposite its local vertex 0 next; an unsplit triangle
+    is kept as it is.  New
     vertices are the midpoints of the split edges in edge order.
 
     Returns the input object unchanged when nothing is marked.
@@ -418,17 +415,13 @@ def _apply_split(mesh, split_edge):
         np.where(split2[:, None], tri(m2, m, q), tri(m, q, a)),
         tri(m2, a, m),
     ], axis=1)                                       # (T, 4, 3)
-    gen = mesh.generation
-    gens = np.stack([np.where(split, gen + 1 + split1, gen), gen + 2,
-                     gen + 1 + split2, gen + 2], axis=1)
-    refs = np.zeros_like(gens)
+    refs = np.zeros((mesh.num_triangles, 4), dtype=np.int64)
     refs[:, 0] = np.where(split, 0, mesh.refedge)
     present = np.stack([np.ones_like(split), split1, split, split2], axis=1)
     parent, slot = np.nonzero(present)               # row-major: child order
 
     refined = Triangulation(new_vertices, slots[parent, slot], refs[parent, slot],
-                            generation=gens[parent, slot], parent=parent,
-                            coarse=mesh, vertex_parent_edge=vparent)
+                            parent=parent, coarse=mesh, vertex_parent_edge=vparent)
     refined._set_tags(_inherited_tags(mesh, refined))
     return refined
 

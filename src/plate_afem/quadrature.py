@@ -1,25 +1,18 @@
-"""Quadrature rules on triangles, verified for exactness at build time.
+"""The symmetric 7-point quadrature rule on triangles, exact to degree 5.
 
-Rules are stored in barycentric coordinates with weights normalised to sum
+The rule is stored in barycentric coordinates with weights normalised to sum
 to one, so that ``meas(T) * sum(w_q * f(x_q))`` approximates ``int_T f``.
+Degree 5 covers the products of two quadratics that the mass matrix and the
+estimator's volume residual integrate.  The rule is checked against the
+exact means of the barycentric monomials when the module loads.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial, sqrt
+from types import SimpleNamespace
 
 import numpy as np
 
-__all__ = ["QuadratureRule", "triangle_rule", "physical_points"]
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Barycentric points, weights (summing to 1) and verified exactness degree."""
-
-    points: np.ndarray   # (nq, 3)
-    weights: np.ndarray  # (nq,)
-    degree: int
+__all__ = ["SEVEN_POINT", "physical_points"]
 
 
 def _monomial_mean(a, b, c):
@@ -41,14 +34,7 @@ def _selftest(points, weights, degree, tol=5e-13):
                     )
 
 
-def _edge_midpoint_rule():
-    pts = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
-    w = np.full(3, 1.0 / 3.0)
-    return pts, w
-
-
 def _seven_point_rule():
-    # symmetric 7-point rule, exact to degree 5
     a1 = (6.0 - sqrt(15.0)) / 21.0
     a2 = (6.0 + sqrt(15.0)) / 21.0
     w1 = (155.0 - sqrt(15.0)) / 1200.0
@@ -59,46 +45,16 @@ def _seven_point_rule():
         for perm in ((1 - 2 * a, a, a), (a, 1 - 2 * a, a), (a, a, 1 - 2 * a)):
             pts.append(list(perm))
             wts.append(w)
-    return np.array(pts), np.array(wts)
-
-
-def _collapsed_gauss_rule(degree):
-    # tensor Gauss-Legendre mapped to the triangle; the Jacobian raises the
-    # required 1d exactness by one
-    n = (degree + 3) // 2
-    x, w = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
-    U, V = np.meshgrid(u, u, indexing="ij")
-    WU, WV = np.meshgrid(wu, wu, indexing="ij")
-    lam1 = U
-    lam2 = V * (1.0 - U)
-    lam3 = 1.0 - lam1 - lam2
-    weights = (WU * WV * (1.0 - U)).ravel() * 2.0
-    pts = np.stack([lam1.ravel(), lam2.ravel(), lam3.ravel()], axis=1)
-    return pts, weights
-
-
-@lru_cache(maxsize=None)
-def triangle_rule(degree: int) -> QuadratureRule:
-    """Return a quadrature rule exact for polynomials up to ``degree``."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree <= 2:
-        pts, w = _edge_midpoint_rule()
-        actual = 2
-    elif degree <= 5:
-        pts, w = _seven_point_rule()
-        actual = 5
-    else:
-        pts, w = _collapsed_gauss_rule(degree)
-        actual = degree
-    _selftest(pts, w, actual)
+    pts, wts = np.array(pts), np.array(wts)
+    _selftest(pts, wts, 5)
     pts.setflags(write=False)
-    w.setflags(write=False)
-    return QuadratureRule(points=pts, weights=w, degree=actual)
+    wts.setflags(write=False)
+    return SimpleNamespace(points=pts, weights=wts)
 
 
-def physical_points(rule: QuadratureRule, tri_coords: np.ndarray) -> np.ndarray:
-    """Map barycentric rule points to triangles given as (..., 3, 2) arrays."""
+SEVEN_POINT = _seven_point_rule()
+
+
+def physical_points(rule, tri_coords: np.ndarray) -> np.ndarray:
+    """Map the barycentric ``rule.points`` to triangles given as (..., 3, 2) arrays."""
     return np.einsum("qi,...id->...qd", rule.points, tri_coords)

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _DUALITY_TOL = 1e-12
+_RANK_RTOL = 1e-10
 
 
 class SpaceError(Exception):
@@ -163,7 +164,6 @@ class MorleySpace:
         free_e = np.nonzero(~constrained_e)[0]
         self.edge_dof[free_e] = len(free_v) + np.arange(len(free_e))
         self.ndof = len(free_v) + len(free_e)
-        self.num_vertex_dofs = len(free_v)
 
         self.cell_dofs = np.hstack([
             self.vertex_dof[mesh.triangles],
@@ -311,9 +311,16 @@ def _affine_kernel(mesh):
     ])
     if len(rows) == 0:
         return centre, scale, np.eye(3)
-    rank = int(np.linalg.matrix_rank(rows))
-    vt = np.linalg.svd(rows, full_matrices=len(rows) < 3)[2]
-    return centre, scale, vt[rank:].T
+    _, sigma, vt = np.linalg.svd(rows, full_matrices=len(rows) < 3)
+    return centre, scale, vt[_numerical_rank(sigma):].T
+
+
+def _numerical_rank(sizes):
+    """Numerical rank from descending magnitudes, the singular values or the
+    absolute diagonal of a pivoted QR factor: those above 1e-10 times the first."""
+    if sizes.size == 0 or sizes[0] == 0.0:
+        return 0
+    return int(np.sum(sizes > _RANK_RTOL * sizes[0]))
 
 
 def affine_kernel_dimension(mesh: Triangulation) -> int:
@@ -367,8 +374,12 @@ def _subedges(fine, coarse, amap):
     return np.nonzero(hit)[0], cand[hit, on[hit].argmax(axis=1)]
 
 
-def _broken_dof_values(space, bf):
-    """All DOF values of a broken quadratic on the space's mesh or a refinement.
+def morley_interpolate(space: MorleySpace, v) -> np.ndarray:
+    """Interpolate ``v`` into the space by matching all DOF functionals.
+
+    ``v`` is a BrokenFunction living on the space's mesh or a refinement of
+    it.  The result reproduces quadratics and its piecewise Hessian equals
+    the elementwise mean of the broken Hessian of ``v``.
 
     A vertex DOF is the mean of the traces of all adjacent fine triangles
     (refinement keeps the coarse vertex numbers).  An edge DOF is
@@ -376,12 +387,14 @@ def _broken_dof_values(space, bf):
     over the fine sub-edges f of the coarse edge e; the normal derivative is
     affine per side, so the midpoint value is its mean along f.
     """
-    coarse, fine = space.mesh, bf.mesh
+    if not isinstance(v, BrokenFunction):
+        raise SpaceError("expected a BrokenFunction")
+    coarse, fine = space.mesh, v.mesh
     amap = ancestor_map(fine, coarse)  # raises unless a refinement
     out = np.zeros(space.ndof)
 
     verts = fine.triangles.ravel()
-    traces = bf.value(np.repeat(np.arange(fine.num_triangles), 3), fine.vertices[verts])
+    traces = v.value(np.repeat(np.arange(fine.num_triangles), 3), fine.vertices[verts])
     mean = np.bincount(verts, weights=traces) / np.bincount(verts)
     free_v = np.nonzero(space.vertex_dof >= 0)[0]
     out[space.vertex_dof[free_v]] = mean[free_v]
@@ -390,9 +403,9 @@ def _broken_dof_values(space, bf):
     mid = fine.edge_midpoints[f]
     nu = coarse.edge_normals[parent]
     plus, minus = fine.edge_tris[f, 0], fine.edge_tris[f, 1]
-    dn = np.einsum("fd,fd->f", bf.gradient(plus, mid), nu)
+    dn = np.einsum("fd,fd->f", v.gradient(plus, mid), nu)
     two = minus >= 0
-    dn[two] = (dn[two] + np.einsum("fd,fd->f", bf.gradient(minus[two], mid[two]),
+    dn[two] = (dn[two] + np.einsum("fd,fd->f", v.gradient(minus[two], mid[two]),
                                    nu[two])) / 2.0
     total = np.bincount(parent, weights=fine.edge_lengths[f] * dn,
                         minlength=coarse.num_edges)
@@ -401,18 +414,6 @@ def _broken_dof_values(space, bf):
         raise SpaceError("edge is not resolved by the fine mesh")
     out[space.edge_dof[free_e]] = total[free_e] / coarse.edge_lengths[free_e]
     return out
-
-
-def morley_interpolate(space: MorleySpace, v) -> np.ndarray:
-    """Interpolate ``v`` into the space by matching all DOF functionals.
-
-    ``v`` is a BrokenFunction living on the space's mesh or a refinement of
-    it.  The result reproduces quadratics and its piecewise Hessian equals
-    the elementwise mean of the broken Hessian of ``v``.
-    """
-    if not isinstance(v, BrokenFunction):
-        raise SpaceError("expected a BrokenFunction")
-    return _broken_dof_values(space, v)
 
 
 def prolong_to_fine(arg, fine_mesh: Triangulation, space: MorleySpace = None) -> BrokenFunction:

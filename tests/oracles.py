@@ -29,10 +29,13 @@ Quadratics enter Morley interpolation as broken functions whose
 centroid-frame coefficients are written out by hand.  The mesh shape
 diagnostics (minimum angle, similarity classes, the matching-neighbour
 condition) and the edge-normal flip behind the sign-convention checks
-live here because only tests use them.
+live here because only tests use them, as do the quadrature rules of
+other degrees than the library's 7-point rule (``triangle_rule``).
 """
 
 import itertools
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,6 +127,40 @@ def duffy_rule(n):
     pts = np.stack([lam1, lam2, 1 - lam1 - lam2], axis=1)
     wts = (WU * WV * (1 - U)).ravel() * 2.0
     return pts, wts
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Barycentric points, weights (summing to 1) and verified exactness degree."""
+
+    points: np.ndarray   # (nq, 3)
+    weights: np.ndarray  # (nq,)
+    degree: int
+
+
+@lru_cache(maxsize=None)
+def triangle_rule(degree: int) -> QuadratureRule:
+    """A rule exact for polynomials up to ``degree``: the edge midpoints up to
+    degree 2, the library's 7-point rule up to 5 and a collapsed Gauss rule
+    beyond, each passing the library's monomial self-test."""
+    from plate_afem.quadrature import SEVEN_POINT, _selftest
+
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    if degree <= 2:
+        pts = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        w = np.full(3, 1.0 / 3.0)
+        actual = 2
+    elif degree <= 5:
+        pts, w, actual = SEVEN_POINT.points, SEVEN_POINT.weights, 5
+    else:
+        # the Jacobian raises the required 1d exactness by one
+        pts, w = duffy_rule((degree + 3) // 2)
+        actual = degree
+    _selftest(pts, w, actual)
+    pts.setflags(write=False)
+    w.setflags(write=False)
+    return QuadratureRule(points=pts, weights=w, degree=actual)
 
 
 def load_vector_duffy(space, f, n_gauss=8):
@@ -306,8 +343,7 @@ def decompose_lstsq(space, xspace, sigma):
     curl_norm = float(np.sqrt(np.einsum("t,tab->", mesh.areas, curl ** 2)))
     return DecompositionResult(
         phi=phi, psi_nodal=psi_nodal, residual=resid,
-        orthogonality=ortho, hessian_norm=float(np.linalg.norm(part_h)),
-        curl_norm=curl_norm)
+        orthogonality=ortho, curl_norm=curl_norm)
 
 
 def xspace_full_qr(mesh):
@@ -559,33 +595,32 @@ def apply_split_recursive(mesh, split_edge):
         f = table.get((min(p, q), max(p, q)))
         return f is not None and split_edge[f]
 
-    tris, refs, gens, parents = [], [], [], []
+    tris, refs, parents = [], [], []
 
-    def emit(tri, ref, gen, parent):
+    def emit(tri, ref, parent):
         tris.append(tri)
         refs.append(ref)
-        gens.append(gen)
         parents.append(parent)
 
-    def bisect(tri, k, gen, parent, depth):
+    def bisect(tri, k, parent, depth):
         # split conv{p, q} at m; children refine their inherited old edges next
         a, p, q = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
         m = midpoint_of(p, q)
         for child in ((m, a, p), (m, q, a)):
             if depth == 0 and edge_is_split(child[1], child[2]):
-                bisect(child, 0, gen + 1, parent, depth + 1)
+                bisect(child, 0, parent, depth + 1)
             else:
-                emit(child, 0, gen + 1, parent)
+                emit(child, 0, parent)
 
     for t in range(mesh.num_triangles):
         k = int(mesh.refedge[t])
         if split_edge[mesh.tri_edges[t, k]]:
-            bisect(tuple(mesh.triangles[t]), k, int(mesh.generation[t]), t, 0)
+            bisect(tuple(mesh.triangles[t]), k, t, 0)
         else:
-            emit(tuple(mesh.triangles[t]), k, int(mesh.generation[t]), t)
+            emit(tuple(mesh.triangles[t]), k, t)
 
     refined = Triangulation(new_vertices, np.array(tris), np.array(refs),
-                            generation=np.array(gens), parent=np.array(parents),
+                            parent=np.array(parents),
                             coarse=mesh, vertex_parent_edge=vparent)
 
     # a boundary edge of the refined mesh is either a surviving coarse edge or
@@ -606,8 +641,7 @@ def apply_split_recursive(mesh, split_edge):
                 raise MeshError("refined boundary edge has no parent edge")
         tags[f] = mesh.edge_tags[parent_edge]
     return Triangulation(new_vertices, refined.triangles, refined.refedge,
-                         edge_tags=tags, generation=refined.generation,
-                         parent=refined.parent, coarse=mesh,
+                         edge_tags=tags, parent=refined.parent, coarse=mesh,
                          vertex_parent_edge=vparent)
 
 

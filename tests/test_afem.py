@@ -163,8 +163,7 @@ class TestRunAfem:
         tr.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == ("level,ndof,num_triangles,h_max,eta2_total,marked,"
-                          "m_j,wall_time_s,lambda_1,lower_bound_1,"
-                          "sin_angle_ref")
+                          "m_j,wall_time_s,lambda_1,lower_bound_1")
         cols = afem.read_trace_csv(path)
         assert len(cols["ndof"]) == len(tr.levels)
 

@@ -6,11 +6,10 @@ import scipy.sparse.linalg as spla
 from plate_afem import assembly as asm
 from plate_afem import mesh as msh
 from plate_afem import space as sp
-from plate_afem.quadrature import triangle_rule
 
 from oracles import (energy_product_symbolic, load_vector_duffy, local_stiffness,
                      morley_basis_symbolic, quadratic_on, stiffness_kernel_dimension,
-                     symmetric_from_lower_triangle)
+                     symmetric_from_lower_triangle, triangle_rule)
 
 
 class TestStiffness:

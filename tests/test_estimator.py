@@ -20,7 +20,7 @@ class _Window:
 
 def _field(values):
     m = msh.square_mesh("clamped")
-    return EstimatorField(mesh=m, eta2=np.asarray(values, dtype=float), j_first=1)
+    return EstimatorField(mesh=m, eta2=np.asarray(values, dtype=float))
 
 
 class TestEstimate:
@@ -36,7 +36,7 @@ class TestEstimate:
         q = sp.morley_interpolate(S, quadratic_on(m, [0, 0, 0, 1.0, -0.3, 0]))
         lam = 2.0
         f = est.estimate(S, _Window([lam], q[:, None]))
-        from plate_afem.quadrature import triangle_rule
+        from oracles import triangle_rule
         rule = triangle_rule(4)
         bf = S.to_broken(q)
         pts = np.einsum("qi,tid->tqd", rule.points, m.vertices[m.triangles])

@@ -236,13 +236,6 @@ class TestRefine:
             else:
                 assert u.edge_tags[f] == BoundaryPart.SIMPLY_SUPPORTED
 
-    def test_generation_increments(self):
-        m = msh.triangle_mesh()
-        r = msh.refine_nvb(m, [0])
-        assert np.all(r.generation == 1)
-        r2 = msh.uniform_refine(r)
-        assert np.all(r2.generation == 3)  # two bisections per triangle
-
 
 class TestShapeRegularity:
     def test_min_angle_stable_over_uniform_refinement(self):
@@ -381,7 +374,7 @@ class TestBisectionAccounting:
             m = r
 
 
-_ORACLE_FIELDS = ("vertices", "triangles", "refedge", "generation", "parent",
+_ORACLE_FIELDS = ("vertices", "triangles", "refedge", "parent",
                   "vertex_parent_edge", "edges", "edge_tags", "tri_edges",
                   "edge_tris")
 _ORACLE_CASES = [(geom, bc) for geom in ("square", "lshape", "triangle")
