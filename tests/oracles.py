@@ -30,7 +30,9 @@ centroid-frame coefficients are written out by hand.  The mesh shape
 diagnostics (minimum angle, similarity classes, the matching-neighbour
 condition) and the edge-normal flip behind the sign-convention checks
 live here because only tests use them, as do the quadrature rules of
-other degrees than the library's 7-point rule (``triangle_rule``).
+other degrees than the library's 7-point rule (``triangle_rule``).  The
+affine-kernel dimension is checked against numpy's ``matrix_rank``
+tolerance, in place of the relative 1e-10 rule read off the library's SVD.
 """
 
 import itertools
@@ -300,6 +302,23 @@ def qr_rank(B):
     R, _ = dla.qr(B, pivoting=True, mode="r")
     diag = np.abs(np.diag(R))
     return 0 if diag[0] == 0.0 else int(np.sum(diag > 1e-10 * diag[0]))
+
+
+def affine_kernel_dimension_matrix_rank(mesh):
+    """3 minus ``np.linalg.matrix_rank`` (its default, SVD-based tolerance) of
+    the eliminated DOFs of ``[1, x, y]``: the value at each constrained
+    vertex, in coordinates centred at the vertex mean and divided by the
+    largest extent, and the normal derivative on each clamped edge."""
+    from plate_afem.mesh import BoundaryPart
+
+    constrained_v = mesh.vertices_on(BoundaryPart.CLAMPED, BoundaryPart.SIMPLY_SUPPORTED)
+    clamped = mesh.edge_tags == BoundaryPart.CLAMPED
+    xy = (mesh.vertices[constrained_v] - mesh.vertices.mean(axis=0)) / np.ptp(
+        mesh.vertices, axis=0).max()
+    rows = np.vstack([np.column_stack([np.ones(len(xy)), xy]),
+                      np.column_stack([np.zeros(int(clamped.sum())),
+                                       mesh.edge_normals[clamped]])])
+    return 3 - (int(np.linalg.matrix_rank(rows)) if len(rows) else 0)
 
 
 def stiffness_kernel_dimension(space, tol=1e-8):

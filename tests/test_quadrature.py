@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plate_afem.quadrature import physical_points
+from plate_afem.quadrature import SEVEN_POINT, physical_points
 
 from oracles import triangle_rule
 
@@ -12,6 +12,21 @@ def test_monomial_exactness(degree):
     rule = triangle_rule(degree)
     assert rule.degree >= degree
     assert abs(rule.weights.sum() - 1.0) < 5e-13
+
+
+def test_library_rule_is_the_seven_point_rule():
+    # rebuilt from its constants: the centroid with weight 9/40, then the
+    # orbits of a = (6 -+ sqrt 15)/21 with weights (155 -+ sqrt 15)/1200
+    r = np.sqrt(15.0)
+    pts, wts = [[1.0 / 3.0] * 3], [9.0 / 40.0]
+    for a, w in (((6.0 - r) / 21.0, (155.0 - r) / 1200.0),
+                 ((6.0 + r) / 21.0, (155.0 + r) / 1200.0)):
+        b = 1.0 - 2.0 * a
+        pts += [[b, a, a], [a, b, a], [a, a, b]]
+        wts += [w] * 3
+    assert SEVEN_POINT.points.tobytes() == np.array(pts).tobytes()
+    assert SEVEN_POINT.weights.tobytes() == np.array(wts).tobytes()
+    assert SEVEN_POINT.points.shape == (7, 3) and SEVEN_POINT.weights.shape == (7,)
 
 
 def test_weights_positive_smallest_rules():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from plate_afem import mesh as msh
 from plate_afem import space as sp
 from plate_afem.space import SpaceError
 
-from oracles import flip_edge_orientation, morley_interpolate_geometric, quadratic_on
+from oracles import (affine_kernel_dimension_matrix_rank, flip_edge_orientation,
+                     morley_interpolate_geometric, quadratic_on)
 
 
 class TestDofCounts:
@@ -27,6 +30,21 @@ class TestDofCounts:
         S = sp.build_space(m)
         assert np.all(S.vertex_dof == -1)
         assert S.ndof == 4
+
+    def test_affine_kernel_dimension_matches_matrix_rank_rule(self):
+        # every per-segment BC list of the three presets, as given and
+        # refined once uniformly: the rank read off the one SVD with the
+        # relative 1e-10 rule against numpy's matrix_rank
+        cases = 0
+        for geometry, segments in (("square", 4), ("lshape", 6), ("triangle", 3)):
+            for bc in itertools.product(("clamped", "simply_supported", "free"),
+                                        repeat=segments):
+                m = msh.preset_mesh(geometry, list(bc))
+                for mesh in (m, msh.uniform_refine(m)):
+                    assert (sp.affine_kernel_dimension(mesh)
+                            == affine_kernel_dimension_matrix_rank(mesh)), (geometry, bc)
+                    cases += 1
+        assert cases == 1674
 
 
 class TestDuality:
