@@ -61,7 +61,7 @@ class AfemConfig:
     buffer: int = 4
     lower_bound_constant: float = 1.0
     deterministic: bool = False
-    dense_cutoff: int = 900
+    dense_cutoff: int = eigen.DENSE_CUTOFF
     mesh_file: object = None
 
     def __post_init__(self):

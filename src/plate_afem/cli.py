@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 usage or missing input, 3 numerical failure,
 4 theorem-audit failure.  All numeric output is shortest round-trip
 decimal.  ``PLATE_AFEM_THREADS`` caps the linear-algebra thread pools;
-deterministic mode forces a single thread and zeroes recorded wall times so
-repeated runs are byte identical.
+deterministic mode (the ``--deterministic`` flag, or ``"deterministic": true``
+in a ``run`` config) forces a single thread and zeroes recorded wall times
+so repeated runs are byte identical.
 """
 
 import argparse
@@ -83,20 +84,20 @@ def _build_parser():
     return p
 
 
+def _read_config(args):
+    # read before the thread pools are set up, so that a config's
+    # "deterministic" caps the threads just as the flag does
+    with open(args.config) as fh:
+        args.doc = json.load(fh)
+    if isinstance(args.doc, dict) and args.doc.get("deterministic"):
+        args.deterministic = True
+
+
 def _cmd_run(args):
     from . import afem
     from .mesh import mesh_hash, save_mesh
 
-    try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        print(f"config file not found: {args.config}", file=sys.stderr)
-        return _EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"malformed config: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    config = afem.AfemConfig.from_dict(doc)
+    config = afem.AfemConfig.from_dict(args.doc)
     if args.deterministic:
         config.deterministic = True
 
@@ -248,6 +249,15 @@ def _version():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "run":
+        try:
+            _read_config(args)
+        except FileNotFoundError:
+            print(f"config file not found: {args.config}", file=sys.stderr)
+            return _EXIT_USAGE
+        except json.JSONDecodeError as exc:
+            print(f"malformed config: {exc}", file=sys.stderr)
+            return _EXIT_USAGE
     try:
         _configure_threads(getattr(args, "deterministic", False))
     except ValueError as exc:  # only a non-integer PLATE_AFEM_THREADS

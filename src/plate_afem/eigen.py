@@ -39,7 +39,7 @@ Helmholtz Gram factorisations share the stiffness factor's SuperLU setting
 (``_symmetric_splu``).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as dla
@@ -57,6 +57,7 @@ __all__ = [
     "lower_bound",
 ]
 
+DENSE_CUTOFF = 900          # largest dimension solved by the dense path
 _RESID_FACTOR = 1e-8
 _LANCZOS_TOL = 1e-10        # ARPACK relative Ritz tolerance of the shift-invert path
 _GRAM_CONDITION_LIMIT = 1e12
@@ -111,19 +112,10 @@ class ClusterSolution:
         hi = lo + N
         if lo < 0 or hi > len(self.eigenvalues):
             raise EigenError("window exceeds the computed spectrum")
-        return ClusterSolution(
-            j_first=n + 1,
-            eigenvalues=self.eigenvalues[lo:hi].copy(),
-            vectors=self.vectors[:, lo:hi].copy(),
-            residuals=self.residuals[lo:hi].copy(),
-            b_orthonormality_residual=self.b_orthonormality_residual,
-            a_diagonality_residual=self.a_diagonality_residual,
-            computed_spectrum=self.computed_spectrum,
-            computed_residuals=self.computed_residuals,
-            path=self.path,
-            lanczos_solves=self.lanczos_solves,
-            factor_nnz=self.factor_nnz,
-        )
+        return replace(self, j_first=n + 1,
+                       eigenvalues=self.eigenvalues[lo:hi].copy(),
+                       vectors=self.vectors[:, lo:hi].copy(),
+                       residuals=self.residuals[lo:hi].copy())
 
 
 @dataclass
@@ -148,7 +140,7 @@ def _as_csr(op):
     return csr
 
 
-def solve_gevp(A, M, count, dense_cutoff=900) -> ClusterSolution:
+def solve_gevp(A, M, count, dense_cutoff=DENSE_CUTOFF) -> ClusterSolution:
     """Lowest ``count`` eigenpairs of ``A x = lambda M x``.
 
     ``A`` must be symmetric and ``M`` symmetric positive definite; both may

@@ -75,6 +75,18 @@ class TestRun:
         assert all(v == 0.0 for r in per_level for v in r["timings"].values())
         assert per_level[0]["solver"]["path"] == "dense"
 
+    def test_config_deterministic_caps_threads(self, tmp_path, monkeypatch):
+        for var in cli._THREAD_VARS + ("PLATE_AFEM_THREADS",):
+            monkeypatch.delenv(var, raising=False)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"geometry": "square", "max_levels": 1,
+                                    "deterministic": True}))
+        out = str(tmp_path / "trace.csv")
+        assert run_cli(["run", "--config", str(path), "--out", out]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        per_level = json.load(open(out + ".manifest.json"))["per_level"]
+        assert all(v == 0.0 for r in per_level for v in r["timings"].values())
+
     def test_missing_config_exit_2(self, tmp_path):
         out = str(tmp_path / "t.csv")
         assert run_cli(["run", "--config", str(tmp_path / "nope.json"),

@@ -227,6 +227,20 @@ class TestSolveGevp:
         assert win.vectors.tobytes() == sol.vectors[:, 1:3].tobytes()
         assert win.residuals.tobytes() == sol.residuals[1:3].tobytes()
 
+    @pytest.mark.parametrize("dense_cutoff", [10 ** 9, 1])
+    def test_window_passes_every_other_field_through(self, dense_cutoff):
+        m = msh.uniform_refine(msh.uniform_refine(msh.square_mesh("clamped")))
+        S = sp.build_space(m)
+        sol = eig.solve_gevp(asm.assemble_stiffness(S), asm.assemble_mass(S), 6,
+                             dense_cutoff=dense_cutoff)
+        win = sol.window(1, 2)
+        assert win.j_first == 2
+        copied = {"j_first", "eigenvalues", "vectors", "residuals"}
+        others = set(sol.__dataclass_fields__) - copied
+        assert len(others) == 7
+        for name in others:
+            assert getattr(win, name) is getattr(sol, name), name
+
 
 @pytest.fixture(scope="module")
 def lshape_mixed_trace():
