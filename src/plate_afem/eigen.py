@@ -5,36 +5,24 @@ CSR once (sorted indices, no duplicates; a non-canonical input is summed
 into a copy and left as it was).  The assembled matrices of ``assembly``
 are already symmetric canonical CSR, so that conversion is free for them,
 and the stiffness factorisation reads the CSR's own arrays through its
-CSC view ``A.T`` instead of a ``tocsc()`` copy (2.4 MB at ndof 24641).
+CSC view ``A.T`` instead of a copy.
 
-The pencil is reduced through a Cholesky factor of the mass matrix and
-solved by the standard dense symmetric path (tridiagonalisation plus
-implicit-shift iteration, via LAPACK); a shift-invert Lanczos path takes
-over beyond the dense cutoff.  That path factors the stiffness matrix once
-with SuperLU in symmetric mode (diagonal pivots, MMD_AT_PLUS_A minimum-degree
-ordering) and hands the solve to ARPACK as the shift-invert operator.
-The factor is built without relaxed supernodes (``relax=1``, panel size
-10): SuperLU's default relaxation (Demmel, Eisenstat, Gilbert, Li & Liu,
-SIAM J. Matrix Anal. Appl. 20, 1999) pads the factor with explicit zeros
-that this stiffness pattern does not repay.  At ndof 24641 on the mixed
-L-shape the stored L+U entries fall from 1,241,866 to 1,053,138 and the
-memory added while the factor is built from 25.4 to 17.3 MB (the copy
-included).  On the mixed L-shape, the clamped square and the clamped
-L-shape run to ndof 20000 it keeps every mesh and stiffness-solve count,
-and moves λ by at most 1.3e-12 and η² by at most 2.5e-13 relative; the
-J={2,3} window from the twice-refined clamped square marks a different
-set at its roundoff tie λ₂ = λ₃ (level 10, ndof 2169), with the same
-counts.
-ARPACK stops once every wanted Ritz value of the shift-inverted operator
-is converged to the relative tolerance 1e-10 (its stopping rule, Lehoucq,
-Sorensen & Yang, *ARPACK Users' Guide*, 1998, §4.6), not to machine
-precision.  On the adaptive levels of the mixed L-shape that ends the
-iteration after its first Lanczos cycle, without an implicit restart (21
-instead of 32 stiffness solves at ndof 24641), and moves λ by at most
-1.3e-15 and the estimator η² by at most 3.3e-14 relative.  The residual,
-orthonormality and diagonality gates that follow are unchanged by it.
-Eigenvectors are returned mass-orthonormal with a deterministic sign
-convention; a window of a solution holds copies of its columns.  The
+Up to ``DENSE_CUTOFF`` unknowns the pencil is reduced through a Cholesky
+factor of the mass matrix and solved by the standard dense symmetric path
+(tridiagonalisation plus implicit-shift iteration, via LAPACK).  Beyond it
+a shift-invert Lanczos path factors the stiffness matrix once with SuperLU
+in symmetric mode (diagonal pivots, MMD_AT_PLUS_A minimum-degree ordering)
+and hands the solve to ARPACK as the shift-invert operator.  The factor is
+built without relaxed supernodes (``relax=1``, panel size 10): SuperLU's
+default relaxation (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix
+Anal. Appl. 20, 1999) pads the factor with explicit zeros that this
+stiffness pattern does not repay.  ARPACK stops once every wanted Ritz
+value of the shift-inverted operator is converged to the relative
+tolerance 1e-10 (its stopping rule, Lehoucq, Sorensen & Yang, *ARPACK
+Users' Guide*, 1998, §4.6), not to machine precision: the residual,
+orthonormality and diagonality gates that follow decide whether a pair is
+accepted.  Eigenvectors are returned mass-orthonormal with a deterministic
+sign convention; a window of a solution holds copies of its columns.  The
 Helmholtz Gram factorisations share the stiffness factor's SuperLU setting
 (``_symmetric_splu``).
 """
@@ -148,8 +136,7 @@ def solve_gevp(A, M, count, dense_cutoff=DENSE_CUTOFF) -> ClusterSolution:
     CSR.  The shift-invert path starts Lanczos from the constant unit
     vector, so repeated solves are identical, and stops at ARPACK's
     relative Ritz tolerance 1e-10 rather than at machine precision, which
-    saves a second restart cycle (32 → 21 stiffness solves at ndof 24641)
-    and moves λ by at most 1.3e-15 relative.  The returned pairs pass the
+    saves an implicit restart.  The returned pairs pass the
     same gates on both paths: residual 1e-8 of ``‖A‖₁ + |λ|‖M‖₁``, mass
     orthonormality 1e-10 and stiffness diagonality 1e-8.  Multiple
     eigenvalues return an M-orthonormal basis of the invariant subspace.
@@ -236,13 +223,10 @@ def solve_gevp(A, M, count, dense_cutoff=DENSE_CUTOFF) -> ClusterSolution:
 
 def _symmetric_splu(A, diag_pivot_thresh):
     # for symmetric A in CSC: symmetric mode with a symmetric minimum-degree
-    # ordering fills L+U about 5x less than splu's COLAMD default.  relax=1
-    # turns off relaxed supernodes, whose explicit zeros padded the factor
-    # at ndof 24641 (mixed L-shape) from 1,053,138 to 1,241,866 entries and
-    # the memory added while it is built from 17.3 to 23.0 MB; panel size 10
-    # was the fastest of 4..20 for the factor plus 21 solves, summed over
-    # the 12 shift-invert levels of that run (0.61 s against 0.92 s with
-    # SuperLU's defaults, 1 BLAS thread).  The stiffness matrix is SPD and
+    # ordering fills L+U far less than splu's COLAMD default.  relax=1
+    # turns off relaxed supernodes, whose explicit zeros only pad this
+    # factor; panel size 10 was the fastest measured for the factor plus
+    # the Lanczos solves.  The stiffness matrix is SPD and
     # takes diagonal pivots only (threshold 0); the Helmholtz saddle-point
     # matrices pass 0.01 for their zero block.
     return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=diag_pivot_thresh,
