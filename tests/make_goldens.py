@@ -14,6 +14,9 @@ hash, ndof and marked count of every level.  ``lshape_mixed_J1_path`` is
 the same record for the benchmark's reference run (``lshape_adaptive``:
 the mixed L-shape, J={1}, theta 0.5, ``max_ndof`` 20000).  A marking tie
 flip that keeps every count shows there as a changed hash.
+``level_digests`` holds what ``tests/level_digest.py --max-ndof 1500``
+prints for each of its named runs, which covers dense and shift-invert
+levels: a change that moves any level's arrays by one bit moves a digest.
 
 BLAS runs on one thread, set before numpy loads, as in the benchmark
 (``perfbench/run.configure_threads``): adaptive paths depend on the thread
@@ -25,6 +28,7 @@ the regression the record exists to catch.
 
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -90,9 +94,24 @@ def lshape_mixed_J1_path():
     }
 
 
+DIGEST_MAX_NDOF = 1500
+DIGEST_NAMES = ("lshape_mixed_J1", "square_clamped_J1", "square_clamped_J23")
+
+
+def level_digests():
+    argv = [sys.executable, os.path.join(ROOT, "tests", "level_digest.py"),
+            "--max-ndof", str(DIGEST_MAX_NDOF), *DIGEST_NAMES]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    return {
+        "config": {"max_ndof": DIGEST_MAX_NDOF, "blas_threads": run.BLAS_THREADS},
+        "digests": dict(line.split() for line in out.splitlines()),
+    }
+
+
 RECORDS = {"square_clamped_theta05": square_clamped_theta05,
            "square_clamped_J23_path": square_clamped_J23_path,
-           "lshape_mixed_J1_path": lshape_mixed_J1_path}
+           "lshape_mixed_J1_path": lshape_mixed_J1_path,
+           "level_digests": level_digests}
 
 
 def main(argv):
