@@ -6,8 +6,9 @@ quadratics.  Element loops are vectorised and reduce in a fixed order, so
 repeated assembly is bit identical.  The element matrices are element data
 of the space: computed once per space, and only on the triangles that are
 new on its mesh when the space was built from the parent mesh's space.  The
-stiffness and the mass matrix scatter through one set of lower-triangle
-triplet indices per space and are returned as ``scipy.sparse.csr_matrix``
+stiffness and the mass matrix each build the lower-triangle triplet
+indices they scatter through and drop them after the scatter, so a space
+keeps no scatter indices.  Both are returned as ``scipy.sparse.csr_matrix``
 holding both triangles: the lower triangle is summed once and mirrored, so
 symmetry is exact.
 """
@@ -26,20 +27,21 @@ __all__ = [
 
 def _lower_triplets(space):
     # global row and column of every free lower-triangle entry of the
-    # (T, 6, 6) element matrices, and the mask that picks those entries
-    dofs = space.cell_dofs                      # (T, 6), -1 = constrained
-    rows = np.repeat(dofs[:, :, None], 6, axis=2).ravel()
-    cols = np.repeat(dofs[:, None, :], 6, axis=1).ravel()
-    keep = (rows >= 0) & (cols >= 0) & (rows >= cols)
-    return rows[keep].astype(np.int32), cols[keep].astype(np.int32), keep
+    # (T, 6, 6) element matrices, and the (T, 6, 6) mask that picks them;
+    # a constrained DOF (-1) compares below every row and above every column
+    dofs = space.cell_dofs.astype(np.int32)     # (T, 6), -1 = constrained
+    as_col = np.where(dofs >= 0, dofs, np.iinfo(np.int32).max)
+    keep = dofs[:, :, None] >= as_col[:, None, :]
+    return (np.repeat(dofs[:, :, None], 6, axis=2)[keep],
+            np.repeat(dofs[:, None, :], 6, axis=1)[keep], keep)
 
 
 def _scatter_symmetric(space, local):
     """Symmetric CSR matrix of the (T, 6, 6) element matrices: the lower
     triangle is summed once and mirrored, so symmetry is exact."""
-    rows, cols, keep = space.derived("lower_triplets", _lower_triplets)
+    rows, cols, keep = _lower_triplets(space)
     n = space.ndof
-    lower = sparse.coo_matrix((local.ravel()[keep], (rows, cols)), shape=(n, n)).tocsr()
+    lower = sparse.coo_matrix((local[keep], (rows, cols)), shape=(n, n)).tocsr()
     lower.sum_duplicates()
     return (lower + sparse.tril(lower, k=-1).T).tocsr()
 

@@ -89,7 +89,9 @@ def _read_config(args):
     # "deterministic" caps the threads just as the flag does
     with open(args.config) as fh:
         args.doc = json.load(fh)
-    if isinstance(args.doc, dict) and args.doc.get("deterministic"):
+    if not isinstance(args.doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(args.doc).__name__}")
+    if args.doc.get("deterministic"):
         args.deterministic = True
 
 
@@ -255,7 +257,7 @@ def main(argv=None) -> int:
         except FileNotFoundError:
             print(f"config file not found: {args.config}", file=sys.stderr)
             return _EXIT_USAGE
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or not an object
             print(f"malformed config: {exc}", file=sys.stderr)
             return _EXIT_USAGE
     try:

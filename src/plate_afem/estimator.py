@@ -35,14 +35,6 @@ class EstimatorField:
     def total(self) -> float:
         return float(self.eta2.sum())
 
-    def to_csv(self, path):
-        mesh = self.mesh
-        with open(path, "w") as fh:
-            fh.write("triangle_id,centroid_x,centroid_y,eta2\n")
-            for t in range(mesh.num_triangles):
-                cx, cy = mesh.centroids[t]
-                fh.write(f"{t},{cx!r},{cy!r},{float(self.eta2[t])!r}\n")
-
 
 @dataclass
 class MarkSet:

@@ -92,7 +92,12 @@ class Triangulation:
     edge_tris : (F, 2) int array, adjacent triangles (t_plus, t_minus);
         t_minus is -1 on the boundary
     areas, h_t, centroids : per triangle |T|, |T|^(1/2) and the centroid
-    edge_lengths, edge_tangents, edge_normals, edge_midpoints : per edge
+    edge_lengths, edge_tangents : per edge
+
+    Computed on every read from the stored arrays and kept by no mesh:
+    ``edge_normals`` (the tangent turned clockwise), ``edge_midpoints``
+    (from ``edges`` and ``vertices``), and ``boundary_edge_mask`` and
+    ``interior_edge_mask`` (from ``edge_tris``).  They are read-only.
 
     A refined mesh also keeps its parent map, its coarse mesh and the
     coarse edge each new vertex bisects.  Orientation and vertex use are
@@ -165,8 +170,6 @@ class Triangulation:
         two = counts == 2
         edge_tris[two, 1] = flat_tri[order[starts[two] + 1]]
         self.edge_tris = edge_tris
-        self.boundary_edge_mask = edge_tris[:, 1] == -1
-        self.interior_edge_mask = ~self.boundary_edge_mask
 
         # orient endpoints as traversed by the plus triangle (ccw), so the
         # normal rot-90(tangent) points out of it
@@ -177,11 +180,7 @@ class Triangulation:
         self.edge_lengths = np.linalg.norm(vec, axis=1)
         if np.any(self.edge_lengths <= 0.0):
             raise MeshError("zero-length edge")
-        tangent = vec / self.edge_lengths[:, None]
-        self.edge_tangents = tangent
-        self.edge_normals = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
-        self.edge_midpoints = 0.5 * (self.vertices[endpoints[:, 0]]
-                                     + self.vertices[endpoints[:, 1]])
+        self.edge_tangents = vec / self.edge_lengths[:, None]
 
         used = np.zeros(len(self.vertices), dtype=bool)
         used[tris.ravel()] = True
@@ -201,6 +200,25 @@ class Triangulation:
             raise MeshError("interior edge carries a boundary tag")
         if np.any(boundary_bad):
             raise MeshError("boundary edge is missing a part label")
+
+    # -- edge data computed on read -------------------------------------------
+
+    @property
+    def edge_normals(self):
+        tangent = self.edge_tangents
+        return np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+
+    @property
+    def edge_midpoints(self):
+        return 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
+
+    @property
+    def boundary_edge_mask(self):
+        return self.edge_tris[:, 1] == -1
+
+    @property
+    def interior_edge_mask(self):
+        return ~self.boundary_edge_mask
 
     # -- incidence / query API ------------------------------------------------
 

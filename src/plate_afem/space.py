@@ -137,7 +137,8 @@ class MorleySpace:
 
     Besides these, a space keeps its element data (the basis with its
     duality residual and, once assembled, the element stiffness and mass
-    matrices) and what ``derived`` made.
+    matrices) and what ``derived`` made: the Hessian Gram factor of the
+    Helmholtz audit, never scatter indices of the assembly.
     """
 
     def __init__(self, mesh: Triangulation, coarse=None):

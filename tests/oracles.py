@@ -711,8 +711,9 @@ def matching_neighbor_violations(mesh):
 
 
 def flip_edge_orientation(mesh, edge_id):
-    """Copy of ``mesh`` with the stored normal of one interior edge reversed,
-    and its endpoints and adjacent triangles swapped to match."""
+    """Copy of ``mesh`` with the tangent of one interior edge reversed, and
+    its endpoints and adjacent triangles swapped to match.  The normal,
+    which the mesh computes from the tangent on read, follows."""
     import copy
 
     assert mesh.interior_edge_mask[edge_id], "can only flip interior edge normals"
@@ -721,8 +722,6 @@ def flip_edge_orientation(mesh, edge_id):
         arr = getattr(mesh, name).copy()
         arr[edge_id] = arr[edge_id, ::-1]
         setattr(out, name, arr)
-    for name in ("edge_tangents", "edge_normals"):
-        arr = getattr(mesh, name).copy()
-        arr[edge_id] *= -1.0
-        setattr(out, name, arr)
+    out.edge_tangents = mesh.edge_tangents.copy()
+    out.edge_tangents[edge_id] *= -1.0
     return out

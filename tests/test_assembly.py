@@ -195,6 +195,17 @@ class TestDeterministicAssembly:
         assert np.array_equal(M1, M2)
 
 
+class TestNoScatterScratch:
+    def test_space_keeps_only_element_matrices(self):
+        S = sp.build_space(msh.uniform_refine(msh.preset_mesh("lshape", "mixed")))
+        before = set(vars(S))
+        asm.assemble_stiffness(S)
+        asm.assemble_mass(S)
+        assert set(vars(S)) == before
+        assert set(S._elements) == {"basis", "stiffness", "mass"}
+        assert S._derived == {}
+
+
 class TestSymmetricCSR:
     """A and M are plain CSR matrices holding both triangles, byte for byte
     the stored-lower-triangle construction mirrored; A also byte for byte

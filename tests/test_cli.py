@@ -98,6 +98,16 @@ class TestRun:
         assert run_cli(["run", "--config", str(bad),
                         "--out", str(tmp_path / "t.csv")]) == 2
 
+    @pytest.mark.parametrize("doc", ["null", "[]", "3",
+                                     '[["theta", 0.3], ["max_levels", 1]]'])
+    def test_config_not_an_object_exit_2(self, doc, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        out = tmp_path / "t.csv"
+        assert run_cli(["run", "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("malformed config: expected a JSON object")
+        assert not out.exists()
+
     def test_invalid_theta_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"geometry": "square", "theta": 1.5}))

@@ -125,15 +125,6 @@ class TestEstimate:
         with pytest.raises(MarkingError):
             est.estimate(S, _Window([1.0], np.zeros((S.ndof + 3, 1))))
 
-    def test_csv_dump(self, tmp_path):
-        S = sp.build_space(msh.square_mesh("clamped"))
-        f = est.estimate(S, _Window([0.0], np.ones((1, 1))))
-        path = tmp_path / "eta.csv"
-        f.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "triangle_id,centroid_x,centroid_y,eta2"
-        assert len(lines) == 3
-
 
 class TestDorflerMark:
     def test_theta_one_marks_support(self):

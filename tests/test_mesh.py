@@ -158,6 +158,44 @@ class TestNormalsAndIncidence:
         assert len(m.free_corner_vertices()) == 0
 
 
+def _meshes_of_each_kind():
+    presets = [msh.preset_mesh(g, bc) for g, bc in
+               (("square", "clamped"), ("lshape", "mixed"), ("triangle", "free"))]
+    uniform = msh.uniform_refine(msh.uniform_refine(presets[1]))
+    nvb = presets[1]
+    for _ in range(4):
+        nvb = msh.refine_nvb(nvb, np.arange(0, nvb.num_triangles, 3))
+    return presets + [uniform, nvb]
+
+
+class TestEdgeDataOnRead:
+    """Normals, midpoints and the boundary/interior masks are computed from
+    the stored tangents, endpoints and adjacency on every read, bit for bit
+    the expressions below, and no mesh keeps them."""
+
+    NAMES = ("edge_normals", "edge_midpoints", "boundary_edge_mask", "interior_edge_mask")
+
+    @pytest.mark.parametrize("m", _meshes_of_each_kind(),
+                             ids=["square", "lshape", "triangle", "uniform2", "nvb4"])
+    def test_not_stored_and_bitwise_their_formula(self, m):
+        assert not set(self.NAMES) & set(vars(m))
+        tau, v, e = m.edge_tangents, m.vertices, m.edges
+        want = {"edge_normals": np.stack([tau[:, 1], -tau[:, 0]], axis=1),
+                "edge_midpoints": 0.5 * (v[e[:, 0]] + v[e[:, 1]]),
+                "boundary_edge_mask": m.edge_tris[:, 1] == -1,
+                "interior_edge_mask": m.edge_tris[:, 1] >= 0}
+        for name, w in want.items():
+            got = getattr(m, name)
+            assert got.dtype == w.dtype and got.shape == w.shape, name
+            assert got.tobytes() == w.tobytes(), name
+
+    def test_read_only(self):
+        m = msh.square_mesh("clamped")
+        for name in self.NAMES:
+            with pytest.raises(AttributeError):
+                setattr(m, name, getattr(m, name))
+
+
 class TestRefine:
     def test_empty_marking_returns_same_object(self):
         m = msh.square_mesh("clamped")
