@@ -11,7 +11,6 @@ import sys
 import pytest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-NAMES = ["lshape_mixed_J1", "square_clamped_J1", "square_clamped_J23"]
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +22,7 @@ def golden():
 @pytest.fixture(scope="module")
 def outputs(golden):
     argv = [sys.executable, os.path.join(HERE, "level_digest.py"),
-            "--max-ndof", str(golden["config"]["max_ndof"]), *NAMES]
+            "--max-ndof", str(golden["config"]["max_ndof"]), *golden["digests"]]
     runs = []
     for _ in range(2):
         done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
@@ -32,9 +31,9 @@ def outputs(golden):
     return runs
 
 
-def test_two_processes_print_the_same_digests(outputs):
+def test_two_processes_print_the_same_digests(outputs, golden):
     lines = outputs[0].splitlines()
-    assert [line.split()[0] for line in lines] == NAMES
+    assert [line.split()[0] for line in lines] == list(golden["digests"])
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert outputs[0] == outputs[1]
 
