@@ -195,7 +195,7 @@ class TestDeterministicAssembly:
         assert np.array_equal(M1, M2)
 
 
-class TestNoScatterScratch:
+class TestNoScatterIndicesKept:
     def test_space_keeps_only_element_matrices(self):
         S = sp.build_space(msh.uniform_refine(msh.preset_mesh("lshape", "mixed")))
         before = set(vars(S))
