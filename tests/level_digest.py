@@ -1,4 +1,5 @@
-"""Print one sha256 per named adaptive run, over the arrays of every level.
+"""Print one sha256 per name: an adaptive run over the arrays of every
+level, or the Morley interpolants of a fixed set of refinements.
 
 Run from the repository root:
 
@@ -10,6 +11,8 @@ mixed L-shape, J={1}, theta 0.5), ``square_clamped_J1`` (the clamped
 square, J={1}) and ``square_clamped_J23`` (the window J={2,3} started from
 the twice uniformly refined clamped square, through a mesh file).  Each
 runs to ``max_ndof`` 20000 unless ``--max-ndof`` says otherwise.
+``morley_interpolation`` is no adaptive run, and ``--max-ndof`` does not
+apply to it: see ``interpolation_digest``.
 
 At every level the digest covers the mesh hash; the ``data``, ``indices``
 and ``indptr`` of the stiffness and the mass matrix, assembled on a space
@@ -34,8 +37,10 @@ import run  # noqa: E402  (standard library only, so numpy is still unloaded)
 run.configure_threads()
 run.add_source_path()
 
+import numpy as np  # noqa: E402
+
 from plate_afem import afem, assembly, estimator, mesh  # noqa: E402
-from plate_afem.space import build_space  # noqa: E402
+from plate_afem.space import BrokenFunction, build_space, morley_interpolate  # noqa: E402
 
 
 def _config(name, workdir, max_ndof):
@@ -50,7 +55,44 @@ def _config(name, workdir, max_ndof):
     return afem.AfemConfig(mesh_file=path, n=1, cluster_size=2, **common)
 
 
-NAMES = ("lshape_mixed_J1", "square_clamped_J1", "square_clamped_J23")
+NAMES = ("lshape_mixed_J1", "square_clamped_J1", "square_clamped_J23",
+         "morley_interpolation")
+
+_INTERPOLATION_CASES = [(geometry, bc) for geometry in ("square", "lshape", "triangle")
+                        for bc in ("clamped", "simply_supported", "free", "mixed")]
+
+
+def _toward_origin(m, steps):
+    # newest-vertex bisection of the triangles at the origin, a vertex of
+    # every preset
+    for _ in range(steps):
+        m = mesh.refine_nvb(m, np.nonzero((m.vertices[m.triangles] == 0.0)
+                                          .all(axis=2).any(axis=1))[0])
+    return m
+
+
+def interpolation_digest():
+    """Hex sha256 over Morley interpolants from two refinements.
+
+    On each preset with each boundary condition (the triangle's mixed one
+    is ``clamped,simply_supported,free``), the coarse space lives on the
+    once uniformly refined preset.  A seeded random broken quadratic on its
+    uniform refinement, and one on three newest-vertex bisection steps
+    toward the origin, are interpolated into it; the digest covers each
+    fine mesh hash and each interpolant.
+    """
+    h = hashlib.sha256()
+    for k, (geometry, bc) in enumerate(_INTERPOLATION_CASES):
+        if geometry == "triangle" and bc == "mixed":
+            bc = ["clamped", "simply_supported", "free"]
+        coarse = mesh.uniform_refine(mesh.preset_mesh(geometry, bc))
+        space = build_space(coarse)
+        rng = np.random.default_rng(k)
+        for fine in (mesh.uniform_refine(coarse), _toward_origin(coarse, 3)):
+            v = BrokenFunction(fine, rng.standard_normal((fine.num_triangles, 6)))
+            h.update(mesh.mesh_hash(fine).encode())
+            h.update(morley_interpolate(space, v).tobytes())
+    return h.hexdigest()
 
 
 def digest(name, max_ndof=20000):
@@ -79,7 +121,9 @@ def main(argv):
         raise SystemExit("usage: level_digest.py [--max-ndof N] NAME [NAME ...]; "
                          f"names: {', '.join(NAMES)}")
     for name in argv:
-        print(f"{name} {digest(name, max_ndof)}")
+        value = (interpolation_digest() if name == "morley_interpolation"
+                 else digest(name, max_ndof))
+        print(f"{name} {value}")
 
 
 if __name__ == "__main__":

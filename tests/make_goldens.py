@@ -15,8 +15,10 @@ the same record for the benchmark's reference run (``lshape_adaptive``:
 the mixed L-shape, J={1}, theta 0.5, ``max_ndof`` 20000).  A marking tie
 flip that keeps every count shows there as a changed hash.
 ``level_digests`` holds what ``tests/level_digest.py --max-ndof 1500``
-prints for each of its named runs, which covers dense and shift-invert
-levels: a change that moves any level's arrays by one bit moves a digest.
+prints for each of its names, which covers dense and shift-invert
+levels and the Morley interpolants from uniform and newest-vertex
+bisection refinements: a change that moves any level's arrays or any
+interpolant by one bit moves a digest.
 
 BLAS runs on one thread, set before numpy loads, as in the benchmark
 (``perfbench/run.configure_threads``): adaptive paths depend on the thread
@@ -95,7 +97,8 @@ def lshape_mixed_J1_path():
 
 
 DIGEST_MAX_NDOF = 1500
-DIGEST_NAMES = ("lshape_mixed_J1", "square_clamped_J1", "square_clamped_J23")
+DIGEST_NAMES = ("lshape_mixed_J1", "square_clamped_J1", "square_clamped_J23",
+                "morley_interpolation")
 
 
 def level_digests():
