@@ -406,6 +406,6 @@ def angle_to_reference(space: MorleySpace, cluster,
 
 def _hessian_feature_block(space, vectors, fine_mesh):
     cols = [tensor_features(fine_mesh, hessians(
-                prolong_to_fine(vectors[:, k], fine_mesh, space=space)))
+                prolong_to_fine(space.to_broken(vectors[:, k]), fine_mesh)))
             for k in range(vectors.shape[1])]
     return np.stack(cols, axis=1)

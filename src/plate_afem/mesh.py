@@ -42,6 +42,7 @@ __all__ = [
     "load_mesh",
     "mesh_hash",
     "ancestor_map",
+    "edge_ancestor_map",
 ]
 
 
@@ -99,13 +100,14 @@ class Triangulation:
     (from ``edges`` and ``vertices``), and ``boundary_edge_mask`` and
     ``interior_edge_mask`` (from ``edge_tris``).  They are read-only.
 
-    A refined mesh also keeps its parent map, its coarse mesh and the
-    coarse edge each new vertex bisects.  Orientation and vertex use are
-    checked on temporaries that the mesh does not keep.
+    A refined mesh also keeps its parent map and its coarse mesh; the coarse
+    edge under each fine edge follows from the numbering
+    (``edge_ancestor_map``).  Orientation and vertex use are checked on
+    temporaries that the mesh does not keep.
     """
 
     def __init__(self, vertices, triangles, refedge=None, edge_tags=None,
-                 parent=None, coarse=None, vertex_parent_edge=None):
+                 parent=None, coarse=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -125,9 +127,6 @@ class Triangulation:
 
         self.parent = None if parent is None else np.asarray(parent, dtype=np.int64)
         self.coarse = coarse
-        # for refined meshes: coarse edge that each new vertex bisects (-1 otherwise)
-        self.vertex_parent_edge = (None if vertex_parent_edge is None
-                                   else np.asarray(vertex_parent_edge, dtype=np.int64))
 
         if edge_tags is None:
             edge_tags = np.where(self.boundary_edge_mask,
@@ -408,8 +407,6 @@ def _apply_split(mesh, split_edge):
     midpoint_index = np.full(mesh.num_edges, -1, dtype=np.int64)
     midpoint_index[split_ids] = nold + np.arange(len(split_ids))
     new_vertices = np.vstack([mesh.vertices, mesh.edge_midpoints[split_ids]])
-    vparent = np.full(len(new_vertices), -1, dtype=np.int64)
-    vparent[nold:] = split_ids
 
     # local vertices a, p, q with the refinement edge conv{p, q} opposite a;
     # m, m2, m1 are the midpoints of the edges opposite a, p, q (-1: unsplit)
@@ -439,23 +436,22 @@ def _apply_split(mesh, split_edge):
     parent, slot = np.nonzero(present)               # row-major: child order
 
     refined = Triangulation(new_vertices, slots[parent, slot], refs[parent, slot],
-                            parent=parent, coarse=mesh, vertex_parent_edge=vparent)
-    refined._set_tags(_inherited_tags(mesh, refined))
+                            parent=parent, coarse=mesh)
+    refined._set_tags(_inherited_tags(mesh, refined, split_ids))
     return refined
 
 
-def _inherited_tags(coarse, refined):
-    # a boundary edge of the refined mesh is either one half of a split coarse
-    # boundary edge (found through its new endpoint) or a surviving coarse
-    # edge (found by key; coarse edge keys ascend with the edge index)
+def _parent_edges(coarse, refined, split_ids, edges):
+    # coarse edge under each of the refined ``edges``, -1 inside a triangle.
+    # A half of split_ids[k] joins new vertex nold + k to an end of it; an old
+    # edge survives, found by key (keys ascend with the coarse edge index).
     nold = coarse.num_vertices
-    bnd = refined.boundary_edges()
-    ends = refined.edges[bnd]
+    ends = refined.edges[edges]
     lo, hi = ends.min(axis=1), ends.max(axis=1)
-    parent_edge = np.full(len(bnd), -1, dtype=np.int64)
+    parent_edge = np.full(len(ends), -1, dtype=np.int64)
 
     half = hi >= nold
-    split = refined.vertex_parent_edge[hi[half]]
+    split = split_ids[hi[half] - nold]
     on_split = (coarse.edges[split] == lo[half, None]).any(axis=1)
     parent_edge[half] = np.where(on_split, split, -1)
 
@@ -463,12 +459,26 @@ def _inherited_tags(coarse, refined):
     want = _edge_keys(ends[~half], nold)
     pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
     parent_edge[~half] = np.where(keys[pos] == want, pos, -1)
+    return parent_edge
+
+
+def _inherited_tags(coarse, refined, split_ids):
+    bnd = refined.boundary_edges()
+    parent_edge = _parent_edges(coarse, refined, split_ids, bnd)
     if np.any(parent_edge < 0):
         raise MeshError("refined boundary edge has no parent edge")
-
     tags = np.full(refined.num_edges, int(BoundaryPart.INTERIOR), dtype=np.int64)
     tags[bnd] = coarse.edge_tags[parent_edge]
     return tags
+
+
+def _refinement_chain(fine, coarse):
+    # the meshes from ``fine`` up to, not including, ``coarse``
+    while fine is not coarse:
+        if fine.parent is None or fine.coarse is None:
+            raise MeshError("mesh is not a refinement of the given coarse mesh")
+        yield fine
+        fine = fine.coarse
 
 
 def ancestor_map(fine: Triangulation, coarse: Triangulation) -> np.ndarray:
@@ -477,19 +487,28 @@ def ancestor_map(fine: Triangulation, coarse: Triangulation) -> np.ndarray:
     Raises MeshError unless ``coarse`` appears in the refinement chain of
     ``fine`` (object identity).
     """
-    if fine is coarse:
-        return np.arange(fine.num_triangles)
-    chain = []
-    m = fine
-    while m is not coarse:
-        if m.parent is None or m.coarse is None:
-            raise MeshError("mesh is not a refinement of the given coarse mesh")
-        chain.append(m.parent)
-        m = m.coarse
-    amap = chain[0]
-    for parent in chain[1:]:
-        amap = parent[amap]
+    amap = np.arange(fine.num_triangles)
+    for m in _refinement_chain(fine, coarse):
+        amap = m.parent[amap]
     return amap
+
+
+def edge_ancestor_map(fine: Triangulation, coarse: Triangulation) -> np.ndarray:
+    """Index of the edge of ``coarse`` that each edge of ``fine`` lies on,
+    -1 for an edge inside a coarse triangle.
+
+    Read from each step's numbering: a coarse edge is split exactly when it
+    is not a fine edge, and new vertices are split-edge midpoints in edge
+    order.  Raises MeshError as ``ancestor_map`` does.
+    """
+    emap = np.arange(fine.num_edges)
+    for m in _refinement_chain(fine, coarse):
+        nold = m.coarse.num_vertices
+        old = m.edges.max(axis=1) < nold
+        kept = np.isin(_edge_keys(m.coarse.edges, nold), _edge_keys(m.edges[old], nold))
+        on = emap >= 0
+        emap[on] = _parent_edges(m.coarse, m, np.nonzero(~kept)[0], emap[on])
+    return emap
 
 
 # -- presets -------------------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import BoundaryPart, Triangulation, ancestor_map
+from .mesh import BoundaryPart, Triangulation, ancestor_map, edge_ancestor_map
 
 __all__ = [
     "MorleySpace",
@@ -354,27 +354,6 @@ def affine_kernel_coefficients(space: MorleySpace) -> np.ndarray:
 # -- DOF functionals -----------------------------------------------------------
 
 
-def _subedges(fine, coarse, amap):
-    """Fine edges that lie on a coarse edge, and that coarse edge.
-
-    A fine edge on a coarse edge ``e`` bounds a fine triangle whose ancestor
-    has ``e`` among its three edges, so only those three are tested: both
-    endpoints within ``1e-12 * scale`` of the segment.
-    """
-    cand = coarse.tri_edges[amap[fine.edge_tris[:, 0]]]             # (F, 3)
-    a = coarse.vertices[coarse.edges[cand, 0]]                      # (F, 3, 2)
-    d = coarse.vertices[coarse.edges[cand, 1]] - a
-    L2 = np.einsum("fkd,fkd->fk", d, d)[..., None]
-    rel = fine.vertices[fine.edges][:, None, :, :] - a[:, :, None, :]  # (F, 3, 2, 2)
-    cross = np.abs(d[:, :, None, 0] * rel[..., 1]
-                   - d[:, :, None, 1] * rel[..., 0]) / np.sqrt(L2)
-    s = np.einsum("fkd,fked->fke", d, rel) / L2
-    tol = 1e-12 * max(np.max(np.abs(coarse.vertices)), 1.0)
-    on = ((cross <= tol) & (s >= -tol) & (s <= 1.0 + tol)).all(axis=2)
-    hit = on.any(axis=1)
-    return np.nonzero(hit)[0], cand[hit, on[hit].argmax(axis=1)]
-
-
 def morley_interpolate(space: MorleySpace, v) -> np.ndarray:
     """Interpolate ``v`` into the space by matching all DOF functionals.
 
@@ -386,12 +365,13 @@ def morley_interpolate(space: MorleySpace, v) -> np.ndarray:
     (refinement keeps the coarse vertex numbers).  An edge DOF is
     sum |f| * (mean one-sided normal derivative at the midpoint of f) / |e|
     over the fine sub-edges f of the coarse edge e; the normal derivative is
-    affine per side, so the midpoint value is its mean along f.
+    affine per side, so the midpoint value is its mean along f.  The
+    refinement numbering gives the sub-edges (``edge_ancestor_map``).
     """
     if not isinstance(v, BrokenFunction):
         raise SpaceError("expected a BrokenFunction")
     coarse, fine = space.mesh, v.mesh
-    amap = ancestor_map(fine, coarse)  # raises unless a refinement
+    emap = edge_ancestor_map(fine, coarse)  # raises unless a refinement
     out = np.zeros(space.ndof)
 
     verts = fine.triangles.ravel()
@@ -400,7 +380,8 @@ def morley_interpolate(space: MorleySpace, v) -> np.ndarray:
     free_v = np.nonzero(space.vertex_dof >= 0)[0]
     out[space.vertex_dof[free_v]] = mean[free_v]
 
-    f, parent = _subedges(fine, coarse, amap)
+    f = np.nonzero(emap >= 0)[0]
+    parent = emap[f]
     mid = fine.edge_midpoints[f]
     nu = coarse.edge_normals[parent]
     plus, minus = fine.edge_tris[f, 0], fine.edge_tris[f, 1]
@@ -417,19 +398,16 @@ def morley_interpolate(space: MorleySpace, v) -> np.ndarray:
     return out
 
 
-def prolong_to_fine(arg, fine_mesh: Triangulation, space: MorleySpace = None) -> BrokenFunction:
+def prolong_to_fine(v: BrokenFunction, fine_mesh: Triangulation) -> BrokenFunction:
     """Restrict a coarse piecewise quadratic to every triangle of a refinement.
 
-    ``arg`` is a BrokenFunction, or a Morley coefficient vector if ``space``
-    is given.  Hessian coefficients are inherited bitwise, so the broken
-    Hessian norm is preserved exactly.
+    Hessian coefficients are inherited bitwise, so the broken Hessian norm
+    is preserved exactly.
     """
-    if not isinstance(arg, BrokenFunction):
-        if space is None:
-            raise SpaceError("pass a BrokenFunction or (coeffs, space=...)")
-        arg = space.to_broken(np.asarray(arg))
-    coarse = arg.mesh
+    if not isinstance(v, BrokenFunction):
+        raise SpaceError("expected a BrokenFunction")
+    coarse = v.mesh
     amap = ancestor_map(fine_mesh, coarse)
     delta = fine_mesh.centroids - coarse.centroids[amap]
-    coeffs = poly_shift(arg.coeffs[amap], delta)
+    coeffs = poly_shift(v.coeffs[amap], delta)
     return BrokenFunction(fine_mesh, coeffs)

@@ -14,7 +14,8 @@ a dense null-space basis with a Cholesky-factored Gram matrix for the
 constrained Curl space, a sparse factorisation of the stiffness matrix
 with the kernel DOFs removed for the Hessian side of the splitting,
 all dense eigenvalues for the stiffness kernel, a geometric search for
-the fine sub-edges of every coarse edge in Morley interpolation, a
+the fine sub-edges of every coarse edge in Morley interpolation and in
+the edge ancestry of a refinement, a
 row-wise unique with a per-slot orientation search for the edge table,
 and per-triangle recursion with dict lookups for newest-vertex
 bisection.  The symmetric assembled matrices are the exception: their
@@ -540,6 +541,18 @@ def _subedges_on(fine, a, b, tol):
     return [f for f, (i, j) in enumerate(fine.edges) if on[i] and on[j]]
 
 
+def edge_ancestor_map_geometric(fine, coarse):
+    """Coarse edge that each fine edge lies on (-1: none), by scanning every
+    fine edge for each coarse edge with a 1e-12 relative tolerance."""
+    scale = max(np.max(np.abs(coarse.vertices)), 1.0)
+    out = np.full(fine.num_edges, -1, dtype=np.int64)
+    for e, (i, j) in enumerate(coarse.edges):
+        for f in _subedges_on(fine, coarse.vertices[i], coarse.vertices[j], 1e-12 * scale):
+            assert out[f] < 0, "fine edge on two coarse edges"
+            out[f] = e
+    return out
+
+
 def morley_interpolate_geometric(space, bf):
     """Morley DOFs of a broken quadratic on a refinement, one DOF at a time.
 
@@ -602,8 +615,6 @@ def apply_split_recursive(mesh, split_edge):
     midpoint_index = np.full(mesh.num_edges, -1, dtype=np.int64)
     midpoint_index[split_ids] = nold + np.arange(len(split_ids))
     new_vertices = np.vstack([mesh.vertices, mesh.edge_midpoints[split_ids]])
-    vparent = np.full(len(new_vertices), -1, dtype=np.int64)
-    vparent[nold:] = split_ids
 
     def midpoint_of(p, q):
         m = midpoint_index[table[(min(p, q), max(p, q))]]
@@ -639,8 +650,7 @@ def apply_split_recursive(mesh, split_edge):
             emit(tuple(mesh.triangles[t]), k, t)
 
     refined = Triangulation(new_vertices, np.array(tris), np.array(refs),
-                            parent=np.array(parents),
-                            coarse=mesh, vertex_parent_edge=vparent)
+                            parent=np.array(parents), coarse=mesh)
 
     # a boundary edge of the refined mesh is either a surviving coarse edge or
     # one half of a split coarse boundary edge
@@ -660,8 +670,7 @@ def apply_split_recursive(mesh, split_edge):
                 raise MeshError("refined boundary edge has no parent edge")
         tags[f] = mesh.edge_tags[parent_edge]
     return Triangulation(new_vertices, refined.triangles, refined.refedge,
-                         edge_tags=tags, parent=refined.parent, coarse=mesh,
-                         vertex_parent_edge=vparent)
+                         edge_tags=tags, parent=refined.parent, coarse=mesh)
 
 
 def refine_nvb_recursive(mesh, marked=None):

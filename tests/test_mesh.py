@@ -4,9 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (apply_split_recursive, edge_table_unique_rows,
-                     matching_neighbor_violations, min_angle, refine_nvb_recursive,
-                     similarity_classes)
+from oracles import (apply_split_recursive, edge_ancestor_map_geometric,
+                     edge_table_unique_rows, matching_neighbor_violations, min_angle,
+                     refine_nvb_recursive, similarity_classes)
 from plate_afem import mesh as msh
 from plate_afem.mesh import BoundaryPart, MeshError
 
@@ -325,6 +325,48 @@ class TestAncestry:
             msh.ancestor_map(m2, m1)
 
 
+def _chains(geom):
+    # (fine, coarse) pairs along a uniform and a random bisection chain,
+    # one step and several steps apart
+    bc = ["clamped", "simply_supported", "free"] if geom == "triangle" else "mixed"
+    root = msh.preset_mesh(geom, bc)
+    rng = np.random.default_rng(["square", "lshape", "triangle"].index(geom))
+    uniform = [root]
+    for _ in range(3):
+        uniform.append(msh.uniform_refine(uniform[-1]))
+    nvb = [msh.uniform_refine(root)]
+    for _ in range(4):
+        m = nvb[-1]
+        size = max(1, int(m.num_triangles * rng.uniform(0.1, 0.4)))
+        nvb.append(msh.refine_nvb(m, rng.choice(m.num_triangles, size=size,
+                                                 replace=False)))
+    pairs = []
+    for chain in (uniform, nvb):
+        pairs += [(chain[k + 1], chain[k]) for k in range(len(chain) - 1)]
+        pairs += [(chain[-1], chain[0]), (chain[-1], chain[-1])]
+    return pairs + [(nvb[-1], root)]
+
+
+class TestEdgeAncestorMap:
+    @pytest.mark.parametrize("geom", ["square", "lshape", "triangle"])
+    def test_matches_geometric_search(self, geom):
+        for fine, coarse in _chains(geom):
+            got = msh.edge_ancestor_map(fine, coarse)
+            want = edge_ancestor_map_geometric(fine, coarse)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_rejects_a_mesh_that_is_not_a_refinement(self):
+        square = msh.preset_mesh("square", "mixed")
+        fine = msh.uniform_refine(square)
+        for f, c in ((msh.lshape_mesh("clamped"), square),
+                     # same geometry, outside the refinement chain
+                     (fine, msh.preset_mesh("square", "mixed")),
+                     (square, fine)):
+            with pytest.raises(MeshError, match="not a refinement"):
+                msh.edge_ancestor_map(f, c)
+
+
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
         m = msh.uniform_refine(msh.preset_mesh("lshape", "mixed"))
@@ -403,9 +445,11 @@ class TestBisectionAccounting:
                                 size=max(1, m.num_triangles // 3), replace=False)
             r = msh.refine_nvb(m, marked)
             new_vertices = r.num_vertices - m.num_vertices
-            split_edges = np.nonzero(r.vertex_parent_edge >= 0)[0]
-            assert len(split_edges) == new_vertices
-            split_edge_ids = r.vertex_parent_edge[split_edges]
+            emap = msh.edge_ancestor_map(r, m)
+            # a split edge is the coarse edge with two fine sub-edges
+            split_edge_ids = np.nonzero(
+                np.bincount(emap[emap >= 0], minlength=m.num_edges) == 2)[0]
+            assert len(split_edge_ids) == new_vertices
             boundary_splits = int(np.sum(m.boundary_edge_mask[split_edge_ids]))
             assert r.num_triangles == (m.num_triangles + 2 * new_vertices
                                        - boundary_splits)
@@ -413,8 +457,7 @@ class TestBisectionAccounting:
 
 
 _ORACLE_FIELDS = ("vertices", "triangles", "refedge", "parent",
-                  "vertex_parent_edge", "edges", "edge_tags", "tri_edges",
-                  "edge_tris")
+                  "edges", "edge_tags", "tri_edges", "edge_tris")
 _ORACLE_CASES = [(geom, bc) for geom in ("square", "lshape", "triangle")
                  for bc in ("clamped", "free", "mixed")]
 
@@ -496,7 +539,10 @@ class TestRefinementOracle:
         other_diagonal = msh.build_mesh(v[:4], [(0, 1, 3), (1, 2, 3)], segs)
         # the surviving side (0, 1) is split at vertex 4 in the other mesh
         split_side = msh.build_mesh(v, [(0, 4, 3), (4, 1, 2), (4, 2, 3)], segs)
-        for coarse, fine in ((other_diagonal, msh.uniform_refine(square)),
-                             (split_side, msh.refine_nvb(square, [0]))):
+        # the split ids that _apply_split holds for each refinement of square
+        diagonal = square.tri_edges[0, square.refedge[0]]
+        for coarse, fine, split_ids in (
+                (other_diagonal, msh.uniform_refine(square), np.arange(square.num_edges)),
+                (split_side, msh.refine_nvb(square, [0]), np.array([diagonal]))):
             with pytest.raises(MeshError, match="no parent edge"):
-                msh._inherited_tags(coarse, fine)
+                msh._inherited_tags(coarse, fine, split_ids)

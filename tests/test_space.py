@@ -206,6 +206,12 @@ class TestBrokenInterpolation:
 
 
 class TestProlongation:
+    def test_rejects_coefficient_vector(self):
+        S = sp.build_space(msh.uniform_refine(msh.square_mesh("clamped")))
+        fine = msh.uniform_refine(S.mesh)
+        with pytest.raises(SpaceError, match="expected a BrokenFunction"):
+            sp.prolong_to_fine(np.ones(S.ndof), fine)
+
     def test_hessian_preserved_bitwise(self):
         rng = np.random.default_rng(3)
         m = msh.uniform_refine(msh.square_mesh("clamped"))
