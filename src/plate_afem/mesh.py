@@ -92,13 +92,14 @@ class Triangulation:
     tri_edges : (T, 3) int array, global edge index opposite local vertex i
     edge_tris : (F, 2) int array, adjacent triangles (t_plus, t_minus);
         t_minus is -1 on the boundary
-    areas, h_t, centroids : per triangle |T|, |T|^(1/2) and the centroid
+    areas, centroids : per triangle |T| and the centroid
     edge_lengths, edge_tangents : per edge
 
     Computed on every read from the stored arrays and kept by no mesh:
-    ``edge_normals`` (the tangent turned clockwise), ``edge_midpoints``
-    (from ``edges`` and ``vertices``), and ``boundary_edge_mask`` and
-    ``interior_edge_mask`` (from ``edge_tris``).  They are read-only.
+    ``h_t`` (|T|^(1/2)), ``edge_normals`` (the tangent turned clockwise),
+    ``edge_midpoints`` (from ``edges`` and ``vertices``), and
+    ``boundary_edge_mask`` and ``interior_edge_mask`` (from
+    ``edge_tris``).  They are read-only.
 
     A refined mesh also keeps its parent map and its coarse mesh; the coarse
     edge under each fine edge follows from the numbering
@@ -144,7 +145,6 @@ class Triangulation:
             bad = int(np.argmin(areas))
             raise MeshError(f"triangle {bad} is degenerate or not counterclockwise")
         self.areas = areas
-        self.h_t = np.sqrt(self.areas)
         self.centroids = p.mean(axis=1)
 
     def _build_edges(self):
@@ -200,7 +200,11 @@ class Triangulation:
         if np.any(boundary_bad):
             raise MeshError("boundary edge is missing a part label")
 
-    # -- edge data computed on read -------------------------------------------
+    # -- data computed on read ------------------------------------------------
+
+    @property
+    def h_t(self):
+        return np.sqrt(self.areas)
 
     @property
     def edge_normals(self):

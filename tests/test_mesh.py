@@ -169,18 +169,20 @@ def _meshes_of_each_kind():
 
 
 class TestEdgeDataOnRead:
-    """Normals, midpoints and the boundary/interior masks are computed from
-    the stored tangents, endpoints and adjacency on every read, bit for bit
-    the expressions below, and no mesh keeps them."""
+    """h_T, normals, midpoints and the boundary/interior masks are computed
+    from the stored areas, tangents, endpoints and adjacency on every read,
+    bit for bit the expressions below, and no mesh keeps them."""
 
-    NAMES = ("edge_normals", "edge_midpoints", "boundary_edge_mask", "interior_edge_mask")
+    NAMES = ("h_t", "edge_normals", "edge_midpoints", "boundary_edge_mask",
+             "interior_edge_mask")
 
     @pytest.mark.parametrize("m", _meshes_of_each_kind(),
                              ids=["square", "lshape", "triangle", "uniform2", "nvb4"])
     def test_not_stored_and_bitwise_their_formula(self, m):
         assert not set(self.NAMES) & set(vars(m))
         tau, v, e = m.edge_tangents, m.vertices, m.edges
-        want = {"edge_normals": np.stack([tau[:, 1], -tau[:, 0]], axis=1),
+        want = {"h_t": np.sqrt(m.areas),
+                "edge_normals": np.stack([tau[:, 1], -tau[:, 0]], axis=1),
                 "edge_midpoints": 0.5 * (v[e[:, 0]] + v[e[:, 1]]),
                 "boundary_edge_mask": m.edge_tris[:, 1] == -1,
                 "interior_edge_mask": m.edge_tris[:, 1] >= 0}
