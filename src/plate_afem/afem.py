@@ -9,6 +9,7 @@ are written as zero so that two runs produce byte-identical files.
 """
 
 import itertools
+import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -43,6 +44,27 @@ class ConfigError(Exception):
     """Invalid adaptive-loop configuration."""
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v):
+    return _is_int(v) or (isinstance(v, float) and np.isfinite(v))
+
+
+# what the value of each key of a JSON config must be, and its check
+_JSON_TYPES = {
+    "geometry": ("a string", lambda v: isinstance(v, str)),
+    "bc": ("a string or a list of strings", lambda v: isinstance(v, str) or (
+        isinstance(v, list) and all(isinstance(s, str) for s in v))),
+    **{key: ("an integer", _is_int) for key in
+       ("n", "cluster_size", "max_levels", "max_ndof", "buffer", "dense_cutoff")},
+    **{key: ("a finite number", _is_finite) for key in ("theta", "lower_bound_constant")},
+    "deterministic": ("true or false", lambda v: isinstance(v, bool)),
+    "mesh_file": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
+
+
 @dataclass
 class AfemConfig:
     """Configuration of the adaptive loop.
@@ -75,7 +97,7 @@ class AfemConfig:
             raise ConfigError("buffer must be >= 2 for separation diagnostics")
         if self.max_levels < 0 or self.max_ndof < 1:
             raise ConfigError("nonpositive stopping parameters")
-        if self.lower_bound_constant < 0:
+        if not self.lower_bound_constant >= 0:
             raise ConfigError("lower-bound constant must be >= 0")
 
     @classmethod
@@ -83,16 +105,23 @@ class AfemConfig:
         """Build a config from a JSON document, applying defaults.
 
         The window may be given as ``{"J": {"n": .., "N": ..}}``.  Unknown
-        keys raise ConfigError.
+        keys and values of the wrong JSON type raise ConfigError.
         """
         doc = dict(doc)
         j = doc.pop("J", None)
         if j is not None:
+            if not isinstance(j, dict) or set(j) - {"n", "N"}:
+                raise ConfigError(f'J must be an object with keys "n" and "N" only, '
+                                  f"got {json.dumps(j)}")
             doc["n"] = j.get("n", 0)
             doc["cluster_size"] = j.get("N", 1)
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            what, valid = _JSON_TYPES[key]
+            if not valid(value):
+                raise ConfigError(f"{key} must be {what}, got {json.dumps(value)}")
         return cls(**doc)
 
     def window_indices(self):

@@ -47,6 +47,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             AfemConfig.from_dict({"geometry": "square", key: value})
 
+    def test_nan_lower_bound_constant(self):
+        with pytest.raises(ConfigError, match="lower-bound constant"):
+            AfemConfig(lower_bound_constant=float("nan"))
+
     def test_buffer_floor(self):
         with pytest.raises(ConfigError):
             AfemConfig(buffer=1)

@@ -108,6 +108,20 @@ class TestRun:
         assert capsys.readouterr().err.startswith("malformed config: expected a JSON object")
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [
+        '{"J": 3}', '{"theta": "abc"}', '{"max_levels": "x"}', '{"bc": 5}',
+        '{"buffer": 2.5}', '{"mesh_file": 3}', '{"lower_bound_constant": NaN}',
+        '{"n": true}', '{"max_ndof": 1.5}', '{"J": {"n": 0, "N": 1, "x": 2}}',
+        '{"deterministic": "yes"}', '{"bc": ["clamped", 5]}',
+        '{"lower_bound_constant": Infinity}'])
+    def test_wrongly_typed_value_exit_2(self, doc, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        out = tmp_path / "t.csv"
+        assert run_cli(["run", "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("invalid config: ")
+        assert not out.exists()
+
     def test_invalid_theta_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"geometry": "square", "theta": 1.5}))
