@@ -113,7 +113,7 @@ class TestRun:
         '{"buffer": 2.5}', '{"mesh_file": 3}', '{"lower_bound_constant": NaN}',
         '{"n": true}', '{"max_ndof": 1.5}', '{"J": {"n": 0, "N": 1, "x": 2}}',
         '{"deterministic": "yes"}', '{"bc": ["clamped", 5]}',
-        '{"lower_bound_constant": Infinity}'])
+        '{"lower_bound_constant": Infinity}', '{"geometry": ["square"]}'])
     def test_wrongly_typed_value_exit_2(self, doc, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(doc)
