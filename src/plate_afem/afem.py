@@ -9,7 +9,7 @@ are written as zero so that two runs produce byte-identical files.
 """
 
 import itertools
-import json
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import assembly, eigen, estimator
 from .helmholtz import tensor_features
-from .mesh import Triangulation, preset_mesh, refine_nvb, uniform_refine
+from .mesh import Triangulation, load_mesh, preset_mesh, refine_nvb, uniform_refine
 from .space import (MorleySpace, affine_kernel_dimension, build_space,
                     hessians, prolong_to_fine)
 
@@ -44,24 +44,29 @@ class ConfigError(Exception):
     """Invalid adaptive-loop configuration."""
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
+def _is(kind):
+    # numpy's integers and floats pass; a boolean is not a number here
+    return lambda v: isinstance(v, kind) and not isinstance(v, bool)
 
 
-def _is_finite(v):
-    return _is_int(v) or (isinstance(v, float) and np.isfinite(v))
+_INT, _REAL = _is(numbers.Integral), _is(numbers.Real)
 
-
-# what the value of each key of a JSON config must be, and its check
-_JSON_TYPES = {
+# what each AfemConfig field must be, and the one check of its type and range
+_FIELDS = {
     "geometry": ("a string", lambda v: isinstance(v, str)),
     "bc": ("a string or a list of strings", lambda v: isinstance(v, str) or (
-        isinstance(v, list) and all(isinstance(s, str) for s in v))),
-    **{key: ("an integer", _is_int) for key in
-       ("n", "cluster_size", "max_levels", "max_ndof", "buffer", "dense_cutoff")},
-    **{key: ("a finite number", _is_finite) for key in ("theta", "lower_bound_constant")},
+        isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v))),
+    "n": ("an integer >= 0", lambda v: _INT(v) and v >= 0),
+    "cluster_size": ("an integer >= 1", lambda v: _INT(v) and v >= 1),
+    "theta": ("a number in (0, 1]", lambda v: _REAL(v) and 0 < v <= 1),
+    "max_levels": ("an integer >= 0", lambda v: _INT(v) and v >= 0),
+    "max_ndof": ("an integer >= 1", lambda v: _INT(v) and v >= 1),
+    "buffer": ("an integer >= 2", lambda v: _INT(v) and v >= 2),
+    "lower_bound_constant": ("a finite lower-bound constant >= 0",
+                             lambda v: _REAL(v) and 0 <= v < np.inf),
     "deterministic": ("true or false", lambda v: isinstance(v, bool)),
-    "mesh_file": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "dense_cutoff": ("an integer >= 0", lambda v: _INT(v) and v >= 0),
+    "mesh_file": ("a non-empty path or null", lambda v: v is None or isinstance(v, str) and v),
 }
 
 
@@ -71,6 +76,7 @@ class AfemConfig:
 
     ``n`` and ``cluster_size`` fix the eigenvalue window ``n+1 .. n+N``;
     ``buffer`` extra eigenvalues are computed for separation diagnostics.
+    A field that fails its check in ``_FIELDS`` raises ConfigError.
     """
 
     geometry: str = "square"
@@ -87,49 +93,35 @@ class AfemConfig:
     mesh_file: object = None
 
     def __post_init__(self):
-        if not 0.0 < self.theta <= 1.0:
-            raise ConfigError("theta must lie in (0, 1]")
-        if self.cluster_size < 1:
-            raise ConfigError("cluster size N must be >= 1")
-        if self.n < 0:
-            raise ConfigError("window offset n must be >= 0")
-        if self.buffer < 2:
-            raise ConfigError("buffer must be >= 2 for separation diagnostics")
-        if self.max_levels < 0 or self.max_ndof < 1:
-            raise ConfigError("nonpositive stopping parameters")
-        if not self.lower_bound_constant >= 0:
-            raise ConfigError("lower-bound constant must be >= 0")
+        for name, (what, valid) in _FIELDS.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AfemConfig":
         """Build a config from a JSON document, applying defaults.
 
-        The window may be given as ``{"J": {"n": .., "N": ..}}``.  Unknown
-        keys and values of the wrong JSON type raise ConfigError.
+        The window is given only as ``{"J": {"n": .., "N": ..}}``, and a
+        ``mesh_file`` takes the place of ``geometry`` and ``bc``; any other
+        key, or a key of the other spelling, raises ConfigError.
         """
         doc = dict(doc)
-        j = doc.pop("J", None)
-        if j is not None:
-            if not isinstance(j, dict) or set(j) - {"n", "N"}:
-                raise ConfigError(f'J must be an object with keys "n" and "N" only, '
-                                  f"got {json.dumps(j)}")
-            doc["n"] = j.get("n", 0)
-            doc["cluster_size"] = j.get("N", 1)
-        unknown = set(doc) - set(cls.__dataclass_fields__)
+        unknown = set(doc) - (set(_FIELDS) - {"n", "cluster_size"} | {"J"})
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in doc.items():
-            what, valid = _JSON_TYPES[key]
-            if not valid(value):
-                raise ConfigError(f"{key} must be {what}, got {json.dumps(value)}")
-        return cls(**doc)
+        if doc.get("mesh_file") is not None and {"geometry", "bc"} & set(doc):
+            raise ConfigError("mesh_file replaces geometry and bc: give one or the other")
+        j = doc.pop("J", {})
+        if not isinstance(j, dict) or set(j) - {"n", "N"}:
+            raise ConfigError(f'J must be an object with keys "n" and "N" only, got {j!r}')
+        return cls(**doc, **{"cluster_size" if k == "N" else k: v for k, v in j.items()})
 
     def window_indices(self):
         return np.arange(self.n + 1, self.n + self.cluster_size + 1)
 
     def initial_mesh(self) -> Triangulation:
-        if self.mesh_file:
-            from .mesh import load_mesh
+        if self.mesh_file is not None:
             return load_mesh(self.mesh_file)
         return preset_mesh(self.geometry, self.bc)
 
@@ -394,27 +386,22 @@ def reference_eigenvalues(geometry, bc, J, target_ndof) -> ReferenceResult:
     """Uniform-refinement reference values for the window ``J``.
 
     Refines until ``target_ndof`` is reached, then extrapolates each window
-    member.  ``J`` is an iterable of 1-based indices (contiguous).  Every
-    level computes at least 8 eigenpairs, all kept in ``finest``.
+    member.  ``J`` is an iterable of distinct, consecutive 1-based indices;
+    any other raises ConfigError.  Every level computes at least 8
+    eigenpairs, all kept in ``finest``.
     """
-    J = np.asarray(sorted(J), dtype=int)
+    J = np.asarray(sorted(J))
+    if len(J) == 0 or J.dtype.kind not in "iu" or np.any(np.diff(J) != 1):
+        raise ConfigError(f"J must list consecutive window indices, got {J.tolist()}")
     n, N = int(J[0] - 1), len(J)
     config = AfemConfig(geometry=geometry, bc=bc, n=n, cluster_size=N,
                         buffer=max(4, 8 - N), max_levels=64,
                         max_ndof=int(target_ndof))
     trace = uniform_trace(config)
     lam = trace.eigenvalue_matrix()
-    limits, ratios, uncs, ok = [], [], [], []
-    for k in range(lam.shape[1]):
-        lim, r, unc, rel = richardson_extrapolate(lam[:, k])
-        limits.append(lim)
-        ratios.append(r)
-        uncs.append(unc)
-        ok.append(rel)
-    return ReferenceResult(indices=J, ndofs=trace.ndofs, values=lam,
-                           limits=np.array(limits), ratios=np.array(ratios),
-                           uncertainties=np.array(uncs),
-                           reliable=np.array(ok, dtype=bool),
+    limits, ratios, uncs, ok = map(np.array, zip(*map(richardson_extrapolate, lam.T)))
+    return ReferenceResult(indices=J, ndofs=trace.ndofs, values=lam, limits=limits,
+                           ratios=ratios, uncertainties=uncs, reliable=ok,
                            finest=trace.clusters[-1], h_max=trace.levels[-1].h_max)
 
 

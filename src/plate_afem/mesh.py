@@ -602,11 +602,16 @@ def mesh_to_dict(mesh: Triangulation) -> dict:
 
 
 def mesh_from_dict(doc: dict) -> Triangulation:
-    vertices = np.asarray(doc["vertices"], dtype=float)
-    tri = np.asarray(doc["triangles"], dtype=np.int64)
-    boundary = [(seg["segment"][0], seg["segment"][1], seg["tag"])
-                for seg in doc["boundary"]]
-    return build_mesh(vertices, tri[:, :3], boundary, refedge=tri[:, 3])
+    """Mesh from its ``mesh_to_dict`` form; a missing key or a malformed row
+    raises MeshError."""
+    try:
+        tri = np.asarray(doc["triangles"], dtype=np.int64)
+        if tri.ndim != 2 or tri.shape[1] != 4 or not np.isin(tri[:, 3], (0, 1, 2)).all():
+            raise MeshError("a triangle row must be 3 vertex indices and a refinement edge 0-2")
+        boundary = [(*seg["segment"], seg["tag"]) for seg in doc["boundary"]]
+        return build_mesh(doc["vertices"], tri[:, :3], boundary, refedge=tri[:, 3])
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise MeshError(f"malformed mesh: {type(exc).__name__}: {exc}") from exc
 
 
 def save_mesh(mesh, path):
@@ -615,8 +620,12 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path) -> Triangulation:
-    with open(path) as fh:
-        return mesh_from_dict(json.load(fh))
+    """Mesh from a ``save_mesh`` file; an unreadable file raises MeshError."""
+    try:
+        with open(path) as fh:
+            return mesh_from_dict(json.load(fh))
+    except (OSError, ValueError) as exc:
+        raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
 
 
 def mesh_hash(mesh) -> str:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -54,6 +55,37 @@ class TestConfig:
     def test_buffer_floor(self):
         with pytest.raises(ConfigError):
             AfemConfig(buffer=1)
+
+    @pytest.mark.parametrize("via,fields", [
+        # constructor keywords of the wrong type or out of range
+        ("init", {"max_ndof": 1.5}), ("init", {"n": True}),
+        ("init", {"lower_bound_constant": float("inf")}), ("init", {"dense_cutoff": -3}),
+        ("init", {"deterministic": "no"}), ("init", {"theta": "abc"}),
+        ("init", {"mesh_file": ""}), ("init", {"bc": ("clamped", 3)}),
+        # JSON documents: the window has the one spelling J, and a mesh file
+        # takes the place of the preset
+        ("json", {"J": {"n": 1}, "cluster_size": 3}), ("json", {"J": {"N": 2}, "n": 4}),
+        ("json", {"J": {"n": True}}),
+        ("json", {"mesh_file": "mesh.json", "geometry": "square"}),
+        ("json", {"mesh_file": "mesh.json", "bc": "clamped"})])
+    def test_rejected(self, via, fields):
+        with pytest.raises(ConfigError):
+            AfemConfig(**fields) if via == "init" else AfemConfig.from_dict(fields)
+
+    def test_one_check_per_field(self):
+        assert list(afem._FIELDS) == [f.name for f in dataclasses.fields(AfemConfig)]
+
+    def test_numpy_numbers_accepted(self):
+        cfg = AfemConfig(n=np.int64(1), cluster_size=np.int64(2), max_levels=np.int32(3),
+                         max_ndof=np.int64(500), buffer=np.int64(4),
+                         dense_cutoff=np.int64(10), theta=np.float64(0.5),
+                         lower_bound_constant=np.float64(2.0))
+        assert cfg.window_indices().tolist() == [2, 3]
+
+    def test_partial_J_and_null_mesh_file_accepted(self):
+        assert AfemConfig.from_dict({"J": {"n": 1}}).window_indices().tolist() == [2]
+        assert AfemConfig.from_dict({"J": {"N": 2}}).window_indices().tolist() == [1, 2]
+        assert AfemConfig.from_dict({"mesh_file": None, "geometry": "lshape"}).geometry == "lshape"
 
 
 class TestRunAfem:
@@ -345,6 +377,11 @@ class TestRichardson:
 
 
 class TestReference:
+    @pytest.mark.parametrize("J", [[1, 3], [2, 2], [], [1.0]])
+    def test_window_must_be_consecutive(self, J):
+        with pytest.raises(ConfigError, match="consecutive"):
+            afem.reference_eigenvalues("square", "clamped", J, 100)
+
     def test_reference_smoke_and_reliability(self):
         ref = afem.reference_eigenvalues("square", "clamped", [1], 1500)
         assert ref.reliable[0]

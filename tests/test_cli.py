@@ -346,6 +346,37 @@ class TestRigidBodyExit:
         assert "rigid-body" in capsys.readouterr().err
 
 
+class TestMeshFileExit:
+    """A mesh file that cannot be read, or a config that names it wrongly,
+    exits 2 with a message instead of a traceback."""
+
+    @pytest.mark.parametrize("mesh_text,prefix", [
+        (None, "invalid input: cannot read mesh file"),
+        ('{"not": "a mesh"}', "invalid input: malformed mesh"),
+        ("{not json", "invalid input: cannot read mesh file")])
+    def test_unreadable_mesh_file_exit_2(self, mesh_text, prefix, tmp_path, capsys):
+        mesh = tmp_path / "mesh.json"
+        if mesh_text is not None:
+            mesh.write_text(mesh_text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mesh_file": str(mesh)}))
+        out = tmp_path / "t.csv"
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"mesh_file": ""}, {"mesh_file": "mesh.json", "geometry": "square"},
+        {"mesh_file": "mesh.json", "bc": "clamped"}])
+    def test_mesh_file_config_exit_2(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "t.csv"
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("invalid config: ")
+        assert not out.exists()
+
+
 class TestNumericalFailureExit:
     def test_window_too_large_exit_3(self, tmp_path):
         cfg = tmp_path / "cfg.json"

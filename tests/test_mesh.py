@@ -420,6 +420,23 @@ class TestSerialization:
         bare = best_of_3(lambda: msh.Triangulation(vertices, tri[:, :3], tri[:, 3]))
         assert labelled <= 8.0 * bare
 
+    @pytest.mark.parametrize("text", [
+        None, "{not json", "[]", '{"a": 1}',
+        '{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2]], "boundary": []}',
+        '{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2, 5]], "boundary": '
+        '[{"segment": [0, 1], "tag": "clamped"}, {"segment": [1, 2], "tag": "clamped"}, '
+        '{"segment": [2, 0], "tag": "clamped"}]}',
+        '{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2, 0]], '
+        '"boundary": [{"segment": [0], "tag": "clamped"}]}'])
+    def test_unreadable_mesh_file_raises_mesh_error(self, text, tmp_path):
+        # a missing file, not JSON, not a mesh, rows without a refinement
+        # edge or with one out of range, a segment with one end
+        path = tmp_path / "mesh.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(MeshError):
+            msh.load_mesh(path)
+
     def test_hash_stable_and_sensitive(self):
         m = msh.square_mesh("clamped")
         assert msh.mesh_hash(m) == msh.mesh_hash(msh.square_mesh("clamped"))
