@@ -22,7 +22,7 @@ _EXPORTS = {
     "assembly": ("assemble_mass", "assemble_stiffness"),
     "eigen": ("ClusterSolution", "SeparationReport", "lower_bound",
               "separation", "solve_gevp"),
-    "estimator": ("EstimatorField", "MarkSet", "dorfler_mark", "estimate"),
+    "estimator": ("EstimatorField", "dorfler_mark", "estimate"),
     "helmholtz": ("XSpace", "build_xspace", "decompose", "dimension_audit"),
     "mesh": ("BoundaryPart", "Triangulation", "build_mesh", "load_mesh",
              "lshape_mesh", "preset_mesh", "refine_nvb", "save_mesh",

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly, eigen, estimator
-from .helmholtz import tensor_features
-from .mesh import Triangulation, load_mesh, preset_mesh, refine_nvb, uniform_refine
-from .space import (MorleySpace, affine_kernel_dimension, build_space,
-                    hessians, prolong_to_fine)
+from .mesh import Triangulation, ancestor_map, load_mesh, preset_mesh, refine_nvb, uniform_refine
+from .space import (MorleySpace, affine_kernel_dimension, build_space, hessians,
+                    l2s_coordinates)
 
 __all__ = [
     "AfemConfig",
@@ -285,7 +284,7 @@ def _loop(config, uniform):
         trace.clusters.append(cluster)
         if level >= config.max_levels or space.ndof >= config.max_ndof:
             break
-        if not uniform and (fld.total <= _ETA2_FLOOR or marked.converged):
+        if not uniform and fld.total <= _ETA2_FLOOR:
             trace.converged = True
             break
         with _phase(timings, "refine"):
@@ -315,7 +314,7 @@ def fit_rate(ndofs, values, ndof0=None, tail=None):
     return float(slope)
 
 
-def quantity_rate(ndofs, eta2, lam, quantity, reference=None, tail=None):
+def quantity_rate(ndofs, eta2, lam, quantity, reference=None):
     """Empirical rate of ``"eta2"`` or ``"lambda_err"`` against ndof.
 
     ``eta2`` holds the estimator total per level and ``lam`` the window
@@ -333,7 +332,7 @@ def quantity_rate(ndofs, eta2, lam, quantity, reference=None, tail=None):
         vals = np.abs(lam - ref).max(axis=1)
     else:
         raise ValueError(f"unknown quantity {quantity!r}")
-    return fit_rate(ndofs, vals, tail=tail)
+    return fit_rate(ndofs, vals)
 
 
 def richardson_extrapolate(values):
@@ -409,8 +408,9 @@ def angle_to_reference(space: MorleySpace, cluster,
                        ref_space: MorleySpace, ref_cluster) -> float:
     """Largest-angle sine between a level's window span and a reference span.
 
-    Both coefficient blocks are prolonged to the reference mesh (which must
-    refine the level mesh) and compared in the broken-Hessian product.
+    Both blocks are compared in the broken-Hessian product on the reference
+    mesh, which must refine the level mesh: a level triangle's Hessian is
+    read on each of its descendants, as prolongation would copy it.
     """
     if cluster.vectors.shape[1] != ref_cluster.vectors.shape[1]:
         raise eigen.EigenError("window dimensions differ")
@@ -421,7 +421,8 @@ def angle_to_reference(space: MorleySpace, cluster,
 
 
 def _hessian_feature_block(space, vectors, fine_mesh):
-    cols = [tensor_features(fine_mesh, hessians(
-                prolong_to_fine(space.to_broken(vectors[:, k]), fine_mesh)))
+    amap = ancestor_map(fine_mesh, space.mesh)
+    cols = [l2s_coordinates(hessians(space.to_broken(vectors[:, k]))[amap],
+                            fine_mesh.areas).ravel()
             for k in range(vectors.shape[1])]
     return np.stack(cols, axis=1)

@@ -116,9 +116,11 @@ def _cmd_run(args):
             save_mesh(mesh, path)
             outputs.append(path)
 
+    # only the keys that took effect: a mesh file replaces geometry and bc
+    unused = {"geometry", "bc"} if config.mesh_file is not None else {"mesh_file"}
     manifest = {
         "config": {k: (v if not isinstance(v, (list, tuple)) else list(v))
-                   for k, v in vars(config).items()},
+                   for k, v in vars(config).items() if k not in unused},
         "code_version": _version(),
         "mesh_hashes": [mesh_hash(m) for m in trace.meshes],
         "outputs": outputs,

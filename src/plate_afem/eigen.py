@@ -86,10 +86,6 @@ class ClusterSolution:
     lanczos_solves: int
     factor_nnz: int
 
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(self.j_first, self.j_first + len(self.eigenvalues))
-
     def window(self, n: int, N: int) -> "ClusterSolution":
         """Sub-window covering eigenvalue indices n+1 .. n+N (1-based).
 

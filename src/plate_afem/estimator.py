@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import BoundaryPart, Triangulation
+from .mesh import BoundaryPart
 from .quadrature import SEVEN_POINT, physical_points
 from .space import MorleySpace, hessians
 
-__all__ = ["EstimatorField", "MarkSet", "MarkingError", "estimate", "dorfler_mark"]
+__all__ = ["EstimatorField", "MarkingError", "estimate", "dorfler_mark"]
 
 
 class MarkingError(Exception):
@@ -28,26 +28,11 @@ class MarkingError(Exception):
 class EstimatorField:
     """Per-triangle squared estimator contributions for one window."""
 
-    mesh: Triangulation
     eta2: np.ndarray          # (T,)
 
     @property
     def total(self) -> float:
         return float(self.eta2.sum())
-
-
-@dataclass
-class MarkSet:
-    """Marked triangle indices from bulk marking."""
-
-    indices: np.ndarray
-    converged: bool = False
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self):
-        return len(self.indices)
 
 
 def estimate(space: MorleySpace, cluster) -> EstimatorField:
@@ -97,16 +82,16 @@ def estimate(space: MorleySpace, cluster) -> EstimatorField:
                              (np.nonzero(has_minus)[0], minus[has_minus])):
             np.add.at(eta2, t_ids, mesh.h_t[t_ids] * edge_int[f_ids])
 
-    return EstimatorField(mesh=mesh, eta2=eta2)
+    return EstimatorField(eta2=eta2)
 
 
-def dorfler_mark(field: EstimatorField, theta: float) -> MarkSet:
-    """Minimal bulk-marking set capturing the fraction ``theta`` of the total.
+def dorfler_mark(field: EstimatorField, theta: float) -> np.ndarray:
+    """Sorted int64 indices of a minimal bulk-marking set capturing the
+    fraction ``theta`` of the total.
 
     Sorting by decreasing contribution (ties by triangle index) and taking
     the shortest prefix reaching ``theta * total`` yields a minimum
-    cardinality set.  A zero estimator returns an empty set flagged as
-    converged.
+    cardinality set.  A zero estimator marks nothing.
     """
     if not 0.0 < theta <= 1.0:
         raise MarkingError("theta must lie in (0, 1]")
@@ -117,9 +102,8 @@ def dorfler_mark(field: EstimatorField, theta: float) -> MarkSet:
     csum = np.cumsum(eta2[order])
     total = csum[-1] if len(csum) else 0.0
     if total <= 0.0:
-        return MarkSet(indices=np.array([], dtype=np.int64), converged=True)
+        return np.array([], dtype=np.int64)
     target = theta * total
     k = int(np.searchsorted(csum, target, side="left"))
     k = min(k, len(csum) - 1)
-    marked = np.sort(order[: k + 1])
-    return MarkSet(indices=marked, converged=False)
+    return np.sort(order[: k + 1])

@@ -34,10 +34,9 @@ __all__ = [
     "DecompositionResult",
     "HelmholtzError",
     "build_xspace",
-    "sym_curl",
-    "full_curl",
     "decompose",
     "dimension_audit",
+    "tensor_features",
 ]
 
 _KERNEL_RTOL, _RANGE_RTOL, _SHIFT_RTOL = 1e-13, 1e-9, 1e-11
@@ -141,27 +140,6 @@ def _null_basis(C):
     return dla.qr(C.T.toarray(), mode="full")[0][:, C.shape[0]:]
 
 
-def full_curl(mesh: Triangulation, nodal) -> np.ndarray:
-    """Rowwise Curl of a continuous piecewise-affine field, per triangle.
-
-    Returns (T, 2, 2) with row i equal to (-d beta_i / dy, d beta_i / dx).
-    """
-    nodal = np.asarray(nodal, dtype=float).reshape(-1, 2)
-    grads = _p1_gradients(mesh)
-    D = np.einsum("tld,tli->tid", grads, nodal[mesh.triangles])  # dbeta_i/dx_d
-    curl = np.empty((mesh.num_triangles, 2, 2))
-    curl[:, :, 0] = -D[:, :, 1]
-    curl[:, :, 1] = D[:, :, 0]
-    return curl
-
-
-def sym_curl(mesh: Triangulation, nodal) -> np.ndarray:
-    """Symmetric part of the Curl as (T, 3) components (s11, s22, s12)."""
-    c = full_curl(mesh, nodal)
-    return np.stack([c[:, 0, 0], c[:, 1, 1],
-                     0.5 * (c[:, 0, 1] + c[:, 1, 0])], axis=1)
-
-
 def tensor_features(mesh, comps) -> np.ndarray:
     """Flatten (T, 3) tensor components into L2(S)-isometric vectors."""
     return l2s_coordinates(comps, mesh.areas).ravel()
@@ -205,7 +183,6 @@ class DecompositionResult:
     psi_nodal: np.ndarray      # (N, 2)
     residual: float            # L2 norm of sigma - D^2 phi - sym Curl psi
     orthogonality: float       # (D^2 phi, sym Curl psi)_L2
-    curl_norm: float           # L2 norm of the full Curl of psi
 
 
 def decompose(space: MorleySpace, xspace: XSpace, sigma) -> DecompositionResult:
@@ -256,12 +233,8 @@ def decompose(space: MorleySpace, xspace: XSpace, sigma) -> DecompositionResult:
     part_c = gram.B @ psi
     resid = float(np.linalg.norm(target - part_h - part_c))
     ortho = float(part_h @ part_c)
-    psi_nodal = psi.reshape(-1, 2)
-    curl = full_curl(mesh, psi_nodal)
-    curl_norm = float(np.sqrt(np.einsum("t,tab->", mesh.areas, curl ** 2)))
-    return DecompositionResult(
-        phi=phi, psi_nodal=psi_nodal, residual=resid,
-        orthogonality=ortho, curl_norm=curl_norm)
+    return DecompositionResult(phi=phi, psi_nodal=psi.reshape(-1, 2), residual=resid,
+                               orthogonality=ortho)
 
 
 def _rank_deficient(expected, got):

@@ -58,23 +58,14 @@ class BoundaryPart(IntEnum):
 
     @property
     def label(self):
-        return _PART_LABELS[self]
+        return self.name.lower()
 
     @classmethod
     def from_label(cls, label: str) -> "BoundaryPart":
-        try:
-            return _LABEL_PARTS[label]
-        except KeyError:
-            raise MeshError(f"unknown boundary tag {label!r}") from None
-
-
-_PART_LABELS = {
-    BoundaryPart.INTERIOR: "interior",
-    BoundaryPart.CLAMPED: "clamped",
-    BoundaryPart.SIMPLY_SUPPORTED: "simply_supported",
-    BoundaryPart.FREE: "free",
-}
-_LABEL_PARTS = {v: k for k, v in _PART_LABELS.items()}
+        for part in cls:
+            if label == part.label:
+                return part
+        raise MeshError(f"unknown boundary tag {label!r}")
 
 
 class Triangulation:
@@ -84,9 +75,9 @@ class Triangulation:
     ----------
     vertices : (N, 2) float array
     triangles : (T, 3) int array, counterclockwise
-    refedge : (T,) int array, local index of the vertex opposite the
-        refinement edge; default is the longest edge, ties broken by the
-        smallest global edge index
+    refedge : (T,) int array, local index 0-2 of the vertex opposite the
+        refinement edge (any other shape or value raises MeshError); default
+        is the longest edge, ties broken by the smallest global edge index
     edges : (F, 2) int array of endpoint indices, tangent-ordered
     edge_tags : (F,) int array of BoundaryPart values
     tri_edges : (T, 3) int array, global edge index opposite local vertex i
@@ -125,6 +116,9 @@ class Triangulation:
         self.refedge = np.ascontiguousarray(
             _longest_edge_assignment(self) if refedge is None else refedge,
             dtype=np.int64)
+        if (self.refedge.shape != (len(self.triangles),)
+                or self.refedge.min() < 0 or self.refedge.max() > 2):
+            raise MeshError("refedge must hold one local vertex index 0-2 per triangle")
 
         self.parent = None if parent is None else np.asarray(parent, dtype=np.int64)
         self.coarse = coarse
@@ -246,9 +240,6 @@ class Triangulation:
         mask = np.isin(self.edge_tags, [int(p) for p in parts])
         return np.nonzero(mask)[0]
 
-    def interior_edges(self):
-        return np.nonzero(self.interior_edge_mask)[0]
-
     def boundary_edges(self):
         return np.nonzero(self.boundary_edge_mask)[0]
 
@@ -298,8 +289,9 @@ def build_mesh(vertices, triangles, boundary, refedge=None) -> Triangulation:
     refedge : optional (T,) array of refinement-edge assignments.  Default is
         the longest edge, ties broken by the smallest global edge index.
 
-    Raises MeshError for non-conforming input, degenerate triangles or
-    boundary edges not covered by exactly one labelled segment.
+    Raises MeshError for non-conforming input, degenerate triangles, a
+    refedge entry outside 0-2 or boundary edges not covered by exactly one
+    labelled segment.
     """
     vertices = np.asarray(vertices, dtype=float)
     mesh = Triangulation(vertices, triangles, refedge)
@@ -386,9 +378,7 @@ def uniform_refine(mesh: Triangulation) -> Triangulation:
 
 
 def _as_index_array(marked, ntri):
-    marked = getattr(marked, "indices", marked)
-    arr = np.unique(np.asarray(list(marked) if isinstance(marked, (set, frozenset))
-                               else marked, dtype=np.int64).ravel())
+    arr = np.unique(np.asarray(marked, dtype=np.int64).ravel())
     if arr.size and (arr[0] < 0 or arr[-1] >= ntri):
         raise MeshError("marked triangle index out of range")
     return arr
@@ -606,8 +596,8 @@ def mesh_from_dict(doc: dict) -> Triangulation:
     raises MeshError."""
     try:
         tri = np.asarray(doc["triangles"], dtype=np.int64)
-        if tri.ndim != 2 or tri.shape[1] != 4 or not np.isin(tri[:, 3], (0, 1, 2)).all():
-            raise MeshError("a triangle row must be 3 vertex indices and a refinement edge 0-2")
+        if tri.ndim != 2 or tri.shape[1] != 4:
+            raise MeshError("a triangle row must be 3 vertex indices and a refinement edge")
         boundary = [(*seg["segment"], seg["tag"]) for seg in doc["boundary"]]
         return build_mesh(doc["vertices"], tri[:, :3], boundary, refedge=tri[:, 3])
     except (KeyError, TypeError, ValueError, IndexError) as exc:

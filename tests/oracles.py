@@ -7,12 +7,14 @@ Lanczos run to machine precision for the stopping rule of its sparse path
 COLAMD-ordered factor alone moves λ by about 2e-12), exhaustive subset
 search for bulk marking, a collapsed Gauss rule for the load vector of
 a manufactured solution, symbolic element integration for the plate
-forms, per-column and per-cell loops for the
-Helmholtz maps, one dense least-squares solve with the stacked maps for
-the tensor splitting, a pivoted QR for the ranks of the audited maps,
-a dense null-space basis with a Cholesky-factored Gram matrix for the
-constrained Curl space, a sparse factorisation of the stiffness matrix
-with the kernel DOFs removed for the Hessian side of the splitting,
+forms, per-column and per-cell loops for the Helmholtz maps (with the
+per-field Curl ``full_curl`` and its symmetric part ``sym_curl``),
+per-column prolongation for subspace angles, one dense least-squares
+solve with the stacked maps for the tensor splitting, a pivoted QR for
+the ranks of the audited maps, a dense null-space basis with a
+Cholesky-factored Gram matrix for the constrained Curl space, a sparse
+factorisation of the stiffness matrix with the kernel DOFs removed for
+the Hessian side of the splitting,
 all dense eigenvalues for the stiffness kernel, a geometric search for
 the fine sub-edges of every coarse edge in Morley interpolation and in
 the edge ancestry of a refinement, a
@@ -282,9 +284,38 @@ def hessian_map_loops(space):
     return out
 
 
+def full_curl(mesh, nodal):
+    """Rowwise Curl of a continuous piecewise-affine field, per triangle.
+
+    Returns (T, 2, 2) with row i equal to (-d beta_i / dy, d beta_i / dx).
+    """
+    from plate_afem.space import _p1_gradients
+
+    nodal = np.asarray(nodal, dtype=float).reshape(-1, 2)
+    grads = _p1_gradients(mesh)
+    D = np.einsum("tld,tli->tid", grads, nodal[mesh.triangles])  # dbeta_i/dx_d
+    curl = np.empty((mesh.num_triangles, 2, 2))
+    curl[:, :, 0] = -D[:, :, 1]
+    curl[:, :, 1] = D[:, :, 0]
+    return curl
+
+
+def sym_curl(mesh, nodal):
+    """Symmetric part of the Curl as (T, 3) components (s11, s22, s12)."""
+    c = full_curl(mesh, nodal)
+    return np.stack([c[:, 0, 0], c[:, 1, 1],
+                     0.5 * (c[:, 0, 1] + c[:, 1, 0])], axis=1)
+
+
+def curl_l2_norm(mesh, nodal):
+    """L2 norm of the full Curl of a nodal field."""
+    curl = full_curl(mesh, nodal)
+    return float(np.sqrt(np.einsum("t,tab->", mesh.areas, curl ** 2)))
+
+
 def sym_curl_map_columns(xspace):
     """Weighted symmetric Curls of the constrained basis, column by column."""
-    from plate_afem.helmholtz import sym_curl, tensor_features
+    from plate_afem.helmholtz import tensor_features
 
     mesh = xspace.mesh
     cols = [tensor_features(mesh, sym_curl(mesh, xspace.basis[:, k]))
@@ -337,8 +368,7 @@ def stiffness_kernel_dimension(space, tol=1e-8):
 def decompose_lstsq(space, xspace, sigma):
     """Tensor splitting by one dense least-squares solve with the stacked
     (3#T, ndof + dim) map, its rank taken from the singular values."""
-    from plate_afem.helmholtz import (DecompositionResult, HelmholtzError,
-                                      full_curl, tensor_features)
+    from plate_afem.helmholtz import DecompositionResult, HelmholtzError, tensor_features
 
     mesh = space.mesh
     sigma = np.asarray(sigma, dtype=float)
@@ -358,12 +388,9 @@ def decompose_lstsq(space, xspace, sigma):
     part_c = B[:, space.ndof:] @ psi
     resid = float(np.linalg.norm(target - part_h - part_c))
     ortho = float(part_h @ part_c)
-    psi_nodal = (xspace.basis @ psi).reshape(-1, 2)
-    curl = full_curl(mesh, psi_nodal)
-    curl_norm = float(np.sqrt(np.einsum("t,tab->", mesh.areas, curl ** 2)))
     return DecompositionResult(
-        phi=phi, psi_nodal=psi_nodal, residual=resid,
-        orthogonality=ortho, curl_norm=curl_norm)
+        phi=phi, psi_nodal=(xspace.basis @ psi).reshape(-1, 2), residual=resid,
+        orthogonality=ortho)
 
 
 def xspace_full_qr(mesh):
@@ -687,6 +714,27 @@ def refine_nvb_recursive(mesh, marked=None):
     split_edge[mesh.tri_edges[marked, mesh.refedge[marked]]] = True
     _closure(mesh, split_edge)
     return apply_split_recursive(mesh, split_edge)
+
+
+def hessian_features_prolonged(space, vectors, fine_mesh):
+    """(3#T_fine, N) L2(S) features of the broken Hessians of the columns of
+    ``vectors``, each column prolonged to ``fine_mesh`` on its own."""
+    from plate_afem.helmholtz import tensor_features
+    from plate_afem.space import hessians, prolong_to_fine
+
+    return np.stack([tensor_features(fine_mesh, hessians(
+        prolong_to_fine(space.to_broken(vectors[:, k]), fine_mesh)))
+        for k in range(vectors.shape[1])], axis=1)
+
+
+def angle_to_reference_prolonged(space, cluster, ref_space, ref_cluster):
+    """Largest-angle sine between a level's window span and a reference
+    span, both prolonged column by column to the reference mesh."""
+    from plate_afem.eigen import sin_max_angle
+
+    fine = ref_space.mesh
+    return sin_max_angle(hessian_features_prolonged(space, cluster.vectors, fine),
+                         hessian_features_prolonged(ref_space, ref_cluster.vectors, fine))
 
 
 def min_angle(mesh):

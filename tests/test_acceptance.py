@@ -231,7 +231,7 @@ def test_criterion_7_marking_minimality():
         vals = np.round(rng.random(10) * 4) / 2.0
         if vals.sum() == 0:
             continue
-        field = est.EstimatorField(mesh=base, eta2=vals)
+        field = est.EstimatorField(eta2=vals)
         for theta in thetas:
             mk = est.dorfler_mark(field, float(theta))
             assert len(mk) == dorfler_min_cardinality(vals, float(theta))

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plate_afem import afem, assembly as asm, eigen as eig, mesh as msh, space as sp
+from plate_afem import afem, assembly as asm, eigen as eig, estimator
+from plate_afem import mesh as msh, space as sp
 from plate_afem.afem import AfemConfig, ConfigError
 from plate_afem.eigen import ClusterSplitError, EigenError
 
-from oracles import stiffness_kernel_dimension
+from oracles import (angle_to_reference_prolonged, hessian_features_prolonged,
+                     stiffness_kernel_dimension)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "square_clamped_theta05.json")
@@ -120,6 +122,18 @@ class TestRunAfem:
         assert all(r.timings["refine"] > 0.0 for r in tr.levels[:-1])
         assert tr.levels[-1].timings["refine"] == 0.0
         assert not tr.converged
+
+    @pytest.mark.parametrize("value,marked", [(0.0, 0), (1e-15, 1)])
+    def test_vanishing_estimator_stops_as_converged(self, monkeypatch, value, marked):
+        # a total at most 1e-12 stops the loop; an all-zero field marks nothing
+        def flat(space, cluster):
+            return estimator.EstimatorField(eta2=np.full(space.mesh.num_triangles, value))
+
+        monkeypatch.setattr(estimator, "estimate", flat)
+        tr = afem.run_afem(AfemConfig(geometry="square", bc="clamped", max_levels=5))
+        assert tr.converged
+        assert [r.marked for r in tr.levels] == [marked]
+        assert tr.levels[0].eta2_total == 2 * value
 
     def test_wall_time_is_the_sum_of_the_phase_timings(self, tmp_path):
         cfg = AfemConfig(geometry="lshape", bc="mixed", max_levels=3)
@@ -424,6 +438,33 @@ class TestAngles:
         S, sol = self._solve(m, 3)
         with pytest.raises(EigenError):
             afem.angle_to_reference(S, sol.window(0, 1), S, sol.window(0, 2))
+
+    @pytest.mark.parametrize("n,N", [(0, 1), (1, 2)])
+    def test_equals_per_column_prolongation_bit_for_bit(self, n, N):
+        # the reference mesh is three bisection steps toward the reentrant
+        # corner from the once uniformly refined mixed L-shape
+        coarse = msh.uniform_refine(msh.preset_mesh("lshape", "mixed"))
+        fine = coarse
+        for _ in range(3):
+            fine = msh.refine_nvb(fine, np.nonzero(
+                np.linalg.norm(fine.centroids, axis=1) < 0.4)[0])
+        S, sol = self._solve(coarse, n + N + 1)
+        Sf, solf = self._solve(fine, n + N + 1)
+        c, cf = sol.window(n, N), solf.window(n, N)
+        for space, cluster in ((S, c), (Sf, cf)):
+            got = afem._hessian_feature_block(space, cluster.vectors, fine)
+            want = hessian_features_prolonged(space, cluster.vectors, fine)
+            assert got.shape == (3 * fine.num_triangles, N)
+            assert got.tobytes() == want.tobytes()
+        a = afem.angle_to_reference(S, c, Sf, cf)
+        assert a == angle_to_reference_prolonged(S, c, Sf, cf)
+        assert 0.0 < a < 1.0
+
+    def test_reference_must_refine_the_level_mesh(self):
+        S, sol = self._solve(msh.square_mesh("clamped"), 1)
+        Sf, solf = self._solve(msh.uniform_refine(msh.square_mesh("clamped")), 1)
+        with pytest.raises(msh.MeshError, match="not a refinement"):
+            afem.angle_to_reference(S, sol.window(0, 1), Sf, solf.window(0, 1))
 
     def test_angles_decrease_towards_reference(self):
         meshes = [msh.square_mesh("clamped")]

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import spectrum_csv_resolved
 from plate_afem import cli
+from plate_afem.afem import AfemConfig
 
 
 def run_cli(args):
@@ -154,6 +155,30 @@ class TestRun:
         m1 = open(out1 + ".manifest.json").read().replace("t1.csv", "X")
         m2 = open(out2 + ".manifest.json").read().replace("t2.csv", "X")
         assert m1 == m2
+
+    def test_manifest_config_lists_only_the_keys_that_took_effect(
+            self, square_config, tmp_path):
+        out = str(tmp_path / "preset.csv")
+        assert run_cli(["run", "--config", square_config, "--out", out]) == 0
+        config = json.load(open(out + ".manifest.json"))["config"]
+        assert config["geometry"] == "square" and config["bc"] == "clamped"
+        assert "mesh_file" not in config
+
+        mesh = tmp_path / "mesh.json"
+        assert run_cli(["mesh-export", "--refine", "1", "--out", str(mesh)]) == 0
+        cfg = tmp_path / "file.json"
+        cfg.write_text(json.dumps({"mesh_file": str(mesh), "max_levels": 2}))
+        manifests = []
+        for name in ("f1.csv", "f2.csv"):
+            out = str(tmp_path / name)
+            assert run_cli(["run", "--config", str(cfg), "--out", out,
+                            "--deterministic"]) == 0
+            manifests.append(open(out + ".manifest.json").read().replace(name, "X"))
+        config = json.loads(manifests[0])["config"]
+        assert config["mesh_file"] == str(mesh)
+        assert not {"geometry", "bc"} & set(config)
+        assert set(config) == set(vars(AfemConfig())) - {"geometry", "bc"}
+        assert manifests[0] == manifests[1]
 
     def test_dump_mesh(self, square_config, tmp_path):
         out = str(tmp_path / "trace.csv")
@@ -363,6 +388,22 @@ class TestMeshFileExit:
         out = tmp_path / "t.csv"
         assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(prefix)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("refedge", [-1, 3])
+    def test_refedge_outside_0_to_2_exit_2(self, refedge, tmp_path, capsys):
+        mesh = tmp_path / "mesh.json"
+        assert run_cli(["mesh-export", "--refine", "2", "--out", str(mesh)]) == 0
+        doc = json.loads(mesh.read_text())
+        doc["triangles"] = [row[:3] + [refedge] for row in doc["triangles"]]
+        mesh.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mesh_file": str(mesh)}))
+        out = tmp_path / "t.csv"
+        capsys.readouterr()
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and "refedge" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("doc", [

@@ -90,6 +90,31 @@ class TestBuild:
         with pytest.raises(MeshError):
             msh.build_mesh(np.zeros((0, 2)), np.zeros((0, 3), dtype=int), [])
 
+    @pytest.mark.parametrize("bad", [lambda T: np.full(T, -1), lambda T: np.full(T, 3),
+                                     lambda T: np.zeros(T + 1, dtype=int),
+                                     lambda T: np.zeros((T, 1), dtype=int)])
+    def test_refedge_outside_0_to_2_or_misshapen_rejected(self, bad):
+        # -1 would otherwise be read as local edge 2 by negative indexing
+        m = msh.uniform_refine(msh.uniform_refine(msh.square_mesh("clamped")))
+        boundary = [(*m.edges[f], BoundaryPart(m.edge_tags[f]).label)
+                    for f in m.boundary_edges()]
+        with pytest.raises(MeshError, match="refedge"):
+            msh.build_mesh(m.vertices, m.triangles, boundary,
+                           refedge=bad(m.num_triangles))
+        with pytest.raises(MeshError, match="refedge"):
+            msh.Triangulation(m.vertices, m.triangles, bad(m.num_triangles))
+        kept = msh.build_mesh(m.vertices, m.triangles, boundary, refedge=m.refedge)
+        assert msh.mesh_hash(kept) == msh.mesh_hash(m)
+
+    def test_boundary_labels_are_the_lower_case_names(self):
+        assert [p.label for p in BoundaryPart] == [
+            "interior", "clamped", "simply_supported", "free"]
+        for p in BoundaryPart:
+            assert BoundaryPart.from_label(p.label) is p
+        for label in ("Clamped", "FREE", "simply supported", "", 1, None, ["free"]):
+            with pytest.raises(MeshError, match="unknown boundary tag"):
+                BoundaryPart.from_label(label)
+
     def test_longest_edge_ties_go_to_smallest_global_edge(self):
         # equilateral up to rounding: the height is sqrt(3)/2 rounded up, so
         # all three computed side lengths are exactly 1.0; edge (0, 1) has
@@ -129,7 +154,7 @@ class TestNormalsAndIncidence:
 
     def test_interior_normal_from_lower_triangle(self):
         m = msh.square_mesh("clamped")
-        f = m.interior_edges()[0]
+        f = np.nonzero(m.interior_edge_mask)[0][0]
         t_plus = m.edge_tris[f, 0]
         assert t_plus == min(m.edge_tris[f])
         out = m.edge_midpoints[f] - m.centroids[t_plus]
@@ -143,9 +168,9 @@ class TestNormalsAndIncidence:
 
     def test_incidence_queries(self):
         m = msh.square_mesh("clamped")
-        assert len(m.interior_edges()) == 1
+        assert m.interior_edge_mask.sum() == 1
         assert len(m.edges_with_tag(BoundaryPart.CLAMPED)) == 4
-        diag = m.interior_edges()[0]
+        diag = np.nonzero(m.interior_edge_mask)[0][0]
         assert sorted(m.edge_tris[diag]) == [0, 1]
         assert set(m.tri_edges[0]).union(m.tri_edges[1]) == set(range(5))
 
@@ -443,16 +468,6 @@ class TestSerialization:
         assert msh.mesh_hash(m) != msh.mesh_hash(msh.square_mesh("free"))
 
 
-class TestMarkSetInput:
-    def test_refine_accepts_mark_object(self):
-        from plate_afem.estimator import MarkSet
-
-        m = msh.square_mesh("clamped")
-        mk = MarkSet(indices=np.array([0]), converged=False)
-        r = msh.refine_nvb(m, mk)
-        assert r.num_triangles == 4
-
-
 class TestBisectionAccounting:
     def test_triangle_vertex_accounting(self):
         # each split edge contributes one new vertex and one extra triangle
@@ -539,7 +554,7 @@ class TestRefinementOracle:
         # an interior edge that is the refinement edge of one neighbour only
         # leaves a hanging node; a boundary edge that is nobody's refinement
         # edge leaves an unused midpoint
-        lone = [f for f in m.interior_edges() if np.sum(ref == f) == 1]
+        lone = [f for f in np.nonzero(m.interior_edge_mask)[0] if np.sum(ref == f) == 1]
         unused = [f for f in m.boundary_edges() if f not in ref]
         assert lone and unused
         for f in (lone[0], unused[0]):

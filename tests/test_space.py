@@ -92,7 +92,7 @@ class TestDofFunctional:
         # 2 * mid_x * nu_x for the stored normal
         m = msh.square_mesh("free")
         S = sp.build_space(m)
-        diag = m.interior_edges()[0]
+        diag = np.nonzero(m.interior_edge_mask)[0][0]
         nu = m.edge_normals[diag]
         got = sp.morley_interpolate(S, quadratic_on(m, self.X_SQUARED))[S.edge_dof[diag]]
         assert got == pytest.approx(2 * 0.5 * nu[0], abs=1e-14)
@@ -248,7 +248,7 @@ class TestProlongation:
         pf = sp.prolong_to_fine(bf, fine)
         # the midpoint of the coarse diagonal is a fine vertex; coarse
         # polynomial values on both sides must match the prolonged values
-        diag = m.interior_edges()[0]
+        diag = np.nonzero(m.interior_edge_mask)[0][0]
         mid = m.edge_midpoints[diag]
         for t_new in range(fine.num_triangles):
             tri = fine.triangles[t_new]
@@ -263,7 +263,7 @@ class TestProlongation:
 class TestSignConvention:
     def test_normal_flip_flips_exactly_one_dof(self):
         m = msh.uniform_refine(msh.square_mesh("clamped"))
-        edge = int(m.interior_edges()[2])
+        edge = int(np.nonzero(m.interior_edge_mask)[0][2])
         m2 = flip_edge_orientation(m, edge)
         S1 = sp.build_space(m)
         S2 = sp.build_space(m2)
@@ -279,7 +279,7 @@ class TestSignConvention:
         from plate_afem.assembly import assemble_mass, assemble_stiffness
 
         m = msh.uniform_refine(msh.square_mesh("clamped"))
-        edge = int(m.interior_edges()[1])
+        edge = int(np.nonzero(m.interior_edge_mask)[0][1])
         m2 = flip_edge_orientation(m, edge)
         S1, S2 = sp.build_space(m), sp.build_space(m2)
         A1 = assemble_stiffness(S1).toarray()
