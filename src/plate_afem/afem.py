@@ -18,7 +18,7 @@ import numpy as np
 
 from . import assembly, eigen, estimator
 from .mesh import Triangulation, ancestor_map, load_mesh, preset_mesh, refine_nvb, uniform_refine
-from .space import (MorleySpace, affine_kernel_dimension, build_space, hessians,
+from .space import (MorleySpace, _hessian_components, affine_kernel_dimension, build_space,
                     l2s_coordinates)
 
 __all__ = [
@@ -422,7 +422,6 @@ def angle_to_reference(space: MorleySpace, cluster,
 
 def _hessian_feature_block(space, vectors, fine_mesh):
     amap = ancestor_map(fine_mesh, space.mesh)
-    cols = [l2s_coordinates(hessians(space.to_broken(vectors[:, k]))[amap],
-                            fine_mesh.areas).ravel()
-            for k in range(vectors.shape[1])]
-    return np.stack(cols, axis=1)
+    H = _hessian_components(space.window_coefficients(vectors))[:, amap]  # (N, T, 3)
+    feats = l2s_coordinates(np.moveaxis(H, 0, 1), fine_mesh.areas)      # (T, N, 3)
+    return feats.transpose(0, 2, 1).reshape(-1, vectors.shape[1])

@@ -272,6 +272,7 @@ def main(argv=None) -> int:
     from .eigen import EigenError
     from .helmholtz import HelmholtzError
     from .mesh import MeshError
+    from .space import SpaceError
 
     handlers = {
         "run": _cmd_run,
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
     except (MeshError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except (EigenError, HelmholtzError) as exc:
+    except (EigenError, HelmholtzError, SpaceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
 

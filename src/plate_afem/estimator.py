@@ -7,6 +7,13 @@ vector) and its simply supported edges (the tangential-tangential
 component).  Free edges contribute nothing.  Interior edges are counted
 once per adjacent triangle, each time weighted with that triangle's
 mesh size.
+
+All members are evaluated at once, and eta^2 is summed by one scatter
+whose input lists, member after member, the volume terms by triangle, the
+plus-side edge terms by edge and the minus-side terms of the interior
+edges by edge.  ``np.bincount`` adds its weights in input order, so every
+triangle receives its terms in the sequence of a loop over the members
+with in-order scatters, and eta^2 is bit for bit that loop's.
 """
 
 from dataclasses import dataclass
@@ -15,7 +22,7 @@ import numpy as np
 
 from .mesh import BoundaryPart
 from .quadrature import SEVEN_POINT, physical_points
-from .space import MorleySpace, hessians
+from .space import MorleySpace, _hessian_components, _quadratic
 
 __all__ = ["EstimatorField", "MarkingError", "estimate", "dorfler_mark"]
 
@@ -36,52 +43,45 @@ class EstimatorField:
 
 
 def estimate(space: MorleySpace, cluster) -> EstimatorField:
-    """Evaluate the estimator for the eigenpairs of ``cluster`` on ``space``.
-
-    ``cluster`` provides ``eigenvalues`` and coefficient ``vectors`` living
-    on this space.
-    """
+    """Evaluate the estimator for the eigenpairs of ``cluster`` on ``space``:
+    its ``eigenvalues`` and the columns of its coefficient ``vectors``."""
     mesh = space.mesh
     vectors = np.atleast_2d(np.asarray(cluster.vectors, dtype=float))
     if vectors.shape[0] != space.ndof:
         raise MarkingError("cluster vectors do not live on this space")
     lams = np.asarray(cluster.eigenvalues, dtype=float)
+    coeffs = space.window_coefficients(vectors)              # (N, T, 6)
 
-    pts = physical_points(SEVEN_POINT, mesh.vertices[mesh.triangles]).reshape(-1, 2)
-    tri_of_point = np.repeat(np.arange(mesh.num_triangles), len(SEVEN_POINT.weights))
-    eta2 = np.zeros(mesh.num_triangles)
-    interior_or_clamped = ((mesh.edge_tags == BoundaryPart.INTERIOR)
-                           | (mesh.edge_tags == BoundaryPart.CLAMPED))
-    simply = mesh.edge_tags == BoundaryPart.SIMPLY_SUPPORTED
+    # volume residual: h_T^4 * int_T (lambda u)^2, exact for quadratics;
+    # lambda^2 through pow, as a float64 scalar squares (an array's ** 2
+    # multiplies, which differs in the last bit for some lambda)
+    d = physical_points(SEVEN_POINT, mesh.vertices[mesh.triangles]) - mesh.centroids[:, None]
+    vals = _quadratic(np.moveaxis(coeffs, -1, 0)[..., None], d[..., 0], d[..., 1])
+    int_u2 = np.einsum("q,ntq->nt", SEVEN_POINT.weights, vals ** 2) * mesh.areas
+    volume = mesh.areas ** 2 * np.float_power(lams, 2)[:, None] * int_u2
+
+    # tangential Hessian jumps, constant per edge
+    H = _hessian_components(coeffs)                          # (N, T, 3): h11, h22, h12
+    Hmat = np.stack([H[..., [0, 2]], H[..., [2, 1]]], axis=-2)
+    plus, minus = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
+    inner = np.nonzero(minus >= 0)[0]
+    jump = Hmat[:, plus]
+    jump[:, inner] -= Hmat[:, minus[inner]]
     tau = mesh.edge_tangents
+    jt = np.einsum("nfab,fb->nfa", jump, tau)
+    full_sq = np.einsum("nfa,nfa->nf", jt, jt)
+    tang_sq = np.einsum("nfa,fa->nf", jt, tau) ** 2
+    tags = mesh.edge_tags
+    edge_sq = np.where((tags == BoundaryPart.INTERIOR) | (tags == BoundaryPart.CLAMPED),
+                       full_sq, np.where(tags == BoundaryPart.SIMPLY_SUPPORTED, tang_sq, 0.0))
+    edge_int = mesh.edge_lengths * edge_sq                   # int_F |jump|^2
 
-    for lam, u in zip(lams, vectors.T):
-        bf = space.to_broken(u)
-        # volume residual: h_T^4 * int_T (lambda u)^2, exact for quadratics
-        vals = bf.value(tri_of_point, pts).reshape(mesh.num_triangles, -1)
-        int_u2 = np.einsum("q,tq->t", SEVEN_POINT.weights, vals ** 2) * mesh.areas
-        eta2 += mesh.areas ** 2 * lam ** 2 * int_u2
-
-        # tangential Hessian jumps, constant per edge
-        H = hessians(bf)                        # (T, 3): h11, h22, h12
-        Hmat = np.empty((mesh.num_triangles, 2, 2))
-        Hmat[:, 0, 0] = H[:, 0]
-        Hmat[:, 1, 1] = H[:, 1]
-        Hmat[:, 0, 1] = Hmat[:, 1, 0] = H[:, 2]
-        plus, minus = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
-        jump = Hmat[plus].copy()
-        has_minus = minus >= 0
-        jump[has_minus] -= Hmat[minus[has_minus]]
-        jt = np.einsum("fab,fb->fa", jump, tau)  # (F, 2)
-        full_sq = np.einsum("fa,fa->f", jt, jt)
-        tang_sq = np.einsum("fa,fa->f", jt, tau) ** 2
-        edge_sq = np.where(interior_or_clamped, full_sq,
-                           np.where(simply, tang_sq, 0.0))
-        edge_int = mesh.edge_lengths * edge_sq   # int_F |jump|^2
-        for f_ids, t_ids in ((np.arange(mesh.num_edges), plus),
-                             (np.nonzero(has_minus)[0], minus[has_minus])):
-            np.add.at(eta2, t_ids, mesh.h_t[t_ids] * edge_int[f_ids])
-
+    # member after member: volume, plus-side and minus-side terms, in the loop's order
+    terms = np.concatenate([volume, mesh.h_t[plus] * edge_int,
+                            mesh.h_t[minus[inner]] * edge_int[:, inner]], axis=1)
+    cells = np.concatenate([np.arange(mesh.num_triangles), plus, minus[inner]])
+    eta2 = np.bincount(np.tile(cells, len(terms)), weights=terms.ravel(),
+                       minlength=mesh.num_triangles)
     return EstimatorField(eta2=eta2)
 
 
@@ -103,7 +103,5 @@ def dorfler_mark(field: EstimatorField, theta: float) -> np.ndarray:
     total = csum[-1] if len(csum) else 0.0
     if total <= 0.0:
         return np.array([], dtype=np.int64)
-    target = theta * total
-    k = int(np.searchsorted(csum, target, side="left"))
-    k = min(k, len(csum) - 1)
+    k = min(int(np.searchsorted(csum, theta * total, side="left")), len(csum) - 1)
     return np.sort(order[: k + 1])

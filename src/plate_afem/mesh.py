@@ -20,6 +20,7 @@ that keeps a reference to its parent mesh and a triangle parent map.
 """
 
 import hashlib
+import itertools
 import json
 from enum import IntEnum
 
@@ -580,27 +581,29 @@ def preset_mesh(geometry: str, bc) -> Triangulation:
 
 
 def mesh_to_dict(mesh: Triangulation) -> dict:
-    tri = np.hstack([mesh.triangles, mesh.refedge[:, None]])
-    boundary = [{"segment": [int(mesh.edges[f, 0]), int(mesh.edges[f, 1])],
-                 "tag": BoundaryPart(mesh.edge_tags[f]).label}
-                for f in mesh.boundary_edges()]
+    f = mesh.boundary_edges()
+    boundary = [{"segment": segment, "tag": BoundaryPart(tag).label}
+                for segment, tag in zip(mesh.edges[f].tolist(), mesh.edge_tags[f].tolist())]
     return {
-        "vertices": [[float(x), float(y)] for x, y in mesh.vertices],
-        "triangles": [[int(a) for a in row] for row in tri],
+        "vertices": mesh.vertices.tolist(),
+        "triangles": np.hstack([mesh.triangles, mesh.refedge[:, None]]).tolist(),
         "boundary": boundary,
     }
 
 
 def mesh_from_dict(doc: dict) -> Triangulation:
-    """Mesh from its ``mesh_to_dict`` form; a missing key or a malformed row
-    raises MeshError."""
+    """Mesh from its ``mesh_to_dict`` form; a missing key, a malformed row or
+    a triangle entry that an int64 cast would change (true, 1.5) raises MeshError."""
     try:
         tri = np.asarray(doc["triangles"], dtype=np.int64)
         if tri.ndim != 2 or tri.shape[1] != 4:
             raise MeshError("a triangle row must be 3 vertex indices and a refinement edge")
+        if (set(map(type, itertools.chain.from_iterable(doc["triangles"]))) & {bool, np.bool_}
+                or not np.array_equal(np.asarray(doc["triangles"], dtype=float), tri)):
+            raise MeshError("a triangle entry must be an integer")
         boundary = [(*seg["segment"], seg["tag"]) for seg in doc["boundary"]]
         return build_mesh(doc["vertices"], tri[:, :3], boundary, refedge=tri[:, 3])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise MeshError(f"malformed mesh: {type(exc).__name__}: {exc}") from exc
 
 

@@ -197,19 +197,17 @@ class MorleySpace:
 
     # -- coefficient handling ---------------------------------------------
 
-    def local_dof_values(self, u):
-        """(T, 6) local DOF values of a global coefficient vector (0 where constrained)."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.ndof,):
-            raise SpaceError(f"expected coefficient vector of length {self.ndof}")
-        padded = np.concatenate([u, [0.0]])
-        return padded[self.cell_dofs]
+    def window_coefficients(self, vectors) -> np.ndarray:
+        """(N, T, 6) centroid-frame coefficients of the N columns of an
+        (ndof, N) block of Morley coefficient vectors."""
+        padded = np.vstack([vectors, np.zeros(np.shape(vectors)[1])])  # 0 where constrained
+        return np.einsum("nti,tim->ntm", padded.T[:, self.cell_dofs], self.basis)
 
     def to_broken(self, u) -> BrokenFunction:
         """Represent a Morley coefficient vector as a broken quadratic."""
-        vals = self.local_dof_values(u)
-        coeffs = np.einsum("ti,tim->tm", vals, self.basis)
-        return BrokenFunction(self.mesh, coeffs)
+        if np.shape(u) != (self.ndof,):
+            raise SpaceError(f"expected coefficient vector of length {self.ndof}")
+        return BrokenFunction(self.mesh, self.window_coefficients(np.reshape(u, (-1, 1)))[0])
 
 
 def build_space(mesh: Triangulation, coarse=None) -> MorleySpace:

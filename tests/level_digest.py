@@ -8,8 +8,10 @@ Run from the repository root:
 
 Names: ``lshape_mixed_J1`` (the benchmark's ``lshape_adaptive`` config: the
 mixed L-shape, J={1}, theta 0.5), ``square_clamped_J1`` (the clamped
-square, J={1}) and ``square_clamped_J23`` (the window J={2,3} started from
-the twice uniformly refined clamped square, through a mesh file).  Each
+square, J={1}), ``square_clamped_J23`` (the window J={2,3} started from
+the twice uniformly refined clamped square, through a mesh file) and
+``lshape_mixed_J123`` (the mixed L-shape with the three-member window
+J={1,2,3}).  Each
 runs to ``max_ndof`` 20000 unless ``--max-ndof`` says otherwise.
 ``morley_interpolation`` is no adaptive run, and ``--max-ndof`` does not
 apply to it: see ``interpolation_digest``.
@@ -47,6 +49,8 @@ def _config(name, workdir, max_ndof):
     common = {"theta": 0.5, "max_levels": 64, "max_ndof": max_ndof}
     if name == "lshape_mixed_J1":
         return afem.AfemConfig(geometry="lshape", bc="mixed", **common)
+    if name == "lshape_mixed_J123":
+        return afem.AfemConfig(geometry="lshape", bc="mixed", n=0, cluster_size=3, **common)
     if name == "square_clamped_J1":
         return afem.AfemConfig(geometry="square", bc="clamped", **common)
     start = mesh.uniform_refine(mesh.uniform_refine(mesh.preset_mesh("square", "clamped")))
@@ -56,7 +60,7 @@ def _config(name, workdir, max_ndof):
 
 
 NAMES = ("lshape_mixed_J1", "square_clamped_J1", "square_clamped_J23",
-         "morley_interpolation")
+         "lshape_mixed_J123", "morley_interpolation")
 
 _INTERPOLATION_CASES = [(geometry, bc) for geometry in ("square", "lshape", "triangle")
                         for bc in ("clamped", "simply_supported", "free", "mixed")]

@@ -98,7 +98,7 @@ def lshape_mixed_J1_path():
 
 DIGEST_MAX_NDOF = 1500
 DIGEST_NAMES = ("lshape_mixed_J1", "square_clamped_J1", "square_clamped_J23",
-                "morley_interpolation")
+                "lshape_mixed_J123", "morley_interpolation")
 
 
 def level_digests():

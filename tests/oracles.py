@@ -5,9 +5,10 @@ it checks: cyclic Jacobi rotations for the eigensolver, shift-invert
 Lanczos run to machine precision for the stopping rule of its sparse path
 (on the same stiffness factor, so that only the stopping rule differs; a
 COLAMD-ordered factor alone moves λ by about 2e-12), exhaustive subset
-search for bulk marking, a collapsed Gauss rule for the load vector of
-a manufactured solution, symbolic element integration for the plate
-forms, per-column and per-cell loops for the Helmholtz maps (with the
+search for bulk marking, a loop over the window members with in-order
+``np.add.at`` scatters for the residual estimator, a collapsed Gauss rule
+for the load vector of a manufactured solution, symbolic element
+integration for the plate forms, per-column and per-cell loops for the Helmholtz maps (with the
 per-field Curl ``full_curl`` and its symmetric part ``sym_curl``),
 per-column prolongation for subspace angles, one dense least-squares
 solve with the stacked maps for the tensor splitting, a pivoted QR for
@@ -118,6 +119,57 @@ def dorfler_min_cardinality(eta2, theta):
             if sum(eta2[i] for i in combo) >= target:
                 return k
     return n
+
+
+def estimate_per_member(space, cluster):
+    """The residual estimator as a loop over the window members: per member
+    a broken function, its volume term added to eta^2, and its plus- and
+    minus-side edge terms scattered by two in-order ``np.add.at`` calls."""
+    from plate_afem.estimator import EstimatorField
+    from plate_afem.mesh import BoundaryPart
+    from plate_afem.quadrature import SEVEN_POINT, physical_points
+    from plate_afem.space import hessians
+
+    mesh = space.mesh
+    vectors = np.atleast_2d(np.asarray(cluster.vectors, dtype=float))
+    lams = np.asarray(cluster.eigenvalues, dtype=float)
+
+    pts = physical_points(SEVEN_POINT, mesh.vertices[mesh.triangles]).reshape(-1, 2)
+    tri_of_point = np.repeat(np.arange(mesh.num_triangles), len(SEVEN_POINT.weights))
+    eta2 = np.zeros(mesh.num_triangles)
+    interior_or_clamped = ((mesh.edge_tags == BoundaryPart.INTERIOR)
+                           | (mesh.edge_tags == BoundaryPart.CLAMPED))
+    simply = mesh.edge_tags == BoundaryPart.SIMPLY_SUPPORTED
+    tau = mesh.edge_tangents
+
+    for lam, u in zip(lams, vectors.T):
+        bf = space.to_broken(u)
+        # volume residual: h_T^4 * int_T (lambda u)^2, exact for quadratics
+        vals = bf.value(tri_of_point, pts).reshape(mesh.num_triangles, -1)
+        int_u2 = np.einsum("q,tq->t", SEVEN_POINT.weights, vals ** 2) * mesh.areas
+        eta2 += mesh.areas ** 2 * lam ** 2 * int_u2
+
+        # tangential Hessian jumps, constant per edge
+        H = hessians(bf)                        # (T, 3): h11, h22, h12
+        Hmat = np.empty((mesh.num_triangles, 2, 2))
+        Hmat[:, 0, 0] = H[:, 0]
+        Hmat[:, 1, 1] = H[:, 1]
+        Hmat[:, 0, 1] = Hmat[:, 1, 0] = H[:, 2]
+        plus, minus = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
+        jump = Hmat[plus].copy()
+        has_minus = minus >= 0
+        jump[has_minus] -= Hmat[minus[has_minus]]
+        jt = np.einsum("fab,fb->fa", jump, tau)  # (F, 2)
+        full_sq = np.einsum("fa,fa->f", jt, jt)
+        tang_sq = np.einsum("fa,fa->f", jt, tau) ** 2
+        edge_sq = np.where(interior_or_clamped, full_sq,
+                           np.where(simply, tang_sq, 0.0))
+        edge_int = mesh.edge_lengths * edge_sq   # int_F |jump|^2
+        for f_ids, t_ids in ((np.arange(mesh.num_edges), plus),
+                             (np.nonzero(has_minus)[0], minus[has_minus])):
+            np.add.at(eta2, t_ids, mesh.h_t[t_ids] * edge_int[f_ids])
+
+    return EstimatorField(eta2=eta2)
 
 
 def duffy_rule(n):

@@ -427,3 +427,20 @@ class TestNumericalFailureExit:
         }))
         assert run_cli(["run", "--config", str(cfg),
                         "--out", str(tmp_path / "t.csv")]) == 3
+
+    def test_degenerate_element_exit_3(self, tmp_path, capsys):
+        # a sliver triangle whose local dual basis fails the duality check
+        from plate_afem.mesh import build_mesh, save_mesh
+        sliver = build_mesh([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 1e-9)],
+                            [(0, 4, 3), (4, 1, 2), (4, 2, 3), (0, 1, 4)],
+                            [(0, 1, "clamped"), (1, 2, "clamped"), (2, 3, "clamped"),
+                             (3, 0, "clamped")])
+        save_mesh(sliver, str(tmp_path / "mesh.json"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mesh_file": str(tmp_path / "mesh.json"),
+                                   "max_ndof": 200}))
+        out = tmp_path / "t.csv"
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: local basis duality residual")
+        assert not out.exists()

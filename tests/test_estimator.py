@@ -8,7 +8,7 @@ from plate_afem import mesh as msh
 from plate_afem import space as sp
 from plate_afem.estimator import EstimatorField, MarkingError
 
-from oracles import dorfler_min_cardinality, quadratic_on
+from oracles import dorfler_min_cardinality, estimate_per_member, quadratic_on
 
 
 class _Window:
@@ -123,6 +123,31 @@ class TestEstimate:
         S = sp.build_space(msh.square_mesh("clamped"))
         with pytest.raises(MarkingError):
             est.estimate(S, _Window([1.0], np.zeros((S.ndof + 3, 1))))
+
+
+class TestOneScatter:
+    """The window-wide ``estimate`` adds each triangle's terms in the order of
+    a loop over the members, so it equals that loop bit for bit."""
+
+    @pytest.mark.parametrize("members", [1, 2, 3])
+    @pytest.mark.parametrize("geometry,bc", [
+        ("square", "clamped"), ("square", "simply_supported"), ("square", "free"),
+        ("lshape", "mixed"), ("triangle", ["clamped", "simply_supported", "free"])])
+    def test_equals_the_per_member_loop(self, geometry, bc, members):
+        rng = np.random.default_rng(members)
+        m = msh.uniform_refine(msh.preset_mesh(geometry, bc))
+        m = msh.refine_nvb(m, rng.choice(m.num_triangles, m.num_triangles // 3,
+                                         replace=False))
+        S = sp.build_space(m)
+        # magnitudes spread over six decades; 1294.022 squares one bit apart
+        # through a float64 scalar's pow and through an array's ** 2
+        window = _Window([1294.022, *rng.uniform(0.0, 1e4, members - 1)],
+                         rng.standard_normal((S.ndof, members))
+                         * 10.0 ** rng.uniform(-3, 3, members))
+        want = estimate_per_member(S, window).eta2
+        assert est.estimate(S, window).eta2.tobytes() == want.tobytes()
+        fortran = _Window(window.eigenvalues, np.asfortranarray(window.vectors))
+        assert est.estimate(S, fortran).eta2.tobytes() == want.tobytes()
 
 
 class TestDorflerMark:

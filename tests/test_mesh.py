@@ -462,6 +462,21 @@ class TestSerialization:
         with pytest.raises(MeshError):
             msh.load_mesh(path)
 
+    @pytest.mark.parametrize("slot,value", [(1, 1.9), (3, 1.5), (3, True), (0, False)])
+    def test_non_integral_or_boolean_triangle_entry_raises(self, slot, value):
+        # an int64 cast would load [0, 1.9, 2, 1] as [0, 1, 2, 1] and a
+        # refinement edge of 1.5 as 1
+        doc = msh.mesh_to_dict(msh.uniform_refine(msh.square_mesh("clamped")))
+        doc["triangles"][2][slot] = value
+        with pytest.raises(MeshError, match="must be an integer"):
+            msh.mesh_from_dict(doc)
+
+    def test_integral_triangle_entries_load_as_before(self):
+        m = msh.uniform_refine(msh.square_mesh("clamped"))
+        doc = msh.mesh_to_dict(m)
+        doc["triangles"] = [[float(v) for v in row] for row in doc["triangles"]]
+        assert msh.mesh_hash(msh.mesh_from_dict(doc)) == msh.mesh_hash(m)
+
     def test_hash_stable_and_sensitive(self):
         m = msh.square_mesh("clamped")
         assert msh.mesh_hash(m) == msh.mesh_hash(msh.square_mesh("clamped"))

@@ -69,6 +69,20 @@ class TestDuality:
         assert np.abs(again - u).max() < 1e-12
 
 
+class TestCoefficients:
+    def test_window_block_equals_each_vector_bitwise(self):
+        rng = np.random.default_rng(6)
+        S = sp.build_space(msh.uniform_refine(msh.preset_mesh("lshape", "mixed")))
+        U = rng.standard_normal((S.ndof, 3))
+        block = S.window_coefficients(U)
+        assert block.shape == (3, S.mesh.num_triangles, 6)
+        for k in range(3):
+            local = np.concatenate([U[:, k], [0.0]])[S.cell_dofs]
+            want = np.einsum("ti,tim->tm", local, S.basis)
+            assert block[k].tobytes() == want.tobytes()
+            assert S.to_broken(U[:, k]).coeffs.tobytes() == want.tobytes()
+
+
 class TestDofFunctional:
     X_SQUARED = [0, 0, 0, 1, 0, 0]
 
