@@ -11,7 +11,9 @@ subspace angles; upper bounds are not computed.
 
 The public names below are imported from their submodules on first use
 (PEP 562), so importing the package or its CLI does not load numpy; the
-CLI caps the linear-algebra thread pools before numpy starts them.
+CLI caps the linear-algebra thread pools before numpy starts them.  Mesh,
+space, config and interpolation work uses numpy alone; scipy is loaded by
+the first assembly, eigensolve or Helmholtz call.
 """
 
 import importlib

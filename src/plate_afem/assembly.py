@@ -14,7 +14,6 @@ symmetry is exact.
 """
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .quadrature import SEVEN_POINT, physical_points
 from .space import MorleySpace, _hessian_components, l2s_coordinates
@@ -39,6 +38,7 @@ def _lower_triplets(space):
 def _scatter_symmetric(space, local):
     """Symmetric CSR matrix of the (T, 6, 6) element matrices: the lower
     triangle is summed once and mirrored, so symmetry is exact."""
+    import scipy.sparse as sparse
     rows, cols, keep = _lower_triplets(space)
     n = space.ndof
     lower = sparse.coo_matrix((local[keep], (rows, cols)), shape=(n, n)).tocsr()
@@ -60,12 +60,12 @@ def _local_mass(space, rows):
     return (local,)
 
 
-def assemble_stiffness(space: MorleySpace) -> sparse.csr_matrix:
+def assemble_stiffness(space: MorleySpace) -> "scipy.sparse.csr_matrix":
     """Broken-Hessian stiffness matrix; entries are exact."""
     return _scatter_symmetric(space, space.element_data("stiffness", _local_stiffness)[0])
 
 
-def assemble_mass(space: MorleySpace) -> sparse.csr_matrix:
+def assemble_mass(space: MorleySpace) -> "scipy.sparse.csr_matrix":
     """L2 mass matrix via the 7-point rule (exact for quadratic pairs)."""
     return _scatter_symmetric(space, space.element_data("mass", _local_mass)[0])
 

@@ -96,6 +96,9 @@ def _read_config(args):
 
 
 def _cmd_run(args):
+    import numpy as np
+    import scipy
+
     from . import afem
     from .mesh import mesh_hash, save_mesh
 
@@ -130,6 +133,8 @@ def _cmd_run(args):
                                    for k, v in r.timings.items()}}
                       for r in trace.levels],
         "converged": trace.converged,
+        "environment": {"thread_variables": args.thread_variables, "numpy": np.__version__,
+                        "python": sys.version.split()[0], "scipy": scipy.__version__},
         "wall_time_s": 0.0 if config.deterministic else elapsed,
     }
     manifest_path = args.out + ".manifest.json"
@@ -262,6 +267,8 @@ def main(argv=None) -> int:
         except ValueError as exc:  # JSONDecodeError or not an object
             print(f"malformed config: {exc}", file=sys.stderr)
             return _EXIT_USAGE
+    # the thread settings as this process received them, before any cap
+    args.thread_variables = {v: os.environ.get(v) for v in (*_THREAD_VARS, "PLATE_AFEM_THREADS")}
     try:
         _configure_threads(getattr(args, "deterministic", False))
     except ValueError as exc:  # only a non-integer PLATE_AFEM_THREADS

@@ -30,9 +30,6 @@ Helmholtz Gram factorisations share the stiffness factor's SuperLU setting
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as dla
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 __all__ = [
     "ClusterSolution",
@@ -115,6 +112,7 @@ def _as_csr(op):
     # canonical CSR that leaves the input as it was: a canonical CSR input
     # is returned itself, and SuperLU, which sums duplicates in place, reads
     # the stiffness matrix through its view A.T
+    import scipy.sparse as sparse
     if not sparse.issparse(op):
         return sparse.csr_matrix(np.atleast_2d(np.asarray(op, dtype=float)))
     csr = op.tocsr()
@@ -137,6 +135,8 @@ def solve_gevp(A, M, count, dense_cutoff=DENSE_CUTOFF) -> ClusterSolution:
     orthonormality 1e-10 and stiffness diagonality 1e-8.  Multiple
     eigenvalues return an M-orthonormal basis of the invariant subspace.
     """
+    import scipy.linalg as dla
+    import scipy.sparse.linalg as spla
     A = _as_csr(A)
     M = _as_csr(M)
     n = A.shape[0]
@@ -225,12 +225,19 @@ def _symmetric_splu(A, diag_pivot_thresh):
     # the Lanczos solves.  The stiffness matrix is SPD and
     # takes diagonal pivots only (threshold 0); the Helmholtz saddle-point
     # matrices pass 0.01 for their zero block.
+    import scipy.sparse.linalg as spla
     return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=diag_pivot_thresh,
                      relax=1, panel_size=10, options=dict(SymmetricMode=True))
 
 
 def _norm1(op):
-    return float(abs(op).sum(axis=0).max())
+    # max column sum of |op| for canonical CSR or CSC, added as abs(op).sum(axis=0) adds:
+    # entry by entry for CSR, numpy's pairwise reduction of each non-empty CSC column
+    data = np.abs(op.data)
+    if op.format == "csr":
+        return float(np.bincount(op.indices, data, minlength=op.shape[1]).max())
+    starts = op.indptr[np.flatnonzero(np.diff(op.indptr))]
+    return float(np.add.reduceat(data, starts).max(initial=0.0))
 
 
 def separation(evals, J) -> SeparationReport:
@@ -268,6 +275,7 @@ def separation(evals, J) -> SeparationReport:
 
 
 def _orthonormal_columns(F, what):
+    import scipy.linalg as dla
     U, s, _ = dla.svd(F, full_matrices=False)
     if s[0] <= 0 or (s[-1] / s[0]) ** 2 < 1.0 / _GRAM_CONDITION_LIMIT:
         raise EigenError(f"rank-deficient {what} basis (Gram condition > 1e12)")
@@ -281,6 +289,7 @@ def sin_max_angle(FX, FY) -> float:
     realises the desired scalar product.  Computed as the operator norm of
     the projection residual, which stays accurate for tiny angles.
     """
+    import scipy.linalg as dla
     FX = np.atleast_2d(np.asarray(FX, dtype=float))
     FY = np.atleast_2d(np.asarray(FY, dtype=float))
     if FX.shape[1] == 0 or FY.shape[1] == 0:

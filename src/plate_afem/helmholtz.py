@@ -20,9 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as dla
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from .eigen import _norm1, _symmetric_splu
 from .mesh import BoundaryPart, Triangulation
@@ -58,7 +55,7 @@ class XSpace:
     """
 
     mesh: Triangulation
-    constraints: sparse.csr_matrix
+    constraints: "scipy.sparse.csr_matrix"
     dim: int
     expected_dim: int
     n_constraints: int
@@ -88,6 +85,8 @@ def build_xspace(mesh: Triangulation) -> XSpace:
     when the constraints are independent, which is reported rather than
     assumed.
     """
+    import scipy.linalg as dla
+    import scipy.sparse as sparse
     n = mesh.num_vertices
     tris = mesh.triangles
     grads = _p1_gradients(mesh)
@@ -137,6 +136,7 @@ def build_xspace(mesh: Triangulation) -> XSpace:
 
 def _null_basis(C):
     """Orthonormal basis of the null space of independent sparse rows C."""
+    import scipy.linalg as dla
     return dla.qr(C.T.toarray(), mode="full")[0][:, C.shape[0]:]
 
 
@@ -145,8 +145,9 @@ def tensor_features(mesh, comps) -> np.ndarray:
     return l2s_coordinates(comps, mesh.areas).ravel()
 
 
-def _hessian_operator(space: MorleySpace) -> sparse.csr_matrix:
+def _hessian_operator(space: MorleySpace) -> "scipy.sparse.csr_matrix":
     """Sparse (3#T, ndof) matrix of weighted broken Hessians of the basis."""
+    import scipy.sparse as sparse
     mesh = space.mesh
     feats = l2s_coordinates(space.basis_hessians, mesh.areas)  # (T, 6, 3)
     t, i = np.nonzero(space.cell_dofs >= 0)
@@ -158,12 +159,13 @@ def _hessian_operator(space: MorleySpace) -> sparse.csr_matrix:
         shape=(3 * mesh.num_triangles, space.ndof))
 
 
-def _sym_curl_operator(mesh) -> sparse.csr_matrix:
+def _sym_curl_operator(mesh) -> "scipy.sparse.csr_matrix":
     """Sparse (3#T, 2#N) matrix of weighted symmetric Curls of nodal fields.
 
     With D[i, d] = d beta_i / dx_d on a triangle, the components are
     s11 = -D[0, 1], s22 = D[1, 0] and s12 = (D[0, 0] - D[1, 1]) / 2.
     """
+    import scipy.sparse as sparse
     g = _p1_gradients(mesh)                              # (T, 3, 2)
     comps = np.zeros((mesh.num_triangles, 3, 2, 3))      # (T, vertex, beta_i, s)
     comps[:, :, 0, 0], comps[:, :, 1, 1] = -g[:, :, 1], g[:, :, 0]
@@ -216,7 +218,7 @@ def decompose(space: MorleySpace, xspace: XSpace, sigma) -> DecompositionResult:
 
     try:
         drop = _kernel_dofs(Z)
-    except (RuntimeError, dla.LinAlgError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise _rank_deficient(expected, f"less than {rank} ({exc})") from exc
     hessian = _hessian_gram(space)
     if hessian.rank < free_rank:
@@ -246,6 +248,7 @@ def _rank_deficient(expected, got):
 def _kernel_dofs(Z):
     """One DOF per column of the kernel basis ``Z``, with Z restricted to
     them invertible: the first pivots of a pivoted QR of Z^T."""
+    import scipy.linalg as dla
     k = Z.shape[1]
     if k == 0:
         return np.zeros(0, dtype=np.int64)
@@ -311,16 +314,19 @@ class _Gram:
     """
 
     def __init__(self, B, C=None):
+        import scipy.sparse as sparse
         self.B = sparse.csr_matrix(B)
         n = self.B.shape[1]
         self.C = sparse.csr_matrix((0, n)) if C is None else sparse.csr_matrix(C)
         self.G = (self.B.T @ self.B).tocsc()
+        self.G.sum_duplicates()     # canonical: the factor and the products sum in this order
         self.norm = _norm1(self.G) if n else 0.0
         self.sigma = -_SHIFT_RTOL * self.norm
         self.dim = n - self.C.shape[0]
 
     @cached_property
     def _lu(self):
+        import scipy.sparse as sparse
         n = self.G.shape[0]
         K = sparse.bmat([[self.G - self.sigma * sparse.identity(n), self.C.T],
                          [self.C, None]], format="csc")
@@ -348,6 +354,7 @@ class _Gram:
         (2 count + 1 vectors, at least 20) would not fit in ker C.  A mu
         below -1e-13 |G|_1 cannot come from a Gram matrix and fails.
         """
+        import scipy.sparse.linalg as spla
         n, dim, norm = self.G.shape[0], self.dim, self.norm
         if norm == 0.0 or dim == 0:
             return 0
@@ -376,7 +383,7 @@ class _Gram:
                 if not kernel.all() or dense:
                     return dim - int(kernel.sum())
                 count *= 2
-        except (RuntimeError, dla.LinAlgError) as exc:
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
             raise HelmholtzError(f"rank computation failed: {exc}") from exc
 
     def lstsq(self, b) -> np.ndarray:

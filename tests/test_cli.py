@@ -180,6 +180,27 @@ class TestRun:
         assert set(config) == set(vars(AfemConfig())) - {"geometry", "bc"}
         assert manifests[0] == manifests[1]
 
+    @pytest.mark.parametrize("flags", [[], ["--deterministic"]])
+    def test_manifest_records_the_environment_before_the_thread_cap(
+            self, square_config, tmp_path, monkeypatch, flags):
+        import platform
+
+        import numpy as np
+        import scipy
+        for var in cli._THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("PLATE_AFEM_THREADS", "3")
+        out = str(tmp_path / "trace.csv")
+        assert run_cli(["run", "--config", square_config, "--out", out] + flags) == 0
+        assert os.environ["OMP_NUM_THREADS"] == ("1" if flags else "3")   # the cap ran
+        env = json.load(open(out + ".manifest.json"))["environment"]
+        assert env == {
+            "thread_variables": {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": None,
+                                 "MKL_NUM_THREADS": None, "NUMEXPR_NUM_THREADS": None,
+                                 "PLATE_AFEM_THREADS": "3"},
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
     def test_dump_mesh(self, square_config, tmp_path):
         out = str(tmp_path / "trace.csv")
         meshdir = str(tmp_path / "meshes")

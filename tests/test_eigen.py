@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from plate_afem import afem
 from plate_afem import assembly as asm
 from plate_afem import eigen as eig
 from plate_afem import estimator as est
+from plate_afem import helmholtz as hh
 from plate_afem import mesh as msh
 from plate_afem import space as sp
 from plate_afem.eigen import ClusterSplitError, EigenError
@@ -240,6 +242,52 @@ class TestSolveGevp:
         assert len(others) == 7
         for name in others:
             assert getattr(win, name) is getattr(sol, name), name
+
+
+class TestNorm1:
+    """``_norm1`` reads the compressed arrays of a CSR or CSC matrix and
+    must equal the scipy formula it replaced to the bit."""
+
+    @staticmethod
+    def scipy_norm1(op):
+        return float(abs(op).sum(axis=0).max())
+
+    @pytest.mark.parametrize("geometry, bc, refines", [
+        ("square", "clamped", 3), ("square", "free", 2), ("lshape", "mixed", 2),
+        ("triangle", "simply_supported", 4)])
+    def test_assembled_stiffness_and_mass(self, geometry, bc, refines):
+        m = msh.preset_mesh(geometry, bc)
+        for _ in range(refines):
+            m = msh.uniform_refine(m)
+        m = msh.refine_nvb(m, np.arange(0, m.num_triangles, 3))
+        S = sp.build_space(m)
+        for op in (asm.assemble_stiffness(S), asm.assemble_mass(S)):
+            assert op.format == "csr"
+            assert eig._norm1(op) == self.scipy_norm1(op)
+
+    @pytest.mark.parametrize("refines", [1, 2, 3])
+    def test_helmholtz_gram_matrices(self, refines):
+        m = msh.preset_mesh("lshape", "mixed")
+        for _ in range(refines):
+            m = msh.uniform_refine(m)
+        for gram in (hh._hessian_gram(sp.build_space(m)), hh.build_xspace(m)._curl_gram):
+            G = gram.G
+            # canonical, as abs(G) used to make it in place, with columns of 8
+            # or more entries, where numpy's pairwise sum and an entry-by-entry
+            # sum may round differently
+            assert G.format == "csc" and G.has_canonical_format
+            assert np.diff(G.indptr).max() >= 8
+            assert eig._norm1(G) == self.scipy_norm1(G)
+            assert gram.norm == eig._norm1(G)
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    def test_empty_columns(self, fmt):
+        rng = np.random.default_rng(7)
+        D = rng.standard_normal((40, 30)) * (rng.random((40, 30)) < 0.5)
+        D[:, [0, 11, 29]] = 0.0
+        for dense in (D, np.zeros((5, 4))):
+            op = sparse.csr_matrix(dense).asformat(fmt)
+            assert eig._norm1(op) == self.scipy_norm1(op)
 
 
 @pytest.fixture(scope="module")

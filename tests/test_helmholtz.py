@@ -298,7 +298,7 @@ class TestGramRank:
 
     def test_negative_eigenvalue_raises(self, monkeypatch):
         # a Ritz value below -1e-13 |G|_1 cannot come from a Gram matrix
-        monkeypatch.setattr(hh.spla, "eigsh", lambda *args, **kw: np.r_[-1e-6, np.ones(3)])
+        monkeypatch.setattr(spla, "eigsh", lambda *args, **kw: np.r_[-1e-6, np.ones(3)])
         with pytest.raises(HelmholtzError, match="negative Gram eigenvalue"):
             hh._Gram(np.eye(30)).rank
 
@@ -369,7 +369,7 @@ class TestMapOracles:
         hh.dimension_audit(m, S, X)
         gram = hh._hessian_gram(S)
         assert "_lu" in vars(gram)
-        monkeypatch.setattr(hh.spla, "splu", None)   # no further factorisation
+        monkeypatch.setattr(spla, "splu", None)   # no further factorisation
         hh.decompose(S, X, np.ones((m.num_triangles, 3)))
         assert hh._hessian_gram(S) is gram
 
