@@ -29,8 +29,7 @@ _EXPORTS = {
     "mesh": ("BoundaryPart", "Triangulation", "build_mesh", "load_mesh",
              "lshape_mesh", "preset_mesh", "refine_nvb", "save_mesh",
              "square_mesh", "uniform_refine"),
-    "space": ("BrokenFunction", "MorleySpace", "build_space",
-              "morley_interpolate", "prolong_to_fine"),
+    "space": ("BrokenFunction", "MorleySpace", "build_space", "morley_interpolate"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -64,7 +64,6 @@ _FIELDS = {
     "lower_bound_constant": ("a finite lower-bound constant >= 0",
                              lambda v: _REAL(v) and 0 <= v < np.inf),
     "deterministic": ("true or false", lambda v: isinstance(v, bool)),
-    "dense_cutoff": ("an integer >= 0", lambda v: _INT(v) and v >= 0),
     "mesh_file": ("a non-empty path or null", lambda v: v is None or isinstance(v, str) and v),
 }
 
@@ -88,7 +87,6 @@ class AfemConfig:
     buffer: int = 4
     lower_bound_constant: float = 1.0
     deterministic: bool = False
-    dense_cutoff: int = eigen.DENSE_CUTOFF
     mesh_file: object = None
 
     def __post_init__(self):
@@ -191,10 +189,12 @@ class AfemTrace:
 
 
 def read_trace_csv(path):
-    """Columns of a trace CSV as a dict of float arrays."""
+    """Columns of a trace CSV as a dict of float arrays; ValueError if malformed."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
+    if not rows or any(len(row) != len(header) for row in rows):
+        raise ValueError(f"malformed trace {path}: no rows, or a row of another length")
     data = np.array([[float(v) for v in row] for row in rows])
     return {name: data[:, k] for k, name in enumerate(header)}
 
@@ -216,7 +216,7 @@ def _solve_level(level, space, config, timings):
         raise eigen.EigenError(
             f"space too small: ndof={space.ndof} cannot host the window")
     with _phase(timings, "solve"):
-        sol = eigen.solve_gevp(A, M, count, dense_cutoff=config.dense_cutoff)
+        sol = eigen.solve_gevp(A, M, count)
         if sol.eigenvalues[0] <= 0:
             raise eigen.EigenError(
                 "nonpositive plate eigenvalue: check the boundary conditions")

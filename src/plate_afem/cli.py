@@ -1,11 +1,12 @@
 """Command-line driver: adaptive runs, rate fits, references, audits.
 
-Exit codes: 0 success, 2 usage or missing input, 3 numerical failure,
-4 theorem-audit failure.  All numeric output is shortest round-trip
-decimal.  ``PLATE_AFEM_THREADS`` caps the linear-algebra thread pools;
-deterministic mode (the ``--deterministic`` flag, or ``"deterministic": true``
-in a ``run`` config) forces a single thread and zeroes recorded wall times
-so repeated runs are byte identical.
+Exit codes: 0 success, 2 usage, invalid input or a path that cannot be
+read or written, 3 numerical failure, 4 theorem-audit failure; one table,
+``_failures``, maps each exception class to its code.  All numeric output
+is shortest round-trip decimal.  ``PLATE_AFEM_THREADS`` caps the
+linear-algebra thread pools; deterministic mode (the ``--deterministic``
+flag, or ``"deterministic": true`` in a ``run`` config) forces a single
+thread and zeroes recorded wall times so repeated runs are byte identical.
 """
 
 import argparse
@@ -25,17 +26,15 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
 
 
-def _cap_threads(n):
-    for var in _THREAD_VARS:
-        os.environ[var] = str(n)
-
-
 def _configure_threads(deterministic):
     # must happen before numpy is imported by the work modules
-    if deterministic:
-        _cap_threads(1)
-    elif "PLATE_AFEM_THREADS" in os.environ:
-        _cap_threads(max(1, int(os.environ["PLATE_AFEM_THREADS"])))
+    if deterministic or "PLATE_AFEM_THREADS" in os.environ:
+        try:
+            n = 1 if deterministic else max(1, int(os.environ["PLATE_AFEM_THREADS"]))
+        except ValueError as exc:
+            raise ValueError(f"PLATE_AFEM_THREADS: {exc}") from None
+        for var in _THREAD_VARS:
+            os.environ[var] = str(n)
 
 
 def _build_parser():
@@ -84,27 +83,44 @@ def _build_parser():
     return p
 
 
+class _MalformedConfig(Exception):
+    """A run config that is no JSON object."""
+
+
 def _read_config(args):
     # read before the thread pools are set up, so that a config's
     # "deterministic" caps the threads just as the flag does
     with open(args.config) as fh:
-        args.doc = json.load(fh)
+        try:
+            args.doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise _MalformedConfig(exc) from exc
     if not isinstance(args.doc, dict):
-        raise ValueError(f"expected a JSON object, got {type(args.doc).__name__}")
+        raise _MalformedConfig(f"expected a JSON object, got {type(args.doc).__name__}")
     if args.doc.get("deterministic"):
         args.deterministic = True
+
+
+def _check_output(path):
+    # an output that cannot be written fails before the work, not after it
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(f"output directory not found: {os.path.dirname(path)}")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output path is a directory: {path}")
 
 
 def _cmd_run(args):
     import numpy as np
     import scipy
 
-    from . import afem
+    from . import __version__, afem
     from .mesh import mesh_hash, save_mesh
 
     config = afem.AfemConfig.from_dict(args.doc)
     if args.deterministic:
         config.deterministic = True
+    if args.dump_mesh:
+        os.makedirs(args.dump_mesh, exist_ok=True)
 
     t0 = time.perf_counter()
     trace = afem.run_afem(config)
@@ -113,7 +129,6 @@ def _cmd_run(args):
 
     outputs = [args.out]
     if args.dump_mesh:
-        os.makedirs(args.dump_mesh, exist_ok=True)
         for k, mesh in enumerate(trace.meshes):
             path = os.path.join(args.dump_mesh, f"mesh_level_{k}.json")
             save_mesh(mesh, path)
@@ -124,7 +139,7 @@ def _cmd_run(args):
     manifest = {
         "config": {k: (v if not isinstance(v, (list, tuple)) else list(v))
                    for k, v in vars(config).items() if k not in unused},
-        "code_version": _version(),
+        "code_version": __version__,
         "mesh_hashes": [mesh_hash(m) for m in trace.meshes],
         "outputs": outputs,
         "levels": len(trace.levels),
@@ -153,12 +168,11 @@ def _cmd_rates(args):
 
     from . import afem
 
-    if not os.path.exists(args.trace):
-        print(f"trace file not found: {args.trace}", file=sys.stderr)
-        return _EXIT_USAGE
     cols = afem.read_trace_csv(args.trace)
-    lam = np.stack([v for k, v in cols.items() if k.startswith("lambda_")], axis=1)
-    slope = afem.quantity_rate(cols["ndof"], cols["eta2_total"], lam,
+    lam = [v for k, v in cols.items() if k.startswith("lambda_")]
+    if not lam or {"ndof", "eta2_total"} - set(cols):
+        raise ValueError(f"malformed trace {args.trace}: needs ndof, eta2_total, lambda_")
+    slope = afem.quantity_rate(cols["ndof"], cols["eta2_total"], np.stack(lam, axis=1),
                                args.quantity, args.reference)
     print(f"{args.quantity} rate vs ndof: {slope!r}")
     return _EXIT_OK
@@ -171,9 +185,9 @@ def _cmd_reference(args):
 
     if args.J < 1:
         raise ValueError(f"--J must be at least 1, got {args.J}")
-    if not args.lower_bound_constant >= 0:
-        raise ValueError("--lower-bound-constant must be >= 0, "
-                         f"got {args.lower_bound_constant}")
+    what, valid = afem._FIELDS["lower_bound_constant"]
+    if not valid(args.lower_bound_constant):
+        raise ValueError(f"--lower-bound-constant must be {what}, got {args.lower_bound_constant}")
     J = list(range(1, args.J + 1))
     ref = afem.reference_eigenvalues(args.geometry, args.bc, J, args.ndof)
     for k, j in enumerate(ref.indices):
@@ -251,54 +265,41 @@ def _refined_preset(args):
     return mesh
 
 
-def _version():
-    from . import __version__
-    return __version__
+_HANDLERS = {"run": _cmd_run, "rates": _cmd_rates, "reference": _cmd_reference,
+             "helmholtz-audit": _cmd_helmholtz_audit, "mesh-export": _cmd_mesh_export}
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        try:
-            _read_config(args)
-        except FileNotFoundError:
-            print(f"config file not found: {args.config}", file=sys.stderr)
-            return _EXIT_USAGE
-        except ValueError as exc:  # JSONDecodeError or not an object
-            print(f"malformed config: {exc}", file=sys.stderr)
-            return _EXIT_USAGE
-    # the thread settings as this process received them, before any cap
-    args.thread_variables = {v: os.environ.get(v) for v in (*_THREAD_VARS, "PLATE_AFEM_THREADS")}
-    try:
-        _configure_threads(getattr(args, "deterministic", False))
-    except ValueError as exc:  # only a non-integer PLATE_AFEM_THREADS
-        print(f"invalid input: PLATE_AFEM_THREADS: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-
+def _failures():
+    # (exception classes, message prefix, exit code), the first match decides
     from .afem import ConfigError
     from .eigen import EigenError
     from .helmholtz import HelmholtzError
     from .mesh import MeshError
     from .space import SpaceError
 
-    handlers = {
-        "run": _cmd_run,
-        "rates": _cmd_rates,
-        "reference": _cmd_reference,
-        "helmholtz-audit": _cmd_helmholtz_audit,
-        "mesh-export": _cmd_mesh_export,
-    }
+    return ((_MalformedConfig, "malformed config", _EXIT_USAGE),
+            (ConfigError, "invalid config", _EXIT_USAGE),
+            ((MeshError, ValueError, OSError), "invalid input", _EXIT_USAGE),
+            ((EigenError, HelmholtzError, SpaceError), "numerical failure", _EXIT_NUMERICAL))
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    # the thread settings as this process received them, before any cap
+    args.thread_variables = {v: os.environ.get(v) for v in (*_THREAD_VARS, "PLATE_AFEM_THREADS")}
     try:
-        return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (MeshError, ValueError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (EigenError, HelmholtzError, SpaceError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
+        if args.command == "run":
+            _read_config(args)
+        _configure_threads(getattr(args, "deterministic", False))
+        if getattr(args, "out", None) is not None:
+            _check_output(args.out)
+        return _HANDLERS[args.command](args)
+    except Exception as exc:
+        for classes, prefix, code in _failures():
+            if isinstance(exc, classes):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -122,18 +122,20 @@ def _as_csr(op):
     return csr
 
 
-def solve_gevp(A, M, count, dense_cutoff=DENSE_CUTOFF) -> ClusterSolution:
+def solve_gevp(A, M, count) -> ClusterSolution:
     """Lowest ``count`` eigenpairs of ``A x = lambda M x``.
 
     ``A`` must be symmetric and ``M`` symmetric positive definite; both may
     be dense arrays or scipy sparse matrices of any format, and are read as
-    CSR.  The shift-invert path starts Lanczos from the constant unit
-    vector, so repeated solves are identical, and stops at ARPACK's
-    relative Ritz tolerance 1e-10 rather than at machine precision, which
-    saves an implicit restart.  The returned pairs pass the
-    same gates on both paths: residual 1e-8 of ``‖A‖₁ + |λ|‖M‖₁``, mass
-    orthonormality 1e-10 and stiffness diagonality 1e-8.  Multiple
-    eigenvalues return an M-orthonormal basis of the invariant subspace.
+    CSR.  The path depends on the dimension ``n`` and ``count`` alone:
+    dense when ``n <= DENSE_CUTOFF`` (read at the call) or ``count >= n - 1``.
+    The shift-invert path starts Lanczos from the constant unit vector, so
+    repeated solves are identical, and stops at ARPACK's relative Ritz
+    tolerance 1e-10 rather than at machine precision, which saves an
+    implicit restart.  The returned pairs pass the same gates on both
+    paths: residual 1e-8 of ``‖A‖₁ + |λ|‖M‖₁``, mass orthonormality 1e-10
+    and stiffness diagonality 1e-8.  Multiple eigenvalues return an
+    M-orthonormal basis of the invariant subspace.
     """
     import scipy.linalg as dla
     import scipy.sparse.linalg as spla
@@ -146,7 +148,7 @@ def solve_gevp(A, M, count, dense_cutoff=DENSE_CUTOFF) -> ClusterSolution:
         if not np.isfinite(op.data).all():
             raise EigenError(f"{name} matrix is not finite")
 
-    path = "dense" if n <= dense_cutoff or count >= n - 1 else "shift-invert"
+    path = "dense" if n <= DENSE_CUTOFF or count >= n - 1 else "shift-invert"
     lanczos_solves = factor_nnz = 0
     if path == "dense":
         try:

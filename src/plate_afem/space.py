@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import BoundaryPart, Triangulation, ancestor_map, edge_ancestor_map
+from .mesh import BoundaryPart, Triangulation, edge_ancestor_map
 
 __all__ = [
     "MorleySpace",
@@ -32,10 +32,8 @@ __all__ = [
     "affine_kernel_dimension",
     "affine_kernel_coefficients",
     "morley_interpolate",
-    "prolong_to_fine",
     "hessians",
     "l2s_coordinates",
-    "poly_shift",
 ]
 
 _DUALITY_TOL = 1e-12
@@ -96,17 +94,6 @@ def _quadratic(c, dx, dy):
     # the one evaluation order, so values and re-centred frames agree bitwise
     return (c[0] + c[1] * dx + c[2] * dy + c[3] * dx ** 2 + c[4] * dx * dy
             + c[5] * dy ** 2)
-
-
-def poly_shift(coeffs, delta):
-    """Re-centre quadratic coefficients: frames moved by ``delta`` (new - old)."""
-    c = np.asarray(coeffs, dtype=float)
-    dx, dy = np.moveaxis(np.asarray(delta, dtype=float), -1, 0)
-    out = c.copy()
-    out[..., 0] = _quadratic(np.moveaxis(c, -1, 0), dx, dy)
-    out[..., 1] = c[..., 1] + 2.0 * c[..., 3] * dx + c[..., 4] * dy
-    out[..., 2] = c[..., 2] + c[..., 4] * dx + 2.0 * c[..., 5] * dy
-    return out
 
 
 def _p1_gradients(mesh, rows=slice(None)):
@@ -395,17 +382,3 @@ def morley_interpolate(space: MorleySpace, v) -> np.ndarray:
     out[space.edge_dof[free_e]] = total[free_e] / coarse.edge_lengths[free_e]
     return out
 
-
-def prolong_to_fine(v: BrokenFunction, fine_mesh: Triangulation) -> BrokenFunction:
-    """Restrict a coarse piecewise quadratic to every triangle of a refinement.
-
-    Hessian coefficients are inherited bitwise, so the broken Hessian norm
-    is preserved exactly.
-    """
-    if not isinstance(v, BrokenFunction):
-        raise SpaceError("expected a BrokenFunction")
-    coarse = v.mesh
-    amap = ancestor_map(fine_mesh, coarse)
-    delta = fine_mesh.centroids - coarse.centroids[amap]
-    coeffs = poly_shift(v.coeffs[amap], delta)
-    return BrokenFunction(fine_mesh, coeffs)

@@ -12,8 +12,10 @@ reference.  ``square_clamped_J23_path`` is the adaptive path of the window
 J={2,3} started from the twice uniformly refined clamped square: the mesh
 hash, ndof and marked count of every level.  ``lshape_mixed_J1_path`` is
 the same record for the benchmark's reference run (``lshape_adaptive``:
-the mixed L-shape, J={1}, theta 0.5, ``max_ndof`` 20000).  A marking tie
-flip that keeps every count shows there as a changed hash.
+the mixed L-shape, J={1}, theta 0.5, ``max_ndof`` 20000).  The two runs
+are ``square_clamped_J23`` to ``max_ndof`` 5000 and ``lshape_mixed_J1`` to
+20000, as ``tests/level_digest.py`` configures them.  A marking tie flip
+that keeps every count shows there as a changed hash.
 ``level_digests`` holds what ``tests/level_digest.py --max-ndof 1500``
 prints for each of its names, which covers dense and shift-invert
 levels and the Morley interpolants from uniform and newest-vertex
@@ -34,16 +36,13 @@ import subprocess
 import sys
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+import level_digest  # pins BLAS to one thread and finds the sources before numpy loads
+import run  # put on the path by level_digest
+
+from plate_afem import afem, mesh
+
+ROOT = level_digest.ROOT
 GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-
-import run  # noqa: E402  (standard library only, so numpy is still unloaded)
-
-run.configure_threads()
-run.add_source_path()
-
-from plate_afem import afem, mesh  # noqa: E402
 
 
 def square_clamped_theta05():
@@ -72,13 +71,14 @@ def _path(trace):
             "mesh_hash": [mesh.mesh_hash(m) for m in trace.meshes]}
 
 
-def square_clamped_J23_path():
-    start = mesh.uniform_refine(mesh.uniform_refine(mesh.preset_mesh("square", "clamped")))
+def _run(name, max_ndof):
+    # the run that level_digest names ``name``, to ``max_ndof``
     with tempfile.TemporaryDirectory() as workdir:
-        path = os.path.join(workdir, "square_uniform2_clamped.json")
-        mesh.save_mesh(start, path)
-        trace = afem.run_afem(afem.AfemConfig(mesh_file=path, n=1, cluster_size=2,
-                                              theta=0.5, max_levels=64, max_ndof=5000))
+        return afem.run_afem(level_digest._config(name, workdir, max_ndof))
+
+
+def square_clamped_J23_path():
+    trace = _run("square_clamped_J23", 5000)
     return {
         "config": {"start": "square clamped, 2 uniform refinements", "J": [2, 3],
                    "theta": 0.5, "max_ndof": 5000, "blas_threads": run.BLAS_THREADS},
@@ -87,8 +87,7 @@ def square_clamped_J23_path():
 
 
 def lshape_mixed_J1_path():
-    trace = afem.run_afem(afem.AfemConfig(geometry="lshape", bc="mixed", theta=0.5,
-                                          max_levels=64, max_ndof=20000))
+    trace = _run("lshape_mixed_J1", 20000)
     return {
         "config": {"start": "lshape mixed preset", "J": [1], "theta": 0.5,
                    "max_ndof": 20000, "blas_threads": run.BLAS_THREADS},

@@ -10,7 +10,8 @@ search for bulk marking, a loop over the window members with in-order
 for the load vector of a manufactured solution, symbolic element
 integration for the plate forms, per-column and per-cell loops for the Helmholtz maps (with the
 per-field Curl ``full_curl`` and its symmetric part ``sym_curl``),
-per-column prolongation for subspace angles, one dense least-squares
+per-column prolongation for subspace angles (``prolong_to_fine``, which
+re-centres each coarse quadratic on its fine descendants), one dense least-squares
 solve with the stacked maps for the tensor splitting, a pivoted QR for
 the ranks of the audited maps, a dense null-space basis with a
 Cholesky-factored Gram matrix for the constrained Curl space, a sparse
@@ -37,13 +38,30 @@ live here because only tests use them, as do the quadrature rules of
 other degrees than the library's 7-point rule (``triangle_rule``).  The
 affine-kernel dimension is checked against numpy's ``matrix_rank``
 tolerance, in place of the relative 1e-10 rule read off the library's SVD.
+``patched_dense_cutoff`` is no oracle: it forces the eigensolver's path
+for the tests that run on both.
 """
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+
+@contextmanager
+def patched_dense_cutoff(value):
+    """Within the block ``solve_gevp`` takes the dense path for every pencil
+    of dimension at most ``value`` (and, as always, when ``count >= n - 1``):
+    ``10**9`` forces the dense path, 0 the shift-invert one."""
+    from plate_afem import eigen
+
+    saved, eigen.DENSE_CUTOFF = eigen.DENSE_CUTOFF, value
+    try:
+        yield
+    finally:
+        eigen.DENSE_CUTOFF = saved
 
 
 def jacobi_gevp(A, M, sweeps=100, tol=1e-14):
@@ -768,11 +786,41 @@ def refine_nvb_recursive(mesh, marked=None):
     return apply_split_recursive(mesh, split_edge)
 
 
+def poly_shift(coeffs, delta):
+    """Re-centre quadratic coefficients: frames moved by ``delta`` (new - old)."""
+    from plate_afem.space import _quadratic  # the library's evaluation order
+
+    c = np.asarray(coeffs, dtype=float)
+    dx, dy = np.moveaxis(np.asarray(delta, dtype=float), -1, 0)
+    out = c.copy()
+    out[..., 0] = _quadratic(np.moveaxis(c, -1, 0), dx, dy)
+    out[..., 1] = c[..., 1] + 2.0 * c[..., 3] * dx + c[..., 4] * dy
+    out[..., 2] = c[..., 2] + c[..., 4] * dx + 2.0 * c[..., 5] * dy
+    return out
+
+
+def prolong_to_fine(v, fine_mesh):
+    """Restrict a coarse broken quadratic to every triangle of a refinement.
+
+    Hessian coefficients are inherited bitwise, so the broken Hessian norm
+    is preserved exactly.
+    """
+    from plate_afem.mesh import ancestor_map
+    from plate_afem.space import BrokenFunction, SpaceError
+
+    if not isinstance(v, BrokenFunction):
+        raise SpaceError("expected a BrokenFunction")
+    coarse = v.mesh
+    amap = ancestor_map(fine_mesh, coarse)
+    delta = fine_mesh.centroids - coarse.centroids[amap]
+    return BrokenFunction(fine_mesh, poly_shift(v.coeffs[amap], delta))
+
+
 def hessian_features_prolonged(space, vectors, fine_mesh):
     """(3#T_fine, N) L2(S) features of the broken Hessians of the columns of
     ``vectors``, each column prolonged to ``fine_mesh`` on its own."""
     from plate_afem.helmholtz import tensor_features
-    from plate_afem.space import hessians, prolong_to_fine
+    from plate_afem.space import hessians
 
     return np.stack([tensor_features(fine_mesh, hessians(
         prolong_to_fine(space.to_broken(vectors[:, k]), fine_mesh)))

@@ -14,7 +14,7 @@ from plate_afem.afem import AfemConfig, ConfigError
 from plate_afem.eigen import ClusterSplitError, EigenError
 
 from oracles import (angle_to_reference_prolonged, hessian_features_prolonged,
-                     stiffness_kernel_dimension)
+                     patched_dense_cutoff, stiffness_kernel_dimension)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "square_clamped_theta05.json")
@@ -61,7 +61,7 @@ class TestConfig:
     @pytest.mark.parametrize("via,fields", [
         # constructor keywords of the wrong type or out of range
         ("init", {"max_ndof": 1.5}), ("init", {"n": True}),
-        ("init", {"lower_bound_constant": float("inf")}), ("init", {"dense_cutoff": -3}),
+        ("init", {"lower_bound_constant": float("inf")}),
         ("init", {"deterministic": "no"}), ("init", {"theta": "abc"}),
         ("init", {"mesh_file": ""}), ("init", {"bc": ("clamped", 3)}),
         # JSON documents: the window has the one spelling J, and a mesh file
@@ -74,13 +74,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             AfemConfig(**fields) if via == "init" else AfemConfig.from_dict(fields)
 
+    def test_dense_cutoff_is_no_option(self):
+        # the eigen path depends on the pencil alone
+        with pytest.raises(TypeError):
+            AfemConfig(dense_cutoff=5)
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            AfemConfig.from_dict({"dense_cutoff": 5})
+
     def test_one_check_per_field(self):
         assert list(afem._FIELDS) == [f.name for f in dataclasses.fields(AfemConfig)]
 
     def test_numpy_numbers_accepted(self):
         cfg = AfemConfig(n=np.int64(1), cluster_size=np.int64(2), max_levels=np.int32(3),
-                         max_ndof=np.int64(500), buffer=np.int64(4),
-                         dense_cutoff=np.int64(10), theta=np.float64(0.5),
+                         max_ndof=np.int64(500), buffer=np.int64(4), theta=np.float64(0.5),
                          lower_bound_constant=np.float64(2.0))
         assert cfg.window_indices().tolist() == [2, 3]
 
@@ -98,9 +104,8 @@ class TestRunAfem:
         assert tr.levels[0].level == 0
 
     def test_levels_record_the_eigen_path_that_ran(self):
-        cfg = AfemConfig(geometry="lshape", bc="mixed", max_levels=4,
-                         dense_cutoff=20)
-        tr = afem.run_afem(cfg)
+        with patched_dense_cutoff(20):
+            tr = afem.run_afem(AfemConfig(geometry="lshape", bc="mixed", max_levels=4))
         paths = [r.solver["path"] for r in tr.levels]
         assert paths == ["dense" if r.ndof <= 20 else "shift-invert"
                          for r in tr.levels]
@@ -228,12 +233,10 @@ RIGID_BCS = [
 
 class TestRigidBodyGuard:
     @pytest.mark.parametrize("geometry, bc", RIGID_BCS)
-    @pytest.mark.parametrize("dense_cutoff", [10 ** 9, 1])
-    def test_rigid_configs_rejected_on_both_paths(self, geometry, bc,
-                                                   dense_cutoff):
-        cfg = AfemConfig(geometry=geometry, bc=bc, max_levels=3,
-                         dense_cutoff=dense_cutoff)
-        with pytest.raises(ConfigError, match="rigid-body"):
+    @pytest.mark.parametrize("cutoff", [10 ** 9, 1])
+    def test_rigid_configs_rejected_on_both_paths(self, geometry, bc, cutoff):
+        cfg = AfemConfig(geometry=geometry, bc=bc, max_levels=3)
+        with pytest.raises(ConfigError, match="rigid-body"), patched_dense_cutoff(cutoff):
             afem.run_afem(cfg)
 
     def test_rigid_config_rejected_by_uniform_trace(self):
@@ -268,14 +271,14 @@ class TestRigidBodyGuard:
                    min_size=g[1], max_size=g[1]))),
            st.sampled_from([10 ** 9, 1]))
     @settings(max_examples=60, deadline=None)
-    def test_bc_lists_fail_loudly_or_stay_positive(self, case, dense_cutoff):
+    def test_bc_lists_fail_loudly_or_stay_positive(self, case, cutoff):
         # every per-segment list of both presets gives lambda_1 >= 0.25 on
         # these levels unless it leaves a rigid-body mode
         geometry, bc = case
-        cfg = AfemConfig(geometry=geometry, bc=bc, max_levels=2, max_ndof=400,
-                         dense_cutoff=dense_cutoff)
+        cfg = AfemConfig(geometry=geometry, bc=bc, max_levels=2, max_ndof=400)
         try:
-            trace = afem.run_afem(cfg)
+            with patched_dense_cutoff(cutoff):
+                trace = afem.run_afem(cfg)
         except ConfigError:
             assert sp.affine_kernel_dimension(msh.preset_mesh(geometry, bc)) > 0
             return
@@ -415,8 +418,8 @@ class TestReference:
 class TestAngles:
     def _solve(self, mesh, count):
         S = sp.build_space(mesh)
-        sol = eig.solve_gevp(asm.assemble_stiffness(S), asm.assemble_mass(S),
-                             count, dense_cutoff=5000)
+        with patched_dense_cutoff(5000):
+            sol = eig.solve_gevp(asm.assemble_stiffness(S), asm.assemble_mass(S), count)
         return S, sol
 
     def test_identical_subspace_zero(self):
@@ -509,8 +512,8 @@ class TestClusterWindow:
             meshes.append(msh.uniform_refine(meshes[-1]))
         def solve(mesh):
             S = sp.build_space(mesh)
-            sol = eig.solve_gevp(asm.assemble_stiffness(S),
-                                 asm.assemble_mass(S), 4, dense_cutoff=5000)
+            with patched_dense_cutoff(5000):
+                sol = eig.solve_gevp(asm.assemble_stiffness(S), asm.assemble_mass(S), 4)
             return S, sol.window(1, 2)
         Sref, cref = solve(meshes[-1])
         angles = []

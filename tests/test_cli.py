@@ -136,7 +136,7 @@ class TestRun:
                         "--out", str(tmp_path / "t.csv")]) == 2
 
     @pytest.mark.parametrize("key,value", [("edge_weight", "h_F"),
-                                           ("eta2_floor", 0.0)])
+                                           ("eta2_floor", 0.0), ("dense_cutoff", 5)])
     def test_removed_option_key_exit_2(self, key, value, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"geometry": "square", key: value}))
@@ -328,7 +328,8 @@ class TestOutOfRangeOptions:
         ["reference", "--J", "0"], ["reference", "--J", "-2"],
         ["reference", "--lower-bound-constant", "-1"],
         ["reference", "--lower-bound-constant", "nan"],
-        ["helmholtz-audit", "--refine", "-1"], ["mesh-export", "--refine", "-1"]])
+        ["helmholtz-audit", "--refine", "-1"], ["mesh-export", "--refine", "-1"],
+        ["reference", "--lower-bound-constant", "inf"]])
     @pytest.mark.parametrize("with_out", [True, False])
     def test_rejected_up_front(self, args, with_out, tmp_path, capsys, monkeypatch):
         from plate_afem import afem, mesh
@@ -345,6 +346,42 @@ class TestOutOfRangeOptions:
         err = capsys.readouterr().err
         assert err.startswith("invalid input: --")
         assert not out.exists()
+
+
+class TestUnusablePathExit:
+    """A path that cannot be read or written, or a malformed trace, exits 2
+    with a message instead of a traceback, before any work starts."""
+
+    TRACES = {"HEADER": "level,ndof,eta2_total,lambda_1\n", "EMPTY": "",
+              "NO_ETA2": "level,ndof,lambda_1\n" + "".join(
+                  f"{k},{10 * 4 ** k},1.0\n" for k in range(4))}
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "DIR", "--out", "OUT"],
+        ["run", "--config", "CONFIG", "--out", "MISSING"],
+        ["run", "--config", "CONFIG", "--out", "OUT", "--dump-mesh", "FILE"],
+        ["mesh-export", "--out", "MISSING"], ["helmholtz-audit", "--out", "MISSING"],
+        ["reference", "--out", "MISSING"],
+        ["rates", "DIR"], ["rates", "HEADER"], ["rates", "EMPTY"], ["rates", "NO_ETA2"]],
+        ids=" ".join)
+    def test_exit_2(self, argv, square_config, tmp_path, capsys, monkeypatch):
+        from plate_afem import afem, mesh
+
+        def no_work(*_, **__):
+            raise AssertionError("work started before the paths were checked")
+
+        for module, name in ((afem, "run_afem"), (afem, "reference_eigenvalues"),
+                             (mesh, "preset_mesh")):
+            monkeypatch.setattr(module, name, no_work)
+        trace = tmp_path / "trace.csv"
+        trace.write_text(self.TRACES.get(argv[-1], "level\n"))
+        paths = {"DIR": tmp_path, "MISSING": tmp_path / "absent" / "x", "FILE": trace,
+                 "OUT": tmp_path / "t.csv", "CONFIG": square_config, **dict.fromkeys(
+                     self.TRACES, trace)}
+        assert run_cli([str(paths.get(word, word)) for word in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestConsoleScript:

@@ -1,3 +1,4 @@
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,8 @@ from plate_afem import mesh as msh
 from plate_afem import space as sp
 from plate_afem.eigen import ClusterSplitError, EigenError
 
-from oracles import jacobi_gevp, lanczos_machine_precision, shift_invert_lanczos
+from oracles import (jacobi_gevp, lanczos_machine_precision, patched_dense_cutoff,
+                     shift_invert_lanczos)
 
 
 def random_spd_pencil(rng, n):
@@ -69,10 +71,22 @@ class TestSolveGevp:
         for n, count in ((2, 2), (6, 2)):
             M = np.eye(n)
             M[n // 2, n // 2] = -1.0
-            with pytest.raises(EigenError,
-                               match="mass matrix is not positive definite"):
-                eig.solve_gevp(np.diag(np.arange(1.0, n + 1.0)), M, count,
-                               dense_cutoff=10 ** 9)
+            with pytest.raises(EigenError, match="mass matrix is not positive definite"), \
+                    patched_dense_cutoff(10 ** 9):
+                eig.solve_gevp(np.diag(np.arange(1.0, n + 1.0)), M, count)
+
+    def test_patched_cutoff_flips_the_path_at_the_boundary(self):
+        m = msh.square_mesh("clamped")
+        for _ in range(3):
+            m = msh.uniform_refine(m)
+        S = sp.build_space(m)
+        A, M = asm.assemble_stiffness(S), asm.assemble_mass(S)
+        n = A.shape[0]
+        for cutoff, path in ((n, "dense"), (n - 1, "shift-invert")):
+            with patched_dense_cutoff(cutoff):
+                assert eig.solve_gevp(A, M, 5).path == path
+        assert eig.DENSE_CUTOFF == 900
+        assert list(inspect.signature(eig.solve_gevp).parameters) == ["A", "M", "count"]
 
     def test_count_out_of_range(self):
         with pytest.raises(EigenError):
@@ -98,8 +112,10 @@ class TestSolveGevp:
             S = sp.build_space(m)
             A = asm.assemble_stiffness(S)
             M = asm.assemble_mass(S)
-            dense = eig.solve_gevp(A, M, 5, dense_cutoff=10 ** 9)
-            sparse = eig.solve_gevp(A, M, 5, dense_cutoff=1)
+            with patched_dense_cutoff(10 ** 9):
+                dense = eig.solve_gevp(A, M, 5)
+            with patched_dense_cutoff(1):
+                sparse = eig.solve_gevp(A, M, 5)
             assert (dense.path, sparse.path) == ("dense", "shift-invert")
             # the dense path is accurate to about eps * lambda_max / lambda
             # (2e-9 on the L-shape), so agreement is checked at 1e-8 ...
@@ -115,10 +131,10 @@ class TestSolveGevp:
             bound = np.sqrt(np.einsum("ik,ik->k", r, Mlu.solve(r)))
             assert (bound / sparse.eigenvalues).max() <= 1e-10
 
-    @pytest.mark.parametrize("dense_cutoff", [10 ** 9, 0])
+    @pytest.mark.parametrize("cutoff", [10 ** 9, 0])
     @pytest.mark.parametrize("which", ["stiffness", "mass"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_input_rejected_on_both_paths(self, dense_cutoff, which, bad):
+    def test_non_finite_input_rejected_on_both_paths(self, cutoff, which, bad):
         # an inf in A once passed the residual gate (inf > inf is false) on
         # the sparse path and returned a wrong lambda_1; NaN escaped the
         # dense path as a bare ValueError
@@ -131,8 +147,9 @@ class TestSolveGevp:
         assert A.shape[0] == 225
         target = A if which == "stiffness" else M
         target.data[target.indptr[7]] = bad
-        with pytest.raises(EigenError, match=f"{which} matrix is not finite"):
-            eig.solve_gevp(A, M, 5, dense_cutoff=dense_cutoff)
+        with pytest.raises(EigenError, match=f"{which} matrix is not finite"), \
+                patched_dense_cutoff(cutoff):
+            eig.solve_gevp(A, M, 5)
 
     def test_symmetric_csr_arrays_are_its_csc(self):
         # SuperLU reads the CSC view A.T; for the exactly symmetric assembled
@@ -164,8 +181,8 @@ class TestSolveGevp:
         assert np.shares_memory(seen[0].data, A.data)
         assert sol.factor_nnz > A.nnz
 
-    @pytest.mark.parametrize("dense_cutoff", [10 ** 9, 1])
-    def test_non_canonical_csr_is_left_unchanged(self, dense_cutoff):
+    @pytest.mark.parametrize("cutoff", [10 ** 9, 1])
+    def test_non_canonical_csr_is_left_unchanged(self, cutoff):
         # splu sums duplicates in place; through a view of a non-canonical
         # input that would rewrite the caller's arrays
         m = msh.square_mesh("clamped")
@@ -181,24 +198,26 @@ class TestSolveGevp:
         B = type(A)((data, indices, 2 * A.indptr), shape=A.shape)
         assert not B.has_canonical_format
         before = [getattr(B, name).copy() for name in ("data", "indices", "indptr")]
-        got = eig.solve_gevp(B, M, 5, dense_cutoff=dense_cutoff)
-        want = eig.solve_gevp(A, M, 5, dense_cutoff=dense_cutoff)
+        with patched_dense_cutoff(cutoff):
+            got = eig.solve_gevp(B, M, 5)
+            want = eig.solve_gevp(A, M, 5)
         for name, old in zip(("data", "indices", "indptr"), before):
             assert getattr(B, name).tobytes() == old.tobytes()
         assert got.path == want.path
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert got.vectors.tobytes() == want.vectors.tobytes()
 
-    @pytest.mark.parametrize("dense_cutoff", [10 ** 9, 1])
-    def test_dense_csr_and_csc_inputs_agree_bitwise(self, dense_cutoff):
+    @pytest.mark.parametrize("cutoff", [10 ** 9, 1])
+    def test_dense_csr_and_csc_inputs_agree_bitwise(self, cutoff):
         m = msh.square_mesh("clamped")
         for _ in range(3):
             m = msh.uniform_refine(m)
         S = sp.build_space(m)
         A, M = asm.assemble_stiffness(S), asm.assemble_mass(S)
-        sols = [eig.solve_gevp(convert(A), convert(M), 5, dense_cutoff=dense_cutoff)
-                for convert in (lambda X: X, lambda X: X.tocsc(), lambda X: X.toarray())]
-        assert sols[0].path == ("dense" if dense_cutoff > 1 else "shift-invert")
+        with patched_dense_cutoff(cutoff):
+            sols = [eig.solve_gevp(convert(A), convert(M), 5)
+                    for convert in (lambda X: X, lambda X: X.tocsc(), lambda X: X.toarray())]
+        assert sols[0].path == ("dense" if cutoff > 1 else "shift-invert")
         for sol in sols[1:]:
             assert sol.eigenvalues.tobytes() == sols[0].eigenvalues.tobytes()
             assert sol.vectors.tobytes() == sols[0].vectors.tobytes()
@@ -214,27 +233,27 @@ class TestSolveGevp:
         with pytest.raises(EigenError):
             sol.window(6, 4)
 
-    @pytest.mark.parametrize("dense_cutoff", [10 ** 9, 1])
-    def test_window_copies_its_columns(self, dense_cutoff):
+    @pytest.mark.parametrize("cutoff", [10 ** 9, 1])
+    def test_window_copies_its_columns(self, cutoff):
         # a kept window must not pin the solve's whole eigenvector block
         m = msh.square_mesh("clamped")
         for _ in range(3):
             m = msh.uniform_refine(m)
         S = sp.build_space(m)
-        sol = eig.solve_gevp(asm.assemble_stiffness(S), asm.assemble_mass(S), 6,
-                             dense_cutoff=dense_cutoff)
+        with patched_dense_cutoff(cutoff):
+            sol = eig.solve_gevp(asm.assemble_stiffness(S), asm.assemble_mass(S), 6)
         win = sol.window(1, 2)
         for name in ("eigenvalues", "vectors", "residuals"):
             assert not np.shares_memory(getattr(win, name), getattr(sol, name)), name
         assert win.vectors.tobytes() == sol.vectors[:, 1:3].tobytes()
         assert win.residuals.tobytes() == sol.residuals[1:3].tobytes()
 
-    @pytest.mark.parametrize("dense_cutoff", [10 ** 9, 1])
-    def test_window_passes_every_other_field_through(self, dense_cutoff):
+    @pytest.mark.parametrize("cutoff", [10 ** 9, 1])
+    def test_window_passes_every_other_field_through(self, cutoff):
         m = msh.uniform_refine(msh.uniform_refine(msh.square_mesh("clamped")))
         S = sp.build_space(m)
-        sol = eig.solve_gevp(asm.assemble_stiffness(S), asm.assemble_mass(S), 6,
-                             dense_cutoff=dense_cutoff)
+        with patched_dense_cutoff(cutoff):
+            sol = eig.solve_gevp(asm.assemble_stiffness(S), asm.assemble_mass(S), 6)
         win = sol.window(1, 2)
         assert win.j_first == 2
         copied = {"j_first", "eigenvalues", "vectors", "residuals"}

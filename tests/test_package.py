@@ -92,3 +92,10 @@ def test_mesh_export_and_rates_load_no_scipy(tmp_path):
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'principal_angle'"):
         plate_afem.__getattr__("principal_angle")
+
+
+def test_prolongation_is_no_library_name():
+    from plate_afem import space
+    assert not {"prolong_to_fine", "poly_shift"} & set(space.__all__)
+    with pytest.raises(AttributeError):
+        plate_afem.prolong_to_fine

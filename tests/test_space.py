@@ -8,7 +8,7 @@ from plate_afem import space as sp
 from plate_afem.space import SpaceError
 
 from oracles import (affine_kernel_dimension_matrix_rank, flip_edge_orientation,
-                     morley_interpolate_geometric, quadratic_on)
+                     morley_interpolate_geometric, prolong_to_fine, quadratic_on)
 
 
 class TestDofCounts:
@@ -220,11 +220,13 @@ class TestBrokenInterpolation:
 
 
 class TestProlongation:
+    """The prolongation oracle behind ``angle_to_reference_prolonged``."""
+
     def test_rejects_coefficient_vector(self):
         S = sp.build_space(msh.uniform_refine(msh.square_mesh("clamped")))
         fine = msh.uniform_refine(S.mesh)
         with pytest.raises(SpaceError, match="expected a BrokenFunction"):
-            sp.prolong_to_fine(np.ones(S.ndof), fine)
+            prolong_to_fine(np.ones(S.ndof), fine)
 
     def test_hessian_preserved_bitwise(self):
         rng = np.random.default_rng(3)
@@ -233,7 +235,7 @@ class TestProlongation:
         u = rng.standard_normal(S.ndof)
         bf = S.to_broken(u)
         fine = msh.uniform_refine(msh.refine_nvb(m, [0, 1]))
-        pf = sp.prolong_to_fine(bf, fine)
+        pf = prolong_to_fine(bf, fine)
         amap = msh.ancestor_map(fine, m)
         assert np.array_equal(sp.hessians(pf), sp.hessians(bf)[amap])
 
@@ -244,7 +246,7 @@ class TestProlongation:
         u = rng.standard_normal(S.ndof)
         bf = S.to_broken(u)
         fine = msh.uniform_refine(m)
-        pf = sp.prolong_to_fine(bf, fine)
+        pf = prolong_to_fine(bf, fine)
 
         def energy2(b):
             H = sp.hessians(b)
@@ -259,7 +261,7 @@ class TestProlongation:
         u = np.ones(S.ndof)
         bf = S.to_broken(u)
         fine = msh.uniform_refine(m)
-        pf = sp.prolong_to_fine(bf, fine)
+        pf = prolong_to_fine(bf, fine)
         # the midpoint of the coarse diagonal is a fine vertex; coarse
         # polynomial values on both sides must match the prolonged values
         diag = np.nonzero(m.interior_edge_mask)[0][0]
