@@ -27,8 +27,7 @@ _EXPORTS = {
     "estimator": ("EstimatorField", "dorfler_mark", "estimate"),
     "helmholtz": ("XSpace", "build_xspace", "decompose", "dimension_audit"),
     "mesh": ("BoundaryPart", "Triangulation", "build_mesh", "load_mesh",
-             "lshape_mesh", "preset_mesh", "refine_nvb", "save_mesh",
-             "square_mesh", "uniform_refine"),
+             "preset_mesh", "refine_nvb", "save_mesh", "uniform_refine"),
     "space": ("BrokenFunction", "MorleySpace", "build_space", "morley_interpolate"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

@@ -304,8 +304,8 @@ def fit_rate(ndofs, values, ndof0=None, tail=None):
     values = np.asarray(values, dtype=float)
     if len(ndofs) < 4:
         raise ValueError("need at least 4 levels to fit a rate")
-    if np.any(values <= 0):
-        raise ValueError("rate fit requires positive values")
+    if not np.all(np.isfinite(values) & (values > 0)):
+        raise ValueError("rate fit requires finite positive values")
     ndof0 = ndofs[0] if ndof0 is None else ndof0
     k = len(ndofs) - (tail if tail is not None else len(ndofs) // 2)
     x = np.log(ndofs[k:] - ndof0 + 1.0)

@@ -42,6 +42,9 @@ def _build_parser():
                                 description="Adaptive Morley eigenvalue solver "
                                             "for plate vibration problems")
     sub = p.add_subparsers(dest="command", required=True)
+    preset = argparse.ArgumentParser(add_help=False)
+    preset.add_argument("--geometry", default="square")
+    preset.add_argument("--bc", default="clamped")
 
     run = sub.add_parser("run", help="run the adaptive loop from a JSON config")
     run.add_argument("--config", required=True)
@@ -57,27 +60,21 @@ def _build_parser():
     rates.add_argument("--reference", type=float, default=None,
                        help="reference eigenvalue for lambda_err")
 
-    ref = sub.add_parser("reference",
+    ref = sub.add_parser("reference", parents=[preset],
                          help="uniform-refinement reference eigenvalues")
-    ref.add_argument("--geometry", default="square")
-    ref.add_argument("--bc", default="clamped")
     ref.add_argument("--J", type=int, default=1,
                      help="largest 1-based window index (window is 1..J)")
     ref.add_argument("--ndof", type=int, default=20000)
     ref.add_argument("--lower-bound-constant", type=float, default=1.0)
     ref.add_argument("--out", default=None, help="spectrum CSV path")
 
-    audit = sub.add_parser("helmholtz-audit",
+    audit = sub.add_parser("helmholtz-audit", parents=[preset],
                            help="audit the tensor-splitting dimension identities")
-    audit.add_argument("--geometry", default="square")
-    audit.add_argument("--bc", default="clamped")
     audit.add_argument("--refine", type=int, default=0,
                        help="uniform refinements before the audit")
     audit.add_argument("--out", default=None, help="report JSON path")
 
-    exp = sub.add_parser("mesh-export", help="write a preset mesh as JSON")
-    exp.add_argument("--geometry", default="square")
-    exp.add_argument("--bc", default="clamped")
+    exp = sub.add_parser("mesh-export", parents=[preset], help="write a preset mesh as JSON")
     exp.add_argument("--refine", type=int, default=0)
     exp.add_argument("--out", required=True)
     return p
@@ -168,6 +165,8 @@ def _cmd_rates(args):
 
     from . import afem
 
+    if args.reference is not None and not np.isfinite(args.reference):
+        raise ValueError(f"--reference must be a finite number, got {args.reference}")
     cols = afem.read_trace_csv(args.trace)
     lam = [v for k, v in cols.items() if k.startswith("lambda_")]
     if not lam or {"ndof", "eta2_total"} - set(cols):
@@ -183,11 +182,13 @@ def _cmd_reference(args):
 
     from . import afem, eigen
 
-    if args.J < 1:
-        raise ValueError(f"--J must be at least 1, got {args.J}")
-    what, valid = afem._FIELDS["lower_bound_constant"]
-    if not valid(args.lower_bound_constant):
-        raise ValueError(f"--lower-bound-constant must be {what}, got {args.lower_bound_constant}")
+    # each option by the rule of the config field it fills
+    for option, field in (("J", "cluster_size"), ("ndof", "max_ndof"),
+                          ("lower_bound_constant", "lower_bound_constant")):
+        what, valid = afem._FIELDS[field]
+        value = getattr(args, option)
+        if not valid(value):
+            raise ValueError(f"--{option.replace('_', '-')} must be {what}, got {value}")
     J = list(range(1, args.J + 1))
     ref = afem.reference_eigenvalues(args.geometry, args.bc, J, args.ndof)
     for k, j in enumerate(ref.indices):

@@ -233,13 +233,8 @@ def _symmetric_splu(A, diag_pivot_thresh):
 
 
 def _norm1(op):
-    # max column sum of |op| for canonical CSR or CSC, added as abs(op).sum(axis=0) adds:
-    # entry by entry for CSR, numpy's pairwise reduction of each non-empty CSC column
-    data = np.abs(op.data)
-    if op.format == "csr":
-        return float(np.bincount(op.indices, data, minlength=op.shape[1]).max())
-    starts = op.indptr[np.flatnonzero(np.diff(op.indptr))]
-    return float(np.add.reduceat(data, starts).max(initial=0.0))
+    # max column sum of |op| for canonical CSR, added entry by entry as abs(op).sum(axis=0) adds
+    return float(np.bincount(op.indices, np.abs(op.data), minlength=op.shape[1]).max())
 
 
 def separation(evals, J) -> SeparationReport:

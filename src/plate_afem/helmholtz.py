@@ -318,7 +318,7 @@ class _Gram:
         self.B = sparse.csr_matrix(B)
         n = self.B.shape[1]
         self.C = sparse.csr_matrix((0, n)) if C is None else sparse.csr_matrix(C)
-        self.G = (self.B.T @ self.B).tocsc()
+        self.G = (self.B.T @ self.B).tocsr()
         self.G.sum_duplicates()     # canonical: the factor and the products sum in this order
         self.norm = _norm1(self.G) if n else 0.0
         self.sigma = -_SHIFT_RTOL * self.norm

@@ -33,9 +33,6 @@ __all__ = [
     "build_mesh",
     "refine_nvb",
     "uniform_refine",
-    "square_mesh",
-    "lshape_mesh",
-    "triangle_mesh",
     "preset_mesh",
     "mesh_to_dict",
     "mesh_from_dict",
@@ -509,72 +506,49 @@ def edge_ancestor_map(fine: Triangulation, coarse: Triangulation) -> np.ndarray:
 # -- presets -------------------------------------------------------------------
 
 
-def _expand_bc(bc, nseg):
-    if isinstance(bc, (str, BoundaryPart)):
-        bc = [bc] * nseg
-    if len(bc) != nseg:
-        raise MeshError(f"expected {nseg} boundary labels, got {len(bc)}")
-    return list(bc)
-
-
-def square_mesh(bc="clamped") -> Triangulation:
-    """Unit square split into two triangles along the main diagonal.
-
-    ``bc`` is a single label or four labels for the segments
-    (bottom, right, top, left).
-    """
-    v = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    t = [(0, 1, 2), (0, 2, 3)]
-    segs = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    bc = _expand_bc(bc, 4)
-    return build_mesh(v, t, [(i, j, tag) for (i, j), tag in zip(segs, bc)])
-
-
-def lshape_mesh(bc="clamped") -> Triangulation:
-    """L-shaped domain (-1,1)^2 minus [0,1]x[-1,0], six triangles.
-
-    ``bc`` is a single label or six labels for the outline segments starting
-    at the bottom edge and walking counterclockwise through the reentrant
-    corner: bottom, reentrant-vertical, reentrant-horizontal, right, top,
-    left.
-    """
-    v = [(-1.0, -1.0), (0.0, -1.0), (-1.0, 0.0), (0.0, 0.0),
-         (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0)]
-    t = [(0, 1, 3), (0, 3, 2), (3, 4, 5), (3, 5, 6), (2, 3, 6), (2, 6, 7)]
-    segs = [(0, 1), (1, 3), (3, 4), (4, 5), (5, 7), (7, 0)]
-    bc = _expand_bc(bc, 6)
-    return build_mesh(v, t, [(i, j, tag) for (i, j), tag in zip(segs, bc)])
-
-
-def triangle_mesh(bc="free") -> Triangulation:
-    """Single reference triangle (0,0), (1,0), (0,1)."""
-    v = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    t = [(0, 1, 2)]
-    segs = [(0, 1), (1, 2), (2, 0)]
-    bc = _expand_bc(bc, 3)
-    return build_mesh(v, t, [(i, j, tag) for (i, j), tag in zip(segs, bc)])
-
-
-_MIXED_BC = {"square": ["clamped", "simply_supported", "free", "simply_supported"],
-             "lshape": ["clamped", "simply_supported", "free",
-                        "clamped", "simply_supported", "free"]}
+# geometry: (vertices, triangles, outline segments in the order a per-segment
+# ``bc`` list labels them, ``mixed`` labels or None)
+_PRESETS = {
+    # unit square split along the main diagonal; bottom, right, top, left
+    "square": ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+               [(0, 1, 2), (0, 2, 3)],
+               [(0, 1), (1, 2), (2, 3), (3, 0)],
+               ["clamped", "simply_supported", "free", "simply_supported"]),
+    # (-1,1)^2 minus [0,1]x[-1,0]; counterclockwise from the bottom edge:
+    # bottom, reentrant-vertical, reentrant-horizontal, right, top, left
+    "lshape": ([(-1.0, -1.0), (0.0, -1.0), (-1.0, 0.0), (0.0, 0.0),
+                (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0)],
+               [(0, 1, 3), (0, 3, 2), (3, 4, 5), (3, 5, 6), (2, 3, 6), (2, 6, 7)],
+               [(0, 1), (1, 3), (3, 4), (4, 5), (5, 7), (7, 0)],
+               ["clamped", "simply_supported", "free",
+                "clamped", "simply_supported", "free"]),
+    # reference triangle (0,0), (1,0), (0,1); segments (0,1), (1,2), (2,0)
+    "triangle": ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+                 [(0, 1, 2)],
+                 [(0, 1), (1, 2), (2, 0)],
+                 None),
+}
 
 
 def preset_mesh(geometry: str, bc) -> Triangulation:
     """Named geometry presets: ``square``, ``lshape`` or ``triangle``.
 
-    ``bc`` is a tag label, a list of per-segment labels, or ``"mixed"`` for a
-    canonical clamped/simply-supported/free combination.
+    ``bc`` is a tag label, a list of labels for the outline segments in the
+    order ``_PRESETS`` lists them, or ``"mixed"`` for a canonical
+    clamped/simply-supported/free combination.
     """
-    builders = {"square": square_mesh, "lshape": lshape_mesh,
-                "triangle": triangle_mesh}
-    if geometry not in builders:
+    if geometry not in _PRESETS:
         raise MeshError(f"unknown geometry preset {geometry!r}")
+    v, t, segs, mixed = _PRESETS[geometry]
     if bc == "mixed":
-        if geometry not in _MIXED_BC:
+        if mixed is None:
             raise MeshError(f"no mixed preset for geometry {geometry!r}")
-        bc = _MIXED_BC[geometry]
-    return builders[geometry](bc)
+        bc = mixed
+    if isinstance(bc, (str, BoundaryPart)):
+        bc = [bc] * len(segs)
+    if len(bc) != len(segs):
+        raise MeshError(f"expected {len(segs)} boundary labels, got {len(bc)}")
+    return build_mesh(v, t, [(i, j, tag) for (i, j), tag in zip(segs, bc)])
 
 
 # -- serialization ---------------------------------------------------------------

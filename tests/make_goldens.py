@@ -21,6 +21,10 @@ prints for each of its names, which covers dense and shift-invert
 levels and the Morley interpolants from uniform and newest-vertex
 bisection refinements: a change that moves any level's arrays or any
 interpolant by one bit moves a digest.
+``preset_meshes`` maps ``"geometry|bc"`` to the ``mesh_hash`` of
+``preset_mesh(geometry, bc)`` for every geometry with each single label,
+``mixed`` where a geometry has it, and one mixed per-segment list per
+geometry (joined by ``,`` in the key).
 
 BLAS runs on one thread, set before numpy loads, as in the benchmark
 (``perfbench/run.configure_threads``): adaptive paths depend on the thread
@@ -110,10 +114,27 @@ def level_digests():
     }
 
 
+PRESET_BCS = {
+    "square": ["clamped", "simply_supported", "free", "mixed",
+               ["free", "clamped", "simply_supported", "clamped"]],
+    "lshape": ["clamped", "simply_supported", "free", "mixed",
+               ["free", "clamped", "clamped", "simply_supported", "free", "clamped"]],
+    "triangle": ["clamped", "simply_supported", "free",
+                 ["clamped", "free", "simply_supported"]],
+}
+
+
+def preset_meshes():
+    return {f"{geometry}|{bc if isinstance(bc, str) else ','.join(bc)}":
+            mesh.mesh_hash(mesh.preset_mesh(geometry, bc))
+            for geometry, bcs in PRESET_BCS.items() for bc in bcs}
+
+
 RECORDS = {"square_clamped_theta05": square_clamped_theta05,
            "square_clamped_J23_path": square_clamped_J23_path,
            "lshape_mixed_J1_path": lshape_mixed_J1_path,
-           "level_digests": level_digests}
+           "level_digests": level_digests,
+           "preset_meshes": preset_meshes}
 
 
 def main(argv):

@@ -61,7 +61,7 @@ def test_criterion_1_structural_identities():
                 assert np.abs(bf.coeffs[t] - exact).max() <= 1e-12 * scale
 
     # Hessian mean projection: 20 random fine inputs across 3 nesting levels
-    coarse = msh.square_mesh("clamped")
+    coarse = msh.preset_mesh("square", "clamped")
     fines = [coarse]
     for _ in range(3):
         fines.append(msh.uniform_refine(fines[-1]))
@@ -213,10 +213,10 @@ def test_criterion_7_marking_minimality():
     """Greedy bulk marking matches exhaustive subset search."""
     t0 = time.time()
     rng = np.random.default_rng(5)
-    base = msh.square_mesh("clamped")
+    base = msh.preset_mesh("square", "clamped")
     meshes = [base, msh.refine_nvb(base, [0]), msh.uniform_refine(base),
-              msh.lshape_mesh("clamped"),
-              msh.refine_nvb(msh.lshape_mesh("clamped"), [0, 1])]
+              msh.preset_mesh("lshape", "clamped"),
+              msh.refine_nvb(msh.preset_mesh("lshape", "clamped"), [0, 1])]
     thetas = np.arange(0.1, 0.95, 0.1)
     for m in meshes:
         assert m.num_triangles <= 12

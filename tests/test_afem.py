@@ -181,7 +181,7 @@ class TestRunAfem:
         assert np.all(np.diff(eta[3:]) < 0)
 
     def test_split_window_aborts(self, tmp_path):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         for _ in range(2):
             m = msh.uniform_refine(m)
         path = tmp_path / "mesh.json"
@@ -358,6 +358,12 @@ class TestRates:
         with pytest.raises(ValueError):
             afem.fit_rate([1, 2, 3, 4], [1.0, 0.5, 0.0, -0.1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, bad):
+        # NaN compares false with 0, so a positivity test alone lets it through
+        with pytest.raises(ValueError, match="finite positive values"):
+            afem.fit_rate([1, 2, 3, 4], [1.0, 0.5, 0.25, bad])
+
     def test_quantity_rate_of_a_trace(self):
         cfg = AfemConfig(geometry="square", bc="clamped", theta=0.5,
                          max_levels=6)
@@ -423,13 +429,13 @@ class TestAngles:
         return S, sol
 
     def test_identical_subspace_zero(self):
-        m = msh.uniform_refine(msh.square_mesh("clamped"))
+        m = msh.uniform_refine(msh.preset_mesh("square", "clamped"))
         S, sol = self._solve(m, 2)
         c = sol.window(0, 1)
         assert afem.angle_to_reference(S, c, S, c) <= 1e-10
 
     def test_distinct_eigenvectors_orthogonal(self):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         for _ in range(2):
             m = msh.uniform_refine(m)
         S, sol = self._solve(m, 2)
@@ -437,7 +443,7 @@ class TestAngles:
         assert a == pytest.approx(1.0, abs=1e-10)
 
     def test_dimension_mismatch_rejected(self):
-        m = msh.uniform_refine(msh.square_mesh("clamped"))
+        m = msh.uniform_refine(msh.preset_mesh("square", "clamped"))
         S, sol = self._solve(m, 3)
         with pytest.raises(EigenError):
             afem.angle_to_reference(S, sol.window(0, 1), S, sol.window(0, 2))
@@ -464,13 +470,13 @@ class TestAngles:
         assert 0.0 < a < 1.0
 
     def test_reference_must_refine_the_level_mesh(self):
-        S, sol = self._solve(msh.square_mesh("clamped"), 1)
-        Sf, solf = self._solve(msh.uniform_refine(msh.square_mesh("clamped")), 1)
+        S, sol = self._solve(msh.preset_mesh("square", "clamped"), 1)
+        Sf, solf = self._solve(msh.uniform_refine(msh.preset_mesh("square", "clamped")), 1)
         with pytest.raises(msh.MeshError, match="not a refinement"):
             afem.angle_to_reference(S, sol.window(0, 1), Sf, solf.window(0, 1))
 
     def test_angles_decrease_towards_reference(self):
-        meshes = [msh.square_mesh("clamped")]
+        meshes = [msh.preset_mesh("square", "clamped")]
         for _ in range(4):
             meshes.append(msh.uniform_refine(meshes[-1]))
         Sref, solref = self._solve(meshes[-1], 2)
@@ -487,7 +493,7 @@ class TestClusterWindow:
     def test_two_member_window_on_double_eigenvalue(self, tmp_path):
         # the square's second and third eigenvalues coincide; treating them
         # as one window keeps the separation finite and the loop running
-        m = msh.uniform_refine(msh.uniform_refine(msh.square_mesh("clamped")))
+        m = msh.uniform_refine(msh.uniform_refine(msh.preset_mesh("square", "clamped")))
         path = tmp_path / "start.json"
         msh.save_mesh(m, path)
         cfg = AfemConfig(geometry="square", bc="clamped", n=1, cluster_size=2,
@@ -507,7 +513,7 @@ class TestClusterWindow:
         assert gap[-1] < max(gap) / 10
 
     def test_two_member_window_angle_to_reference(self):
-        meshes = [msh.square_mesh("clamped")]
+        meshes = [msh.preset_mesh("square", "clamped")]
         for _ in range(3):
             meshes.append(msh.uniform_refine(meshes[-1]))
         def solve(mesh):

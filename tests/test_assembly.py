@@ -14,7 +14,7 @@ from oracles import (energy_product_symbolic, load_vector_duffy, local_stiffness
 
 class TestStiffness:
     def test_symmetry_exact(self):
-        S = sp.build_space(msh.uniform_refine(msh.lshape_mesh("clamped")))
+        S = sp.build_space(msh.uniform_refine(msh.preset_mesh("lshape", "clamped")))
         for A in (asm.assemble_stiffness(S).toarray(), asm.assemble_mass(S).toarray()):
             assert np.array_equal(A, A.T)
 
@@ -22,7 +22,7 @@ class TestStiffness:
         """1x1 stiffness entry cross-checked by symbolic element integration."""
         import sympy as sym
 
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         S = sp.build_space(m)
         A = asm.assemble_stiffness(S).toarray()
         assert A.shape == (1, 1)
@@ -49,7 +49,7 @@ class TestStiffness:
     def test_quadratic_reproduction_against_quadrature(self):
         # A @ dofs(q) equals the broken-Hessian products computed by quadrature
         rng = np.random.default_rng(0)
-        m = msh.uniform_refine(msh.square_mesh("free"))
+        m = msh.uniform_refine(msh.preset_mesh("square", "free"))
         S = sp.build_space(m)
         c = rng.standard_normal(6)
         q = sp.morley_interpolate(S, quadratic_on(m, c))
@@ -70,7 +70,7 @@ class TestStiffness:
         assert np.abs(Aq - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
 
     def test_kernel_dimension_free_configuration(self):
-        S = sp.build_space(msh.uniform_refine(msh.square_mesh("free")))
+        S = sp.build_space(msh.uniform_refine(msh.preset_mesh("square", "free")))
         assert stiffness_kernel_dimension(S) == 3
 
     def test_reduced_pencil_positive_with_constraints(self):
@@ -86,7 +86,7 @@ class TestStiffness:
 
 class TestMass:
     def test_trace_against_quadrature_oracle(self):
-        m = msh.triangle_mesh("free")
+        m = msh.preset_mesh("triangle", "free")
         S = sp.build_space(m)
         M = asm.assemble_mass(S).toarray()
         rule = triangle_rule(6)
@@ -103,14 +103,14 @@ class TestMass:
 
     def test_spd_on_random_vectors(self):
         rng = np.random.default_rng(1)
-        S = sp.build_space(msh.uniform_refine(msh.square_mesh("free")))
+        S = sp.build_space(msh.uniform_refine(msh.preset_mesh("square", "free")))
         M = asm.assemble_mass(S)
         X = rng.standard_normal((S.ndof, 100))
         quad = np.einsum("nk,nk->k", X, M @ X)
         assert np.all(quad > 0)
 
     def test_total_mass_identity(self):
-        m = msh.uniform_refine(msh.lshape_mesh("free"))
+        m = msh.uniform_refine(msh.preset_mesh("lshape", "free"))
         S = sp.build_space(m)
         one = sp.morley_interpolate(S, quadratic_on(m, [1, 0, 0, 0, 0, 0]))
         M = asm.assemble_mass(S)
@@ -150,7 +150,7 @@ class TestSolveLinear:
                 for d in ((x, 2), (y, 2), (x, 1, y, 1))]
 
         errors, l2_errors, ndofs = [], [], []
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         for _ in range(3):
             m = msh.uniform_refine(m)
         rule = triangle_rule(8)

@@ -329,7 +329,8 @@ class TestOutOfRangeOptions:
         ["reference", "--lower-bound-constant", "-1"],
         ["reference", "--lower-bound-constant", "nan"],
         ["helmholtz-audit", "--refine", "-1"], ["mesh-export", "--refine", "-1"],
-        ["reference", "--lower-bound-constant", "inf"]])
+        ["reference", "--lower-bound-constant", "inf"],
+        ["reference", "--ndof", "0"], ["reference", "--ndof", "-5"]])
     @pytest.mark.parametrize("with_out", [True, False])
     def test_rejected_up_front(self, args, with_out, tmp_path, capsys, monkeypatch):
         from plate_afem import afem, mesh
@@ -346,6 +347,24 @@ class TestOutOfRangeOptions:
         err = capsys.readouterr().err
         assert err.startswith("invalid input: --")
         assert not out.exists()
+
+    def test_ndof_named_by_its_option(self, capsys):
+        assert run_cli(["reference", "--ndof", "0"]) == 2
+        assert capsys.readouterr().err == "invalid input: --ndof must be an integer >= 1, got 0\n"
+
+    @pytest.mark.parametrize("reference", ["nan", "inf", "-inf"])
+    def test_rates_reference_must_be_finite(self, reference, tmp_path, capsys, monkeypatch):
+        from plate_afem import afem
+
+        def no_work(*_, **__):
+            raise AssertionError("the trace was read before --reference was checked")
+
+        monkeypatch.setattr(afem, "read_trace_csv", no_work)
+        argv = ["rates", str(tmp_path / "trace.csv"), "--quantity", "lambda_err",
+                f"--reference={reference}"]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: --reference must be a finite number, got {reference}\n")
 
 
 class TestUnusablePathExit:

@@ -76,7 +76,7 @@ class TestSolveGevp:
                 eig.solve_gevp(np.diag(np.arange(1.0, n + 1.0)), M, count)
 
     def test_patched_cutoff_flips_the_path_at_the_boundary(self):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         for _ in range(3):
             m = msh.uniform_refine(m)
         S = sp.build_space(m)
@@ -94,7 +94,7 @@ class TestSolveGevp:
 
     def test_degenerate_pair_returns_orthonormal_basis(self):
         # plate on the square: second/third eigenvalues coincide
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         for _ in range(3):
             m = msh.uniform_refine(m)
         S = sp.build_space(m)
@@ -138,7 +138,7 @@ class TestSolveGevp:
         # an inf in A once passed the residual gate (inf > inf is false) on
         # the sparse path and returned a wrong lambda_1; NaN escaped the
         # dense path as a bare ValueError
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         for _ in range(3):
             m = msh.uniform_refine(m)
         S = sp.build_space(m)
@@ -164,7 +164,7 @@ class TestSolveGevp:
     def test_factor_reads_the_stiffness_matrix_own_arrays(self, monkeypatch):
         # clamped square, ndof 961, above the dense cutoff: SuperLU gets the
         # CSC view A.T of the assembled CSR, not a tocsc() copy
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         for _ in range(4):
             m = msh.uniform_refine(m)
         S = sp.build_space(m)
@@ -185,7 +185,7 @@ class TestSolveGevp:
     def test_non_canonical_csr_is_left_unchanged(self, cutoff):
         # splu sums duplicates in place; through a view of a non-canonical
         # input that would rewrite the caller's arrays
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         for _ in range(3):
             m = msh.uniform_refine(m)
         S = sp.build_space(m)
@@ -209,7 +209,7 @@ class TestSolveGevp:
 
     @pytest.mark.parametrize("cutoff", [10 ** 9, 1])
     def test_dense_csr_and_csc_inputs_agree_bitwise(self, cutoff):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         for _ in range(3):
             m = msh.uniform_refine(m)
         S = sp.build_space(m)
@@ -236,7 +236,7 @@ class TestSolveGevp:
     @pytest.mark.parametrize("cutoff", [10 ** 9, 1])
     def test_window_copies_its_columns(self, cutoff):
         # a kept window must not pin the solve's whole eigenvector block
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         for _ in range(3):
             m = msh.uniform_refine(m)
         S = sp.build_space(m)
@@ -250,7 +250,7 @@ class TestSolveGevp:
 
     @pytest.mark.parametrize("cutoff", [10 ** 9, 1])
     def test_window_passes_every_other_field_through(self, cutoff):
-        m = msh.uniform_refine(msh.uniform_refine(msh.square_mesh("clamped")))
+        m = msh.uniform_refine(msh.uniform_refine(msh.preset_mesh("square", "clamped")))
         S = sp.build_space(m)
         with patched_dense_cutoff(cutoff):
             sol = eig.solve_gevp(asm.assemble_stiffness(S), asm.assemble_mass(S), 6)
@@ -264,7 +264,7 @@ class TestSolveGevp:
 
 
 class TestNorm1:
-    """``_norm1`` reads the compressed arrays of a CSR or CSC matrix and
+    """``_norm1`` reads the compressed arrays of a canonical CSR matrix and
     must equal the scipy formula it replaced to the bit."""
 
     @staticmethod
@@ -291,21 +291,16 @@ class TestNorm1:
             m = msh.uniform_refine(m)
         for gram in (hh._hessian_gram(sp.build_space(m)), hh.build_xspace(m)._curl_gram):
             G = gram.G
-            # canonical, as abs(G) used to make it in place, with columns of 8
-            # or more entries, where numpy's pairwise sum and an entry-by-entry
-            # sum may round differently
-            assert G.format == "csc" and G.has_canonical_format
-            assert np.diff(G.indptr).max() >= 8
+            assert G.format == "csr" and G.has_canonical_format
             assert eig._norm1(G) == self.scipy_norm1(G)
             assert gram.norm == eig._norm1(G)
 
-    @pytest.mark.parametrize("fmt", ["csr", "csc"])
-    def test_empty_columns(self, fmt):
+    def test_empty_columns(self):
         rng = np.random.default_rng(7)
         D = rng.standard_normal((40, 30)) * (rng.random((40, 30)) < 0.5)
         D[:, [0, 11, 29]] = 0.0
         for dense in (D, np.zeros((5, 4))):
-            op = sparse.csr_matrix(dense).asformat(fmt)
+            op = sparse.csr_matrix(dense)
             assert eig._norm1(op) == self.scipy_norm1(op)
 
 
@@ -336,7 +331,7 @@ class TestLanczosStoppingRule:
     def test_double_eigenvalue_window_matches_machine_precision(self):
         # clamped square, ndof 961: lambda_2 = lambda_3, window J={2,3}
         # with the adaptive loop's buffer of 4
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         for _ in range(4):
             m = msh.uniform_refine(m)
         S = sp.build_space(m)
@@ -423,7 +418,7 @@ class TestAngles:
 
     def test_energy_orthogonal_vectors_on_mesh(self):
         # distinct eigenvectors are orthogonal in the energy product
-        m = msh.uniform_refine(msh.square_mesh("clamped"))
+        m = msh.uniform_refine(msh.preset_mesh("square", "clamped"))
         S = sp.build_space(m)
         A, M = asm.assemble_stiffness(S), asm.assemble_mass(S)
         sol = eig.solve_gevp(A, M, 2)

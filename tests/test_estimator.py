@@ -24,13 +24,13 @@ def _field(values):
 
 class TestEstimate:
     def test_zero_vector(self):
-        S = sp.build_space(msh.uniform_refine(msh.square_mesh("clamped")))
+        S = sp.build_space(msh.uniform_refine(msh.preset_mesh("square", "clamped")))
         f = est.estimate(S, _Window([1.0], np.zeros((S.ndof, 1))))
         assert f.total == 0.0
 
     def test_smooth_quadratic_has_no_jumps(self):
         # globally C2 input in a free configuration: only the volume term
-        m = msh.uniform_refine(msh.square_mesh("free"))
+        m = msh.uniform_refine(msh.preset_mesh("square", "free"))
         S = sp.build_space(m)
         q = sp.morley_interpolate(S, quadratic_on(m, [0, 0, 0, 1.0, -0.3, 0]))
         lam = 2.0
@@ -49,7 +49,7 @@ class TestEstimate:
         """All-clamped two-triangle square, the single basis function with
         zero eigenvalue: interior tangential jump cancels by symmetry and the
         four clamped traces contribute h_T * h_F * 4 each."""
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         S = sp.build_space(m)
         f = est.estimate(S, _Window([0.0], np.ones((1, 1))))
         expect_per_tri = 2 * np.sqrt(0.5) * 1.0 * 4.0
@@ -59,7 +59,7 @@ class TestEstimate:
     def test_free_edges_contribute_nothing(self):
         # same coefficient pattern, free boundary: only the diagonal jump
         # could contribute, and it vanishes for this symmetric function
-        m = msh.square_mesh("free")
+        m = msh.preset_mesh("square", "free")
         S = sp.build_space(m)
         u = np.zeros(S.ndof)
         diag = np.nonzero(m.interior_edge_mask)[0][0]
@@ -69,7 +69,7 @@ class TestEstimate:
 
     def test_simply_supported_uses_tangential_component(self):
         rng = np.random.default_rng(0)
-        m = msh.uniform_refine(msh.square_mesh("simply_supported"))
+        m = msh.uniform_refine(msh.preset_mesh("square", "simply_supported"))
         S = sp.build_space(m)
         u = rng.standard_normal(S.ndof)
         f_ss = est.estimate(S, _Window([0.0], u[:, None]))
@@ -83,7 +83,7 @@ class TestEstimate:
             s = tau @ (Hm @ tau)
             expect[t] += m.h_t[t] * m.edge_lengths[fidx] * s ** 2
         # subtract interior contributions, compare boundary-only part
-        m_free = msh.uniform_refine(msh.square_mesh("free"))
+        m_free = msh.uniform_refine(msh.preset_mesh("square", "free"))
         S_free = sp.build_space(m_free)
         # embed: same mesh geometry; interior jumps identical, free adds 0
         u_free = np.zeros(S_free.ndof)
@@ -112,7 +112,7 @@ class TestEstimate:
 
     def test_total_is_sum(self):
         rng = np.random.default_rng(2)
-        m = msh.uniform_refine(msh.square_mesh("clamped"))
+        m = msh.uniform_refine(msh.preset_mesh("square", "clamped"))
         S = sp.build_space(m)
         u = rng.standard_normal(S.ndof)
         f = est.estimate(S, _Window([7.0], u[:, None]))
@@ -120,7 +120,7 @@ class TestEstimate:
         assert np.all(f.eta2 >= 0)
 
     def test_mesh_mismatch_rejected(self):
-        S = sp.build_space(msh.square_mesh("clamped"))
+        S = sp.build_space(msh.preset_mesh("square", "clamped"))
         with pytest.raises(MarkingError):
             est.estimate(S, _Window([1.0], np.zeros((S.ndof + 3, 1))))
 
@@ -203,7 +203,7 @@ class TestDorflerMark:
     def test_greedy_equals_exhaustive_on_meshes(self):
         # estimator on real meshes up to 12 triangles, all thetas
         rng = np.random.default_rng(5)
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         meshes = [m, msh.refine_nvb(m, [0]), msh.uniform_refine(m)]
         for mm in meshes:
             assert mm.num_triangles <= 12

@@ -243,7 +243,7 @@ class TestDimensionAudit:
             hh.dimension_audit(m, S, _admitting_dilation(X, eps=1e-5))
 
     def test_single_triangle_euler(self):
-        m = msh.triangle_mesh("clamped")
+        m = msh.preset_mesh("triangle", "clamped")
         assert m.euler_identities() == (0, 0)
 
     def test_report_is_jsonable(self):
@@ -417,7 +417,7 @@ class TestStabilityMonitor:
     def test_constant_nonexploding_over_refinements(self):
         """Splitting-norm ratio stays within 10x of its level-0 value."""
         rng = np.random.default_rng(4)
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         ratios = []
         for _ in range(5):
             S = sp.build_space(m)

@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import numpy as np
@@ -10,22 +11,24 @@ from oracles import (apply_split_recursive, edge_ancestor_map_geometric,
 from plate_afem import mesh as msh
 from plate_afem.mesh import BoundaryPart, MeshError
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+
 
 class TestBuild:
     def test_square_counts_and_euler(self):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         assert (m.num_vertices, m.num_triangles, m.num_edges) == (4, 2, 5)
         assert m.euler_identities() == (0, 0)
         assert np.all(m.edge_tags[m.boundary_edges()] == BoundaryPart.CLAMPED)
 
     def test_reference_triangle(self):
-        m = msh.triangle_mesh()
+        m = msh.preset_mesh("triangle", "free")
         assert m.num_triangles == 1
         assert m.num_edges == 3
         assert m.h_t[0] == pytest.approx(np.sqrt(0.5), abs=1e-15)
 
     def test_lshape_boundary(self):
-        m = msh.lshape_mesh("clamped")
+        m = msh.preset_mesh("lshape", "clamped")
         assert m.num_triangles == 6
         assert len(m.boundary_edges()) == 8
         assert m.euler_identities() == (0, 0)
@@ -95,7 +98,7 @@ class TestBuild:
                                      lambda T: np.zeros((T, 1), dtype=int)])
     def test_refedge_outside_0_to_2_or_misshapen_rejected(self, bad):
         # -1 would otherwise be read as local edge 2 by negative indexing
-        m = msh.uniform_refine(msh.uniform_refine(msh.square_mesh("clamped")))
+        m = msh.uniform_refine(msh.uniform_refine(msh.preset_mesh("square", "clamped")))
         boundary = [(*m.edges[f], BoundaryPart(m.edge_tags[f]).label)
                     for f in m.boundary_edges()]
         with pytest.raises(MeshError, match="refedge"):
@@ -143,17 +146,37 @@ class TestBuild:
             assert {int(BoundaryPart.CLAMPED), int(BoundaryPart.SIMPLY_SUPPORTED),
                     int(BoundaryPart.FREE)} == tags
 
+    def test_every_preset_matches_golden_record(self):
+        # keys are "geometry|bc", a per-segment bc list joined by ","
+        with open(os.path.join(HERE, "golden", "preset_meshes.json")) as fh:
+            gold = json.load(fh)
+        assert len(gold) == 14
+        for key, digest in gold.items():
+            geom, bc = key.split("|")
+            labels = bc.split(",")
+            m = msh.preset_mesh(geom, labels if len(labels) > 1 else bc)
+            assert msh.mesh_hash(m) == digest, key
+
+    @pytest.mark.parametrize("geom,bc,message", [
+        ("disk", "clamped", "^unknown geometry preset 'disk'$"),
+        ("triangle", "mixed", "^no mixed preset for geometry 'triangle'$"),
+        ("square", ["free"] * 3, "^expected 4 boundary labels, got 3$"),
+        ("lshape", ["free"] * 4, "^expected 6 boundary labels, got 4$")])
+    def test_preset_errors_name_the_input(self, geom, bc, message):
+        with pytest.raises(MeshError, match=message):
+            msh.preset_mesh(geom, bc)
+
 
 class TestNormalsAndIncidence:
     def test_boundary_normals_point_outward(self):
-        for m in (msh.square_mesh("free"), msh.lshape_mesh("free")):
+        for m in (msh.preset_mesh("square", "free"), msh.preset_mesh("lshape", "free")):
             for f in m.boundary_edges():
                 t = m.edge_tris[f, 0]
                 out = m.edge_midpoints[f] - m.centroids[t]
                 assert m.edge_normals[f] @ out > 0
 
     def test_interior_normal_from_lower_triangle(self):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         f = np.nonzero(m.interior_edge_mask)[0][0]
         t_plus = m.edge_tris[f, 0]
         assert t_plus == min(m.edge_tris[f])
@@ -167,7 +190,7 @@ class TestNormalsAndIncidence:
         assert np.allclose(tau, rot, atol=1e-15)
 
     def test_incidence_queries(self):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         assert m.interior_edge_mask.sum() == 1
         assert len(m.edges_with_tag(BoundaryPart.CLAMPED)) == 4
         diag = np.nonzero(m.interior_edge_mask)[0][0]
@@ -175,7 +198,7 @@ class TestNormalsAndIncidence:
         assert set(m.tri_edges[0]).union(m.tri_edges[1]) == set(range(5))
 
     def test_free_corner_vertices(self):
-        m = msh.square_mesh("free")
+        m = msh.preset_mesh("square", "free")
         # every vertex joins two free edges on the all-free square
         assert len(m.free_corner_vertices()) == 4
         m = msh.preset_mesh("square", "mixed")
@@ -217,7 +240,7 @@ class TestEdgeDataOnRead:
             assert got.tobytes() == w.tobytes(), name
 
     def test_read_only(self):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         for name in self.NAMES:
             with pytest.raises(AttributeError):
                 setattr(m, name, getattr(m, name))
@@ -225,11 +248,11 @@ class TestEdgeDataOnRead:
 
 class TestRefine:
     def test_empty_marking_returns_same_object(self):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         assert msh.refine_nvb(m, []) is m
 
     def test_single_triangle_bisection(self):
-        m = msh.triangle_mesh()
+        m = msh.preset_mesh("triangle", "free")
         r = msh.refine_nvb(m, [0])
         assert r.num_triangles == 2
         assert r.num_vertices == 4
@@ -240,13 +263,13 @@ class TestRefine:
         assert np.all((r.triangles == 3).sum(axis=1) == 1)
 
     def test_closure_bisects_neighbor(self):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         r = msh.refine_nvb(m, [0])
         assert r.num_triangles == 4
         assert r.euler_identities() == (0, 0)
 
     def test_uniform_square_eight_children(self):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         u = msh.uniform_refine(m)
         assert u.num_triangles == 8
         counts = np.bincount(u.parent)
@@ -272,7 +295,7 @@ class TestRefine:
 
     def test_marked_triangles_are_bisected(self):
         rng = np.random.default_rng(5)
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         for _ in range(4):
             marked = rng.choice(m.num_triangles,
                                 size=max(1, m.num_triangles // 4), replace=False)
@@ -282,7 +305,7 @@ class TestRefine:
             m = r
 
     def test_closure_splits_both_parents(self):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         r = msh.refine_nvb(m, [0])
         assert set(np.nonzero(np.bincount(r.parent) > 1)[0]) == {0, 1}
 
@@ -304,7 +327,7 @@ class TestRefine:
 
 class TestShapeRegularity:
     def test_min_angle_stable_over_uniform_refinement(self):
-        m0 = msh.square_mesh("clamped")
+        m0 = msh.preset_mesh("square", "clamped")
         m = m0
         base = min_angle(m0)
         for _ in range(5):
@@ -313,7 +336,7 @@ class TestShapeRegularity:
 
     def test_similarity_classes_bounded(self):
         rng = np.random.default_rng(11)
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         classes_round2 = None
         for k in range(10):
             marked = rng.choice(m.num_triangles,
@@ -324,7 +347,7 @@ class TestShapeRegularity:
         assert len(similarity_classes(m)) <= 4 * classes_round2
 
     def test_matching_condition_on_presets(self):
-        for preset in (msh.square_mesh("clamped"), msh.preset_mesh("lshape", "mixed")):
+        for preset in (msh.preset_mesh("square", "clamped"), msh.preset_mesh("lshape", "mixed")):
             assert len(matching_neighbor_violations(preset)) == 0
             u = msh.uniform_refine(preset)
             assert len(matching_neighbor_violations(u)) == 0
@@ -332,7 +355,7 @@ class TestShapeRegularity:
 
 class TestAncestry:
     def test_ancestor_map_composition(self):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         u1 = msh.uniform_refine(m)
         u2 = msh.refine_nvb(u1, [0, 3])
         amap = msh.ancestor_map(u2, m)
@@ -346,8 +369,8 @@ class TestAncestry:
             assert lam.min() > -1e-12
 
     def test_ancestor_map_rejects_unrelated(self):
-        m1 = msh.square_mesh("clamped")
-        m2 = msh.lshape_mesh("clamped")
+        m1 = msh.preset_mesh("square", "clamped")
+        m2 = msh.preset_mesh("lshape", "clamped")
         with pytest.raises(MeshError):
             msh.ancestor_map(m2, m1)
 
@@ -386,7 +409,7 @@ class TestEdgeAncestorMap:
     def test_rejects_a_mesh_that_is_not_a_refinement(self):
         square = msh.preset_mesh("square", "mixed")
         fine = msh.uniform_refine(square)
-        for f, c in ((msh.lshape_mesh("clamped"), square),
+        for f, c in ((msh.preset_mesh("lshape", "clamped"), square),
                      # same geometry, outside the refinement chain
                      (fine, msh.preset_mesh("square", "mixed")),
                      (square, fine)):
@@ -408,7 +431,7 @@ class TestSerialization:
         assert msh.mesh_hash(m).startswith("4fc328215a47a9ec")
 
     def test_json_schema(self, tmp_path):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         path = tmp_path / "mesh.json"
         msh.save_mesh(m, path)
         doc = json.loads(path.read_text())
@@ -466,21 +489,21 @@ class TestSerialization:
     def test_non_integral_or_boolean_triangle_entry_raises(self, slot, value):
         # an int64 cast would load [0, 1.9, 2, 1] as [0, 1, 2, 1] and a
         # refinement edge of 1.5 as 1
-        doc = msh.mesh_to_dict(msh.uniform_refine(msh.square_mesh("clamped")))
+        doc = msh.mesh_to_dict(msh.uniform_refine(msh.preset_mesh("square", "clamped")))
         doc["triangles"][2][slot] = value
         with pytest.raises(MeshError, match="must be an integer"):
             msh.mesh_from_dict(doc)
 
     def test_integral_triangle_entries_load_as_before(self):
-        m = msh.uniform_refine(msh.square_mesh("clamped"))
+        m = msh.uniform_refine(msh.preset_mesh("square", "clamped"))
         doc = msh.mesh_to_dict(m)
         doc["triangles"] = [[float(v) for v in row] for row in doc["triangles"]]
         assert msh.mesh_hash(msh.mesh_from_dict(doc)) == msh.mesh_hash(m)
 
     def test_hash_stable_and_sensitive(self):
-        m = msh.square_mesh("clamped")
-        assert msh.mesh_hash(m) == msh.mesh_hash(msh.square_mesh("clamped"))
-        assert msh.mesh_hash(m) != msh.mesh_hash(msh.square_mesh("free"))
+        m = msh.preset_mesh("square", "clamped")
+        assert msh.mesh_hash(m) == msh.mesh_hash(msh.preset_mesh("square", "clamped"))
+        assert msh.mesh_hash(m) != msh.mesh_hash(msh.preset_mesh("square", "free"))
 
 
 class TestBisectionAccounting:
@@ -558,7 +581,7 @@ class TestRefinementOracle:
             assert np.array_equal(m.edge_tris, edge_tris)
 
     def test_out_of_range_mark_rejected_by_both(self):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         for refine in (msh.refine_nvb, refine_nvb_recursive):
             with pytest.raises(MeshError, match="out of range"):
                 refine(m, [2])
@@ -580,7 +603,7 @@ class TestRefinementOracle:
                     apply(m, split.copy())
 
     def test_boundary_edge_without_parent_rejected(self):
-        square = msh.square_mesh("clamped")
+        square = msh.preset_mesh("square", "clamped")
         v = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.0)]
         segs = [(0, 1, "clamped"), (1, 2, "clamped"), (2, 3, "clamped"),
                 (3, 0, "clamped")]

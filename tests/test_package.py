@@ -99,3 +99,13 @@ def test_prolongation_is_no_library_name():
     assert not {"prolong_to_fine", "poly_shift"} & set(space.__all__)
     with pytest.raises(AttributeError):
         plate_afem.prolong_to_fine
+
+
+def test_named_preset_builders_are_no_library_names():
+    names = ("square_mesh", "lshape_mesh", "triangle_mesh")
+    with pytest.raises(AttributeError):
+        plate_afem.square_mesh
+    for module_name in SUBMODULES:
+        module = importlib.import_module(f"plate_afem.{module_name}")
+        assert not set(names) & set(module.__all__), module_name
+    assert not set(names) & set(plate_afem.__all__)

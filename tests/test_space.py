@@ -13,15 +13,15 @@ from oracles import (affine_kernel_dimension_matrix_rank, flip_edge_orientation,
 
 class TestDofCounts:
     def test_all_clamped_square(self):
-        S = sp.build_space(msh.square_mesh("clamped"))
+        S = sp.build_space(msh.preset_mesh("square", "clamped"))
         assert S.ndof == 1
 
     def test_all_free_triangle(self):
-        S = sp.build_space(msh.triangle_mesh("free"))
+        S = sp.build_space(msh.preset_mesh("triangle", "free"))
         assert S.ndof == 6
 
     def test_simply_supported_square(self):
-        S = sp.build_space(msh.square_mesh("simply_supported"))
+        S = sp.build_space(msh.preset_mesh("square", "simply_supported"))
         assert S.ndof == 5
 
     def test_mixed_corner_vertex_constrained(self):
@@ -48,19 +48,19 @@ class TestDofCounts:
 
 
 class TestDuality:
-    @pytest.mark.parametrize("builder,bc", [
-        (msh.square_mesh, "clamped"), (msh.square_mesh, "free"),
-        (msh.lshape_mesh, "clamped"), (msh.lshape_mesh, "simply_supported"),
+    @pytest.mark.parametrize("geometry,bc", [
+        ("square", "clamped"), ("square", "free"),
+        ("lshape", "clamped"), ("lshape", "simply_supported"),
     ])
-    def test_duality_residual(self, builder, bc):
-        m = builder(bc)
+    def test_duality_residual(self, geometry, bc):
+        m = msh.preset_mesh(geometry, bc)
         for _ in range(2):
             S = sp.build_space(m)
             assert S.duality_residual <= 1e-12
             m = msh.uniform_refine(m)
 
     def test_dof_functional_inverts_basis(self):
-        m = msh.uniform_refine(msh.square_mesh("free"))
+        m = msh.uniform_refine(msh.preset_mesh("square", "free"))
         S = sp.build_space(m)
         rng = np.random.default_rng(0)
         u = rng.standard_normal(S.ndof)
@@ -87,14 +87,14 @@ class TestDofFunctional:
     X_SQUARED = [0, 0, 0, 1, 0, 0]
 
     def test_vertex_value(self):
-        m = msh.square_mesh("free")
+        m = msh.preset_mesh("square", "free")
         S = sp.build_space(m)
         u = sp.morley_interpolate(S, quadratic_on(m, self.X_SQUARED))
         dof = S.vertex_dof[1]  # vertex (1, 0)
         assert u[dof] == pytest.approx(1.0, abs=1e-14)
 
     def test_edge_mean_zero_normal_derivative(self):
-        m = msh.square_mesh("free")
+        m = msh.preset_mesh("square", "free")
         S = sp.build_space(m)
         u = sp.morley_interpolate(S, quadratic_on(m, self.X_SQUARED))  # grad = (2x, 0)
         left = [f for f in m.boundary_edges()
@@ -104,7 +104,7 @@ class TestDofFunctional:
     def test_edge_mean_diagonal(self):
         # mean of the normal derivative of x^2 over the diagonal is
         # 2 * mid_x * nu_x for the stored normal
-        m = msh.square_mesh("free")
+        m = msh.preset_mesh("square", "free")
         S = sp.build_space(m)
         diag = np.nonzero(m.interior_edge_mask)[0][0]
         nu = m.edge_normals[diag]
@@ -116,7 +116,7 @@ class TestDofFunctional:
 class TestInterpolation:
     def test_reproduces_quadratics(self):
         rng = np.random.default_rng(1)
-        m = msh.uniform_refine(msh.lshape_mesh("free"))
+        m = msh.uniform_refine(msh.preset_mesh("lshape", "free"))
         S = sp.build_space(m)
         for _ in range(5):
             c = rng.standard_normal(6)
@@ -132,13 +132,13 @@ class TestInterpolation:
             assert np.abs(hess - ref).max() <= 1e-12 * scale
 
     def test_zero_input(self):
-        m = msh.uniform_refine(msh.square_mesh("clamped"))
+        m = msh.uniform_refine(msh.preset_mesh("square", "clamped"))
         S = sp.build_space(m)
         z = sp.morley_interpolate(S, quadratic_on(m, np.zeros(6)))
         assert np.all(z == 0.0)
 
     def test_rejects_value_gradient_pair(self):
-        S = sp.build_space(msh.square_mesh("free"))
+        S = sp.build_space(msh.preset_mesh("square", "free"))
         with pytest.raises(SpaceError, match="expected a BrokenFunction"):
             sp.morley_interpolate(S, (lambda p: 0.0, lambda p: np.zeros(2)))
 
@@ -146,7 +146,7 @@ class TestInterpolation:
         # elementwise mean of the fine broken Hessian equals the Hessian of
         # the interpolant, for fine functions from the same constrained family
         rng = np.random.default_rng(2)
-        coarse = msh.square_mesh("clamped")
+        coarse = msh.preset_mesh("square", "clamped")
         meshes = [coarse]
         for _ in range(3):
             meshes.append(msh.uniform_refine(meshes[-1]))
@@ -169,8 +169,8 @@ class TestInterpolation:
                 assert np.abs(mean - sp.hessians(Ic)).max() <= 1e-10 * scale
 
     def test_rejects_foreign_mesh(self):
-        S = sp.build_space(msh.square_mesh("clamped"))
-        other = msh.lshape_mesh("clamped")
+        S = sp.build_space(msh.preset_mesh("square", "clamped"))
+        other = msh.preset_mesh("lshape", "clamped")
         bf = sp.BrokenFunction(other, np.zeros((other.num_triangles, 6)))
         with pytest.raises(msh.MeshError):
             sp.morley_interpolate(S, bf)
@@ -223,14 +223,14 @@ class TestProlongation:
     """The prolongation oracle behind ``angle_to_reference_prolonged``."""
 
     def test_rejects_coefficient_vector(self):
-        S = sp.build_space(msh.uniform_refine(msh.square_mesh("clamped")))
+        S = sp.build_space(msh.uniform_refine(msh.preset_mesh("square", "clamped")))
         fine = msh.uniform_refine(S.mesh)
         with pytest.raises(SpaceError, match="expected a BrokenFunction"):
             prolong_to_fine(np.ones(S.ndof), fine)
 
     def test_hessian_preserved_bitwise(self):
         rng = np.random.default_rng(3)
-        m = msh.uniform_refine(msh.square_mesh("clamped"))
+        m = msh.uniform_refine(msh.preset_mesh("square", "clamped"))
         S = sp.build_space(m)
         u = rng.standard_normal(S.ndof)
         bf = S.to_broken(u)
@@ -241,7 +241,7 @@ class TestProlongation:
 
     def test_energy_norm_preserved(self):
         rng = np.random.default_rng(4)
-        m = msh.uniform_refine(msh.lshape_mesh("clamped"))
+        m = msh.uniform_refine(msh.preset_mesh("lshape", "clamped"))
         S = sp.build_space(m)
         u = rng.standard_normal(S.ndof)
         bf = S.to_broken(u)
@@ -256,7 +256,7 @@ class TestProlongation:
         assert energy2(pf) == pytest.approx(energy2(bf), rel=1e-13)
 
     def test_value_at_new_midpoint(self):
-        m = msh.square_mesh("clamped")
+        m = msh.preset_mesh("square", "clamped")
         S = sp.build_space(m)
         u = np.ones(S.ndof)
         bf = S.to_broken(u)
@@ -278,7 +278,7 @@ class TestProlongation:
 
 class TestSignConvention:
     def test_normal_flip_flips_exactly_one_dof(self):
-        m = msh.uniform_refine(msh.square_mesh("clamped"))
+        m = msh.uniform_refine(msh.preset_mesh("square", "clamped"))
         edge = int(np.nonzero(m.interior_edge_mask)[0][2])
         m2 = flip_edge_orientation(m, edge)
         S1 = sp.build_space(m)
@@ -294,7 +294,7 @@ class TestSignConvention:
     def test_physical_quantities_invariant_under_flip(self):
         from plate_afem.assembly import assemble_mass, assemble_stiffness
 
-        m = msh.uniform_refine(msh.square_mesh("clamped"))
+        m = msh.uniform_refine(msh.preset_mesh("square", "clamped"))
         edge = int(np.nonzero(m.interior_edge_mask)[0][1])
         m2 = flip_edge_orientation(m, edge)
         S1, S2 = sp.build_space(m), sp.build_space(m2)
