@@ -6,8 +6,8 @@ parts, runs a residual-driven adaptive bisection loop, and verifies the
 structural identities behind the method: the Hessian mean-projection
 property of the nonconforming interpolation and the discrete splitting of
 piecewise constant symmetric tensor fields.  It reports lower eigenvalue
-bounds, guaranteed only under a configured constant, and principal
-subspace angles; upper bounds are not computed.
+bounds that a theorem backs, with no constant to set (``lower_bound``),
+and principal subspace angles; upper bounds are not computed.
 
 The public names below are imported from their submodules on first use
 (PEP 562), so importing the package or its CLI does not load numpy; the

@@ -61,8 +61,6 @@ _FIELDS = {
     "max_levels": ("an integer >= 0", lambda v: _INT(v) and v >= 0),
     "max_ndof": ("an integer >= 1", lambda v: _INT(v) and v >= 1),
     "buffer": ("an integer >= 2", lambda v: _INT(v) and v >= 2),
-    "lower_bound_constant": ("a finite lower-bound constant >= 0",
-                             lambda v: _REAL(v) and 0 <= v < np.inf),
     "deterministic": ("true or false", lambda v: isinstance(v, bool)),
     "mesh_file": ("a non-empty path or null", lambda v: v is None or isinstance(v, str) and v),
 }
@@ -85,7 +83,6 @@ class AfemConfig:
     max_levels: int = 12
     max_ndof: int = 20000
     buffer: int = 4
-    lower_bound_constant: float = 1.0
     deterministic: bool = False
     mesh_file: object = None
 
@@ -224,9 +221,8 @@ def _solve_level(level, space, config, timings):
         rep = eigen.separation(sol.computed_spectrum, config.window_indices())
     with _phase(timings, "estimate"):
         fld = estimator.estimate(space, cluster)
-    lam = cluster.eigenvalues
-    lows = np.array([eigen.lower_bound(v, space.mesh.h_max, config.lower_bound_constant)
-                     for v in lam])
+    H = space.mesh.max_diameter
+    lows = np.array([eigen.lower_bound(v, H) for v in cluster.eigenvalues])
     solver = {"path": sol.path, "lanczos_solves": sol.lanczos_solves,
               "factor_nnz": sol.factor_nnz,
               "max_residual": float(sol.residuals.max()),
@@ -235,8 +231,8 @@ def _solve_level(level, space, config, timings):
               "nearest_gap": None if np.isnan(rep.nearest_gap) else rep.nearest_gap}
     record = AfemLevel(
         level=level, ndof=space.ndof, num_triangles=space.mesh.num_triangles,
-        h_max=space.mesh.h_max, eigenvalues=lam.copy(), lower_bounds=lows,
-        eta2_total=fld.total, marked=0, m_j=rep.m_j, timings=timings,
+        h_max=float(space.mesh.h_t.max()), eigenvalues=cluster.eigenvalues.copy(),
+        lower_bounds=lows, eta2_total=fld.total, marked=0, m_j=rep.m_j, timings=timings,
         solver=solver)
     return record, cluster, fld
 
@@ -298,7 +294,7 @@ def _loop(config, uniform):
 def fit_rate(ndofs, values, ndof0=None, tail=None):
     """Least-squares slope of log(values) against log(ndof - ndof0 + 1).
 
-    Uses the last half of the levels unless ``tail`` is given.
+    Uses the last ``tail`` levels, from 2 to all; by default the last half.
     """
     ndofs = np.asarray(ndofs, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -306,6 +302,8 @@ def fit_rate(ndofs, values, ndof0=None, tail=None):
         raise ValueError("need at least 4 levels to fit a rate")
     if not np.all(np.isfinite(values) & (values > 0)):
         raise ValueError("rate fit requires finite positive values")
+    if tail is not None and not (_INT(tail) and 2 <= tail <= len(ndofs)):
+        raise ValueError(f"tail must be an integer from 2 to {len(ndofs)}, got {tail!r}")
     ndof0 = ndofs[0] if ndof0 is None else ndof0
     k = len(ndofs) - (tail if tail is not None else len(ndofs) // 2)
     x = np.log(ndofs[k:] - ndof0 + 1.0)
@@ -353,22 +351,19 @@ def richardson_extrapolate(values):
         return float(v[-1]), float("nan"), float("inf"), False
     r = d1 / d2
     limit = v[-1] + d2 / (r - 1.0)
+    unc = abs(limit - v[-1])
     if len(v) >= 4:
         d0 = v[-3] - v[-4]
         if d0 * d1 > 0 and abs(d1) < abs(d0):
-            prev = v[-2] + d1 / (d0 / d1 - 1.0)
-            unc = abs(limit - prev)
-        else:
-            unc = abs(limit - v[-1])
-    else:
-        unc = abs(limit - v[-1])
+            # the previous extrapolation, from the three terms before
+            unc = abs(limit - (v[-2] + d1 / (d0 / d1 - 1.0)))
     return float(limit), float(r), float(unc), True
 
 
 @dataclass
 class ReferenceResult:
     """Uniform-refinement eigenvalue sequences with extrapolated limits, and
-    the window of the finest solve with that mesh's ``h_max``."""
+    the window of the finest solve with that mesh's largest triangle diameter."""
 
     indices: np.ndarray
     ndofs: np.ndarray
@@ -378,7 +373,7 @@ class ReferenceResult:
     uncertainties: np.ndarray
     reliable: np.ndarray
     finest: eigen.ClusterSolution
-    h_max: float
+    max_diameter: float
 
 
 def reference_eigenvalues(geometry, bc, J, target_ndof) -> ReferenceResult:
@@ -401,7 +396,8 @@ def reference_eigenvalues(geometry, bc, J, target_ndof) -> ReferenceResult:
     limits, ratios, uncs, ok = map(np.array, zip(*map(richardson_extrapolate, lam.T)))
     return ReferenceResult(indices=J, ndofs=trace.ndofs, values=lam, limits=limits,
                            ratios=ratios, uncertainties=uncs, reliable=ok,
-                           finest=trace.clusters[-1], h_max=trace.levels[-1].h_max)
+                           finest=trace.clusters[-1],
+                           max_diameter=trace.meshes[-1].max_diameter)
 
 
 def angle_to_reference(space: MorleySpace, cluster,

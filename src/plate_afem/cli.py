@@ -65,7 +65,6 @@ def _build_parser():
     ref.add_argument("--J", type=int, default=1,
                      help="largest 1-based window index (window is 1..J)")
     ref.add_argument("--ndof", type=int, default=20000)
-    ref.add_argument("--lower-bound-constant", type=float, default=1.0)
     ref.add_argument("--out", default=None, help="spectrum CSV path")
 
     audit = sub.add_parser("helmholtz-audit", parents=[preset],
@@ -110,8 +109,8 @@ def _cmd_run(args):
     import numpy as np
     import scipy
 
-    from . import __version__, afem
-    from .mesh import mesh_hash, save_mesh
+    from . import __version__, afem, eigen
+    from .mesh import BoundaryPart, mesh_hash, save_mesh
 
     config = afem.AfemConfig.from_dict(args.doc)
     if args.deterministic:
@@ -133,6 +132,7 @@ def _cmd_run(args):
 
     # only the keys that took effect: a mesh file replaces geometry and bc
     unused = {"geometry", "bc"} if config.mesh_file is not None else {"mesh_file"}
+    tags = set(trace.meshes[0].edge_tags.tolist()) - {BoundaryPart.INTERIOR}
     manifest = {
         "config": {k: (v if not isinstance(v, (list, tuple)) else list(v))
                    for k, v in vars(config).items() if k not in unused},
@@ -145,6 +145,9 @@ def _cmd_run(args):
                                    for k, v in r.timings.items()}}
                       for r in trace.levels],
         "converged": trace.converged,
+        "lower_bound": {"kappa": eigen.KAPPA, "H": [m.max_diameter for m in trace.meshes],
+                        "boundary_parts": sorted(BoundaryPart(t).label for t in tags),
+                        "backed": True},     # eigen.lower_bound covers every part
         "environment": {"thread_variables": args.thread_variables, "numpy": np.__version__,
                         "python": sys.version.split()[0], "scipy": scipy.__version__},
         "wall_time_s": 0.0 if config.deterministic else elapsed,
@@ -183,12 +186,11 @@ def _cmd_reference(args):
     from . import afem, eigen
 
     # each option by the rule of the config field it fills
-    for option, field in (("J", "cluster_size"), ("ndof", "max_ndof"),
-                          ("lower_bound_constant", "lower_bound_constant")):
+    for option, field in (("J", "cluster_size"), ("ndof", "max_ndof")):
         what, valid = afem._FIELDS[field]
         value = getattr(args, option)
         if not valid(value):
-            raise ValueError(f"--{option.replace('_', '-')} must be {what}, got {value}")
+            raise ValueError(f"--{option} must be {what}, got {value}")
     J = list(range(1, args.J + 1))
     ref = afem.reference_eigenvalues(args.geometry, args.bc, J, args.ndof)
     for k, j in enumerate(ref.indices):
@@ -206,7 +208,7 @@ def _cmd_reference(args):
             fh.write("index,eigenvalue,residual,lower_bound\n")
             for k, (lam, res) in enumerate(zip(fin.computed_spectrum,
                                                fin.computed_residuals)):
-                lb = eigen.lower_bound(float(lam), ref.h_max, args.lower_bound_constant)
+                lb = eigen.lower_bound(float(lam), ref.max_diameter)
                 fh.write(f"{k + 1},{float(lam)!r},{float(res)!r},{lb!r}\n")
         print(f"wrote {args.out}")
     return _EXIT_OK

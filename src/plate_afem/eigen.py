@@ -1,4 +1,5 @@
-"""Generalized symmetric eigenpairs, cluster diagnostics and subspace angles.
+"""Generalized symmetric eigenpairs, cluster diagnostics, subspace angles
+and the lower eigenvalue bound.
 
 Both matrices may be dense or scipy-sparse; each is converted to canonical
 CSR once (sorted indices, no duplicates; a non-canonical input is summed
@@ -8,23 +9,17 @@ and the stiffness factorisation reads the CSR's own arrays through its
 CSC view ``A.T`` instead of a copy.
 
 Up to ``DENSE_CUTOFF`` unknowns the pencil is reduced through a Cholesky
-factor of the mass matrix and solved by the standard dense symmetric path
-(tridiagonalisation plus implicit-shift iteration, via LAPACK).  Beyond it
-a shift-invert Lanczos path factors the stiffness matrix once with SuperLU
-in symmetric mode (diagonal pivots, MMD_AT_PLUS_A minimum-degree ordering)
-and hands the solve to ARPACK as the shift-invert operator.  The factor is
-built without relaxed supernodes (``relax=1``, panel size 10): SuperLU's
-default relaxation (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix
-Anal. Appl. 20, 1999) pads the factor with explicit zeros that this
-stiffness pattern does not repay.  ARPACK stops once every wanted Ritz
-value of the shift-inverted operator is converged to the relative
-tolerance 1e-10 (its stopping rule, Lehoucq, Sorensen & Yang, *ARPACK
-Users' Guide*, 1998, §4.6), not to machine precision: the residual,
-orthonormality and diagonality gates that follow decide whether a pair is
-accepted.  Eigenvectors are returned mass-orthonormal with a deterministic
-sign convention; a window of a solution holds copies of its columns.  The
-Helmholtz Gram factorisations share the stiffness factor's SuperLU setting
-(``_symmetric_splu``).
+factor of the mass matrix and solved by LAPACK's dense symmetric path.
+Beyond it a shift-invert Lanczos path factors the stiffness matrix once
+with SuperLU (``_symmetric_splu``, shared by the Helmholtz Gram
+factorisations) without the relaxed supernodes of its default (Demmel,
+Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20, 1999), and
+ARPACK stops at its relative Ritz tolerance 1e-10 (Lehoucq, Sorensen &
+Yang, *ARPACK Users' Guide*, 1998, §4.6), not at machine precision: the
+residual, orthonormality and diagonality gates that follow decide whether
+a pair is accepted.  Eigenvectors are returned mass-orthonormal with a
+deterministic sign convention; a window of a solution holds copies of its
+columns.
 """
 
 from dataclasses import dataclass, field, replace
@@ -46,6 +41,7 @@ DENSE_CUTOFF = 900          # largest dimension solved by the dense path
 _RESID_FACTOR = 1e-8
 _LANCZOS_TOL = 1e-10        # ARPACK relative Ritz tolerance of the shift-invert path
 _GRAM_CONDITION_LIMIT = 1e12
+KAPPA = 0.2575              # Morley interpolation constant of lower_bound, as recalled
 
 
 class EigenError(Exception):
@@ -130,11 +126,10 @@ def solve_gevp(A, M, count) -> ClusterSolution:
     CSR.  The path depends on the dimension ``n`` and ``count`` alone:
     dense when ``n <= DENSE_CUTOFF`` (read at the call) or ``count >= n - 1``.
     The shift-invert path starts Lanczos from the constant unit vector, so
-    repeated solves are identical, and stops at ARPACK's relative Ritz
-    tolerance 1e-10 rather than at machine precision, which saves an
-    implicit restart.  The returned pairs pass the same gates on both
-    paths: residual 1e-8 of ``‖A‖₁ + |λ|‖M‖₁``, mass orthonormality 1e-10
-    and stiffness diagonality 1e-8.  Multiple eigenvalues return an
+    repeated solves are identical; its tolerance 1e-10 saves an implicit
+    restart.  The returned pairs pass the same gates on both paths:
+    residual 1e-8 of ``‖A‖₁ + |λ|‖M‖₁``, mass orthonormality 1e-10 and
+    stiffness diagonality 1e-8.  Multiple eigenvalues return an
     M-orthonormal basis of the invariant subspace.
     """
     import scipy.linalg as dla
@@ -223,10 +218,9 @@ def _symmetric_splu(A, diag_pivot_thresh):
     # for symmetric A in CSC: symmetric mode with a symmetric minimum-degree
     # ordering fills L+U far less than splu's COLAMD default.  relax=1
     # turns off relaxed supernodes, whose explicit zeros only pad this
-    # factor; panel size 10 was the fastest measured for the factor plus
-    # the Lanczos solves.  The stiffness matrix is SPD and
-    # takes diagonal pivots only (threshold 0); the Helmholtz saddle-point
-    # matrices pass 0.01 for their zero block.
+    # factor; panel size 10 was the fastest measured.  The SPD stiffness
+    # matrix takes diagonal pivots only (threshold 0), the Helmholtz
+    # saddle-point matrices 0.01 for their zero block.
     import scipy.sparse.linalg as spla
     return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=diag_pivot_thresh,
                      relax=1, panel_size=10, options=dict(SymmetricMode=True))
@@ -298,14 +292,22 @@ def sin_max_angle(FX, FY) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def lower_bound(lam_disc: float, h_max: float, C: float = 1.0) -> float:
-    """Guaranteed-under-the-configured-constant lower eigenvalue bound.
+def lower_bound(lam_disc: float, H: float) -> float:
+    """``lam / (1 + KAPPA^2 H^4 lam)``, at most the j-th exact eigenvalue when
+    ``lam_disc`` is the j-th Morley eigenvalue and ``H`` the largest triangle
+    diameter, the longest edge (Carstensen & Gallistl, Numer. Math. 126, 2014;
+    ``KAPPA`` as recalled from it, not checked against a copy).
 
-    Returns ``lam / (1 + C * h_max^4 * lam)``: increasing in ``lam``,
-    decreasing in ``h_max``.  The bound is guaranteed only under the
-    configured constant ``C``; see the documented literature pointer in the
-    README for explicit values.
+    Their proof for the clamped plate needs the broken Hessian stiffness form
+    of ``assembly`` and two properties of the Morley interpolant I_M of each
+    exact eigenfunction u.  (i) D²_NC I_M u = Π₀ D² u and ‖u − I_M u‖ ≤ κ H_T²
+    ‖D²_NC(u − I_M u)‖ hold on each triangle T, whatever the boundary, as I_M
+    keeps the vertex values and the edge means of ∂_n u.  (ii) I_M u lies in
+    the discrete space, as each DOF a part eliminates is zero for the
+    continuous u: a clamped part (u = ∂_n u = 0) eliminates the vertex values
+    on its closure and its edge means, a simply supported part (u = 0) those
+    vertex values only, a free part none.  So any mix of the parts is covered.
     """
-    if lam_disc <= 0 or h_max < 0 or C < 0:
-        raise ValueError("lower_bound expects lam > 0, h_max >= 0, C >= 0")
-    return lam_disc / (1.0 + C * h_max ** 4 * lam_disc)
+    if not (lam_disc > 0 and H >= 0):
+        raise ValueError("lower_bound expects lam > 0 and H >= 0")
+    return lam_disc / (1.0 + KAPPA ** 2 * H ** 4 * lam_disc)

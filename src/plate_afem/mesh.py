@@ -85,10 +85,10 @@ class Triangulation:
     edge_lengths, edge_tangents : per edge
 
     Computed on every read from the stored arrays and kept by no mesh:
-    ``h_t`` (|T|^(1/2)), ``edge_normals`` (the tangent turned clockwise),
-    ``edge_midpoints`` (from ``edges`` and ``vertices``), and
-    ``boundary_edge_mask`` and ``interior_edge_mask`` (from
-    ``edge_tris``).  They are read-only.
+    ``h_t`` (|T|^(1/2)), ``max_diameter`` (the longest edge),
+    ``edge_normals`` (the tangent turned clockwise), ``edge_midpoints``
+    (from ``edges`` and ``vertices``), and ``boundary_edge_mask`` and
+    ``interior_edge_mask`` (from ``edge_tris``).  They are read-only.
 
     A refined mesh also keeps its parent map and its coarse mesh; the coarse
     edge under each fine edge follows from the numbering
@@ -230,8 +230,8 @@ class Triangulation:
         return len(self.edges)
 
     @property
-    def h_max(self) -> float:
-        return float(self.h_t.max())
+    def max_diameter(self) -> float:
+        return float(self.edge_lengths.max())
 
     def edges_with_tag(self, *parts) -> np.ndarray:
         """Indices of edges whose tag is one of ``parts``."""

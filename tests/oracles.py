@@ -28,7 +28,8 @@ own triplet indices, from element stiffness matrices with the L2(S)
 weighting written out by hand, since the assembled CSR arrays must equal
 it byte for byte.  The spectrum dump of the ``reference`` command is
 checked against refining a preset from scratch and solving the finest
-level once more.
+level once more, with the largest triangle diameter of its lower bounds
+taken triangle by triangle over vertex pairs (``max_triangle_diameter``).
 
 Quadratics enter Morley interpolation as broken functions whose
 centroid-frame coefficients are written out by hand.  The mesh shape
@@ -601,7 +602,14 @@ def symmetric_from_lower_triangle(space, local):
     return (lower + strict.T).tocsr()
 
 
-def spectrum_csv_resolved(path, geometry, bc, J, target_ndof, C=1.0):
+def max_triangle_diameter(mesh):
+    """Largest distance between two vertices of one triangle."""
+    p = mesh.vertices[mesh.triangles]                       # (T, 3, 2)
+    return float(max(np.linalg.norm(p[:, i] - p[:, (i + 1) % 3], axis=1).max()
+                     for i in range(3)))
+
+
+def spectrum_csv_resolved(path, geometry, bc, J, target_ndof):
     """Spectrum CSV of the finest uniform level of a preset, made by building
     every level's space from scratch and solving the finest one again for
     ``min(max(J + 4, 8), ndof)`` pairs, with residuals and lower bounds."""
@@ -622,7 +630,7 @@ def spectrum_csv_resolved(path, geometry, bc, J, target_ndof, C=1.0):
     with open(path, "w") as fh:
         fh.write("index,eigenvalue,residual,lower_bound\n")
         for k in range(count):
-            lb = eigen.lower_bound(float(sol.eigenvalues[k]), mesh.h_max, C)
+            lb = eigen.lower_bound(float(sol.eigenvalues[k]), max_triangle_diameter(mesh))
             fh.write(f"{k + 1},{float(sol.eigenvalues[k])!r},"
                      f"{float(sol.residuals[k])!r},{lb!r}\n")
 

@@ -161,10 +161,11 @@ def test_criterion_4_clamped_square_convergence():
     slope = afem.fit_rate(ref_large.ndofs, errors)
     assert slope == pytest.approx(-1.0, abs=0.15)
 
-    h_max = np.sqrt(0.5)
+    # uniform refinement halves the largest triangle diameter, the diagonal
+    H = msh.preset_mesh("square", "clamped").max_diameter
     for lam in ref_large.values[:, 0]:
-        assert eig.lower_bound(float(lam), h_max, 1.0) <= lam_ref
-        h_max /= 2.0
+        assert eig.lower_bound(float(lam), H) <= lam_ref
+        H /= 2.0
     _report(4, f"eigenvalue rate {slope:.3f}, lower bounds below "
                f"{lam_ref:.2f} at every level", t0)
 

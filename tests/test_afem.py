@@ -25,7 +25,6 @@ class TestConfig:
         cfg = AfemConfig.from_dict({"geometry": "square", "bc": "clamped",
                                     "J": {"n": 0, "N": 1}})
         assert cfg.theta == 0.5
-        assert cfg.lower_bound_constant == 1.0
         assert cfg.buffer == 4
 
     def test_invalid_theta(self):
@@ -45,14 +44,11 @@ class TestConfig:
             AfemConfig.from_dict({"geometry": "square", "bogus": 1})
 
     @pytest.mark.parametrize("key,value", [("edge_weight", "h_F"),
-                                           ("eta2_floor", 1e-12)])
+                                           ("eta2_floor", 1e-12),
+                                           ("lower_bound_constant", 1.0)])
     def test_removed_option_keys_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             AfemConfig.from_dict({"geometry": "square", key: value})
-
-    def test_nan_lower_bound_constant(self):
-        with pytest.raises(ConfigError, match="lower-bound constant"):
-            AfemConfig(lower_bound_constant=float("nan"))
 
     def test_buffer_floor(self):
         with pytest.raises(ConfigError):
@@ -61,7 +57,7 @@ class TestConfig:
     @pytest.mark.parametrize("via,fields", [
         # constructor keywords of the wrong type or out of range
         ("init", {"max_ndof": 1.5}), ("init", {"n": True}),
-        ("init", {"lower_bound_constant": float("inf")}),
+        ("init", {"theta": float("nan")}),
         ("init", {"deterministic": "no"}), ("init", {"theta": "abc"}),
         ("init", {"mesh_file": ""}), ("init", {"bc": ("clamped", 3)}),
         # JSON documents: the window has the one spelling J, and a mesh file
@@ -81,13 +77,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             AfemConfig.from_dict({"dense_cutoff": 5})
 
+    def test_lower_bound_constant_is_no_field(self):
+        # the lower bound's constant is the theorem's, not a setting
+        assert "lower_bound_constant" not in vars(AfemConfig())
+        with pytest.raises(TypeError):
+            AfemConfig(lower_bound_constant=1.0)
+
     def test_one_check_per_field(self):
         assert list(afem._FIELDS) == [f.name for f in dataclasses.fields(AfemConfig)]
 
     def test_numpy_numbers_accepted(self):
         cfg = AfemConfig(n=np.int64(1), cluster_size=np.int64(2), max_levels=np.int32(3),
-                         max_ndof=np.int64(500), buffer=np.int64(4), theta=np.float64(0.5),
-                         lower_bound_constant=np.float64(2.0))
+                         max_ndof=np.int64(500), buffer=np.int64(4), theta=np.float64(0.5))
         assert cfg.window_indices().tolist() == [2, 3]
 
     def test_partial_J_and_null_mesh_file_accepted(self):
@@ -364,6 +365,19 @@ class TestRates:
         with pytest.raises(ValueError, match="finite positive values"):
             afem.fit_rate([1, 2, 3, 4], [1.0, 0.5, 0.25, bad])
 
+    @pytest.mark.parametrize("tail", [0, 1, 7, 100, -2, 2.5, True])
+    def test_tail_outside_the_levels_rejected(self, tail):
+        # a tail of 1 would fit a one-point "slope", one of 100 all 6 levels
+        nd = np.array([10, 20, 40, 80, 160, 320])
+        with pytest.raises(ValueError, match="tail must be an integer from 2 to 6"):
+            afem.fit_rate(nd, 1.0 / nd, ndof0=0, tail=tail)
+
+    @pytest.mark.parametrize("tail", [2, 6, np.int64(3)])
+    def test_tail_inside_the_levels_fits(self, tail):
+        nd = np.array([10, 20, 40, 80, 160, 320])
+        # the fit is against log(ndof - ndof0 + 1), so 1 / (ndof + 1) has slope -1
+        assert afem.fit_rate(nd, 1.0 / (nd + 1), ndof0=0, tail=tail) == pytest.approx(-1.0)
+
     def test_quantity_rate_of_a_trace(self):
         cfg = AfemConfig(geometry="square", bc="clamped", theta=0.5,
                          max_levels=6)
@@ -419,6 +433,52 @@ class TestReference:
                                          8000)
         exact = 4.0 * np.pi ** 4
         assert abs(ref.limits[0] - exact) <= max(3 * ref.uncertainties[0], 0.05)
+
+
+def _stretched_clamped_square(path):
+    # the clamped square refined twice and stretched to (8x, y/8), which
+    # keeps every area: h_T = 1/8 everywhere, but the diagonals are 2.0002 long
+    doc = msh.mesh_to_dict(msh.uniform_refine(msh.uniform_refine(
+        msh.preset_mesh("square", "clamped"))))
+    doc["vertices"] = (np.array(doc["vertices"]) * [8.0, 0.125]).tolist()
+    path.write_text(json.dumps(doc))
+
+
+class TestLowerBoundBacked:
+    """The traced lower bounds stay below a reference for the exact value."""
+
+    def test_stretched_clamped_mesh_file(self, tmp_path):
+        path = tmp_path / "stretched.json"
+        _stretched_clamped_square(path)
+        cfg = AfemConfig(mesh_file=str(path), max_levels=3, max_ndof=10 ** 6)
+        # level 0 of this mesh fails the dense path's diagonality gate
+        with patched_dense_cutoff(0):
+            tr = afem.uniform_trace(cfg)
+        lam = tr.eigenvalue_matrix()[:, 0]
+        lows = tr.column("lower_bounds")[:, 0]
+        assert tr.meshes[0].max_diameter == pytest.approx(2.0002, abs=1e-4)
+        assert lam[0] == pytest.approx(7.496, abs=1e-3)
+        # with h_max = 1/8 in place of H the formula would claim 7.442
+        assert lows[0] == pytest.approx(0.837, abs=1e-3)
+        # λ_h still grows 16-fold per level here, so the extrapolation flags
+        # itself unreliable and returns the finest value
+        limit, _, _, reliable = afem.richardson_extrapolate(lam)
+        assert not reliable
+        assert np.all(lows <= limit)
+        # a proved lower bound of the clamped λ₁: μ₁², with μ₁ = π²(8⁻² + 8²)
+        # the first Dirichlet Laplace eigenvalue of the 8 x 1/8 rectangle
+        assert np.all(lows <= (np.pi ** 2 * (8.0 ** -2 + 8.0 ** 2)) ** 2)
+
+    def test_mixed_lshape(self):
+        # the argument of eigen.lower_bound covers free and simply supported
+        # parts too, so the bound is a number, not nan
+        ref = afem.reference_eigenvalues("lshape", "mixed", [1], 12000)
+        assert ref.reliable[0]
+        tr = afem.run_afem(AfemConfig(geometry="lshape", bc="mixed", max_ndof=3000))
+        lows = tr.column("lower_bounds")[:, 0]
+        assert np.all(np.isfinite(lows)) and np.all(lows > 0)
+        assert np.all(lows <= ref.limits[0])
+        assert np.all(lows < tr.eigenvalue_matrix()[:, 0])
 
 
 class TestAngles:

@@ -67,6 +67,24 @@ class TestRun:
         assert all(r["timings"]["refine"] > 0.0 for r in per_level[:-1])
         assert per_level[-1]["timings"]["refine"] == 0.0
 
+    def test_manifest_records_the_lower_bound(self, tmp_path):
+        from plate_afem import afem, eigen
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"geometry": "lshape", "bc": "mixed", "max_levels": 4}))
+        out = str(tmp_path / "trace.csv")
+        assert run_cli(["run", "--config", str(path), "--out", out]) == 0
+        record = json.load(open(out + ".manifest.json"))["lower_bound"]
+        # every boundary part is covered, so the run's bounds are backed
+        assert record["backed"] is True and record["kappa"] == eigen.KAPPA
+        assert record["boundary_parts"] == ["clamped", "free", "simply_supported"]
+        # the L-shape's coarse triangles have unit legs; each trace bound is
+        # the bound of its level's eigenvalue and H
+        assert record["H"][0] == 2 ** 0.5 and len(record["H"]) == 5
+        cols = afem.read_trace_csv(out)
+        assert [eigen.lower_bound(lam, H) for lam, H in zip(cols["lambda_1"], record["H"])] \
+            == cols["lower_bound_1"].tolist()
+
     def test_deterministic_manifest_zeroes_timings(self, square_config, tmp_path):
         out = str(tmp_path / "trace.csv")
         assert run_cli(["run", "--config", square_config, "--out", out,
@@ -111,10 +129,10 @@ class TestRun:
 
     @pytest.mark.parametrize("doc", [
         '{"J": 3}', '{"theta": "abc"}', '{"max_levels": "x"}', '{"bc": 5}',
-        '{"buffer": 2.5}', '{"mesh_file": 3}', '{"lower_bound_constant": NaN}',
+        '{"buffer": 2.5}', '{"mesh_file": 3}', '{"theta": NaN}',
         '{"n": true}', '{"max_ndof": 1.5}', '{"J": {"n": 0, "N": 1, "x": 2}}',
         '{"deterministic": "yes"}', '{"bc": ["clamped", 5]}',
-        '{"lower_bound_constant": Infinity}', '{"geometry": ["square"]}'])
+        '{"max_ndof": Infinity}', '{"geometry": ["square"]}'])
     def test_wrongly_typed_value_exit_2(self, doc, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(doc)
@@ -136,7 +154,8 @@ class TestRun:
                         "--out", str(tmp_path / "t.csv")]) == 2
 
     @pytest.mark.parametrize("key,value", [("edge_weight", "h_F"),
-                                           ("eta2_floor", 0.0), ("dense_cutoff", 5)])
+                                           ("eta2_floor", 0.0), ("dense_cutoff", 5),
+                                           ("lower_bound_constant", 1.0)])
     def test_removed_option_key_exit_2(self, key, value, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"geometry": "square", key: value}))
@@ -251,9 +270,8 @@ class TestReference:
         # dense on the square (ndof 225)
         out, want = tmp_path / "spectrum.csv", tmp_path / "want.csv"
         assert run_cli(["reference", "--geometry", geometry, "--bc", bc,
-                        "--J", str(J), "--ndof", str(ndof),
-                        "--lower-bound-constant", "0.5", "--out", str(out)]) == 0
-        spectrum_csv_resolved(want, geometry, bc, J, ndof, C=0.5)
+                        "--J", str(J), "--ndof", str(ndof), "--out", str(out)]) == 0
+        spectrum_csv_resolved(want, geometry, bc, J, ndof)
         assert out.read_bytes() == want.read_bytes()
 
     def test_one_eigensolve_per_level(self, tmp_path, monkeypatch):
@@ -326,10 +344,7 @@ class TestOutOfRangeOptions:
 
     @pytest.mark.parametrize("args", [
         ["reference", "--J", "0"], ["reference", "--J", "-2"],
-        ["reference", "--lower-bound-constant", "-1"],
-        ["reference", "--lower-bound-constant", "nan"],
         ["helmholtz-audit", "--refine", "-1"], ["mesh-export", "--refine", "-1"],
-        ["reference", "--lower-bound-constant", "inf"],
         ["reference", "--ndof", "0"], ["reference", "--ndof", "-5"]])
     @pytest.mark.parametrize("with_out", [True, False])
     def test_rejected_up_front(self, args, with_out, tmp_path, capsys, monkeypatch):
@@ -347,6 +362,18 @@ class TestOutOfRangeOptions:
         err = capsys.readouterr().err
         assert err.startswith("invalid input: --")
         assert not out.exists()
+
+    def test_lower_bound_constant_is_no_option(self, capsys, monkeypatch):
+        from plate_afem import afem
+
+        def no_work(*_, **__):
+            raise AssertionError("work started on an unknown option")
+
+        monkeypatch.setattr(afem, "reference_eigenvalues", no_work)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["reference", "--lower-bound-constant", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lower-bound-constant" in capsys.readouterr().err
 
     def test_ndof_named_by_its_option(self, capsys):
         assert run_cli(["reference", "--ndof", "0"]) == 2

@@ -468,21 +468,26 @@ class TestAngles:
 
 
 class TestLowerBound:
-    def test_zero_constant_is_identity(self):
-        assert eig.lower_bound(7.5, 0.3, 0.0) == 7.5
-
     def test_worked_value(self):
-        assert eig.lower_bound(1.0, 1.0, 1.0) == pytest.approx(0.5)
+        assert eig.lower_bound(1.0, 1.0) == pytest.approx(1.0 / (1.0 + 0.2575 ** 2))
+
+    def test_no_constant_to_set(self):
+        # κ is the recalled Morley interpolation constant, no argument
+        assert eig.KAPPA == 0.2575
+        assert list(inspect.signature(eig.lower_bound).parameters) == ["lam_disc", "H"]
+        with pytest.raises(TypeError):
+            eig.lower_bound(1.0, 1.0, 1.0)
 
     @given(st.floats(min_value=1e-3, max_value=1e6),
            st.floats(min_value=1e-3, max_value=10.0))
     @settings(max_examples=50, deadline=None)
-    def test_monotonicity(self, lam, h):
-        b = eig.lower_bound(lam, h, 1.0)
+    def test_monotonicity(self, lam, H):
+        b = eig.lower_bound(lam, H)
         assert b <= lam
-        assert eig.lower_bound(lam * 1.5, h, 1.0) >= b
-        assert eig.lower_bound(lam, h * 1.5, 1.0) <= b
+        assert eig.lower_bound(lam * 1.5, H) >= b
+        assert eig.lower_bound(lam, H * 1.5) <= b
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            eig.lower_bound(-1.0, 1.0, 1.0)
+        for lam, H in ((-1.0, 1.0), (0.0, 1.0), (float("nan"), 1.0), (1.0, -0.5)):
+            with pytest.raises(ValueError):
+                eig.lower_bound(lam, H)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from oracles import (apply_split_recursive, edge_ancestor_map_geometric,
-                     edge_table_unique_rows, matching_neighbor_violations, min_angle,
-                     refine_nvb_recursive, similarity_classes)
+                     edge_table_unique_rows, matching_neighbor_violations,
+                     max_triangle_diameter, min_angle, refine_nvb_recursive,
+                     similarity_classes)
 from plate_afem import mesh as msh
 from plate_afem.mesh import BoundaryPart, MeshError
 
@@ -238,6 +239,12 @@ class TestEdgeDataOnRead:
             got = getattr(m, name)
             assert got.dtype == w.dtype and got.shape == w.shape, name
             assert got.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("m", _meshes_of_each_kind(),
+                             ids=["square", "lshape", "triangle", "uniform2", "nvb4"])
+    def test_max_diameter_is_the_longest_triangle_side(self, m):
+        assert "max_diameter" not in vars(m)
+        assert m.max_diameter == max_triangle_diameter(m)
 
     def test_read_only(self):
         m = msh.preset_mesh("square", "clamped")
