@@ -248,7 +248,8 @@ def run_afem(config: AfemConfig) -> AfemTrace:
 
 def uniform_trace(config: AfemConfig) -> AfemTrace:
     """Uniform-refinement counterpart of ``run_afem`` with the same records;
-    every triangle counts as marked, and only the level and ndof limits stop."""
+    every triangle counts as marked, and only the level and ndof limits stop;
+    a level whose space cannot hold the window is refined without a record."""
     return _loop(config, uniform=True)
 
 
@@ -270,6 +271,9 @@ def _loop(config, uniform):
         with _phase(timings, "build_space"):
             # rebinding drops the previous level's space before the solve
             space = build_space(mesh, space)
+        if uniform and space.ndof < config.n + config.cluster_size and level < config.max_levels:
+            mesh = uniform_refine(mesh)         # too small for the window: no record
+            continue
         record, cluster, fld = _solve_level(level, space, config, timings)
         record.solver["affine_kernel_dimension"] = rigid
         with _phase(timings, "mark"):
@@ -291,22 +295,21 @@ def _loop(config, uniform):
 # -- rates and references --------------------------------------------------
 
 
-def fit_rate(ndofs, values, ndof0=None, tail=None):
-    """Least-squares slope of log(values) against log(ndof - ndof0 + 1).
+def fit_rate(ndofs, values, tail=None):
+    """Least-squares slope of log(values) against log(ndof - ndofs[0] + 1).
 
     Uses the last ``tail`` levels, from 2 to all; by default the last half.
     """
     ndofs = np.asarray(ndofs, dtype=float)
     values = np.asarray(values, dtype=float)
-    if len(ndofs) < 4:
-        raise ValueError("need at least 4 levels to fit a rate")
+    if len(ndofs) < 4 or np.any(np.diff(ndofs) <= 0):
+        raise ValueError("need at least 4 levels of increasing ndof to fit a rate")
     if not np.all(np.isfinite(values) & (values > 0)):
         raise ValueError("rate fit requires finite positive values")
     if tail is not None and not (_INT(tail) and 2 <= tail <= len(ndofs)):
         raise ValueError(f"tail must be an integer from 2 to {len(ndofs)}, got {tail!r}")
-    ndof0 = ndofs[0] if ndof0 is None else ndof0
     k = len(ndofs) - (tail if tail is not None else len(ndofs) // 2)
-    x = np.log(ndofs[k:] - ndof0 + 1.0)
+    x = np.log(ndofs[k:] - ndofs[0] + 1.0)
     y = np.log(values[k:])
     slope, _ = np.polyfit(x, y, 1)
     return float(slope)

@@ -15,8 +15,7 @@ symmetry is exact.
 
 import numpy as np
 
-from .quadrature import SEVEN_POINT, physical_points
-from .space import MorleySpace, _hessian_components, l2s_coordinates
+from .space import _RULE_WEIGHTS, MorleySpace, _hessian_components, _rule_offsets, l2s_coordinates
 
 __all__ = [
     "assemble_stiffness",
@@ -55,7 +54,7 @@ def _local_stiffness(space, rows):
 
 def _local_mass(space, rows):
     vals = _basis_at_rule(space, rows)
-    local = np.einsum("q,tqi,tqj->tij", SEVEN_POINT.weights, vals, vals)
+    local = np.einsum("q,tqi,tqj->tij", _RULE_WEIGHTS, vals, vals)
     local *= space.mesh.areas[rows, None, None]
     return (local,)
 
@@ -71,9 +70,7 @@ def assemble_mass(space: MorleySpace) -> "scipy.sparse.csr_matrix":
 
 
 def _basis_at_rule(space, rows):
-    mesh = space.mesh
-    pts = physical_points(SEVEN_POINT, mesh.vertices[mesh.triangles[rows]])
-    d = pts - mesh.centroids[rows, None, :]
+    d = _rule_offsets(space.mesh, rows)
     mono = np.stack([np.ones_like(d[..., 0]), d[..., 0], d[..., 1],
                      d[..., 0] ** 2, d[..., 0] * d[..., 1], d[..., 1] ** 2],
                     axis=-1)                    # (T, nq, 6)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import BoundaryPart
-from .quadrature import SEVEN_POINT, physical_points
-from .space import MorleySpace, _hessian_components, _quadratic
+from .space import _RULE_WEIGHTS, MorleySpace, _hessian_components, _quadratic, _rule_offsets
 
 __all__ = ["EstimatorField", "MarkingError", "estimate", "dorfler_mark"]
 
@@ -55,9 +54,9 @@ def estimate(space: MorleySpace, cluster) -> EstimatorField:
     # volume residual: h_T^4 * int_T (lambda u)^2, exact for quadratics;
     # lambda^2 through pow, as a float64 scalar squares (an array's ** 2
     # multiplies, which differs in the last bit for some lambda)
-    d = physical_points(SEVEN_POINT, mesh.vertices[mesh.triangles]) - mesh.centroids[:, None]
+    d = _rule_offsets(mesh)
     vals = _quadratic(np.moveaxis(coeffs, -1, 0)[..., None], d[..., 0], d[..., 1])
-    int_u2 = np.einsum("q,ntq->nt", SEVEN_POINT.weights, vals ** 2) * mesh.areas
+    int_u2 = np.einsum("q,ntq->nt", _RULE_WEIGHTS, vals ** 2) * mesh.areas
     volume = mesh.areas ** 2 * np.float_power(lams, 2)[:, None] * int_u2
 
     # tangential Hessian jumps, constant per edge

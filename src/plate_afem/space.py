@@ -1,4 +1,4 @@
-"""Morley finite element space: DOF tables, local bases, interpolation.
+"""Morley finite element space: DOF tables, local bases, the 7-point rule, interpolation.
 
 Degrees of freedom are point values at the vertices and mean normal
 derivatives over the edges, signed by each edge's fixed global normal.
@@ -94,6 +94,33 @@ def _quadratic(c, dx, dy):
     # the one evaluation order, so values and re-centred frames agree bitwise
     return (c[0] + c[1] * dx + c[2] * dy + c[3] * dx ** 2 + c[4] * dx * dy
             + c[5] * dy ** 2)
+
+
+def _seven_point_rule():
+    # barycentric points, and weights summing to one, exact to degree 5 (the
+    # products of two quadratics): the centroid with weight 9/40, then the
+    # orbits of a = (6 -+ sqrt 15)/21 with weights (155 -+ sqrt 15)/1200
+    r = np.sqrt(15.0)
+    pts, wts = [[1.0 / 3.0] * 3], [9.0 / 40.0]
+    for a, w in (((6.0 - r) / 21.0, (155.0 - r) / 1200.0),
+                 ((6.0 + r) / 21.0, (155.0 + r) / 1200.0)):
+        b = 1.0 - 2.0 * a
+        pts += [[b, a, a], [a, b, a], [a, a, b]]
+        wts += [w] * 3
+    pts, wts = np.array(pts), np.array(wts)
+    pts.setflags(write=False)
+    wts.setflags(write=False)
+    return pts, wts
+
+
+_RULE_POINTS, _RULE_WEIGHTS = _seven_point_rule()
+
+
+def _rule_offsets(mesh, rows=slice(None)):
+    """(T, 7, 2) offsets of the rule points from the centroids of the
+    triangles ``rows``: the frame that ``_quadratic`` evaluates in."""
+    return (np.einsum("qi,...id->...qd", _RULE_POINTS, mesh.vertices[mesh.triangles[rows]])
+            - mesh.centroids[rows, None])
 
 
 def _p1_gradients(mesh, rows=slice(None)):

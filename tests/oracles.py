@@ -36,7 +36,9 @@ centroid-frame coefficients are written out by hand.  The mesh shape
 diagnostics (minimum angle, similarity classes, the matching-neighbour
 condition) and the edge-normal flip behind the sign-convention checks
 live here because only tests use them, as do the quadrature rules of
-other degrees than the library's 7-point rule (``triangle_rule``).  The
+other degrees than the library's 7-point rule (``triangle_rule``) and the
+barycentric monomial self-test that checks every rule, the library's
+included, against the exact means (``_selftest``).  The
 affine-kernel dimension is checked against numpy's ``matrix_rank``
 tolerance, in place of the relative 1e-10 rule read off the library's SVD.
 ``patched_dense_cutoff`` is no oracle: it forces the eigensolver's path
@@ -47,6 +49,7 @@ import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -146,15 +149,15 @@ def estimate_per_member(space, cluster):
     minus-side edge terms scattered by two in-order ``np.add.at`` calls."""
     from plate_afem.estimator import EstimatorField
     from plate_afem.mesh import BoundaryPart
-    from plate_afem.quadrature import SEVEN_POINT, physical_points
     from plate_afem.space import hessians
 
     mesh = space.mesh
     vectors = np.atleast_2d(np.asarray(cluster.vectors, dtype=float))
     lams = np.asarray(cluster.eigenvalues, dtype=float)
 
-    pts = physical_points(SEVEN_POINT, mesh.vertices[mesh.triangles]).reshape(-1, 2)
-    tri_of_point = np.repeat(np.arange(mesh.num_triangles), len(SEVEN_POINT.weights))
+    rule = triangle_rule(5)
+    pts = np.einsum("qi,tid->tqd", rule.points, mesh.vertices[mesh.triangles]).reshape(-1, 2)
+    tri_of_point = np.repeat(np.arange(mesh.num_triangles), len(rule.weights))
     eta2 = np.zeros(mesh.num_triangles)
     interior_or_clamped = ((mesh.edge_tags == BoundaryPart.INTERIOR)
                            | (mesh.edge_tags == BoundaryPart.CLAMPED))
@@ -165,7 +168,7 @@ def estimate_per_member(space, cluster):
         bf = space.to_broken(u)
         # volume residual: h_T^4 * int_T (lambda u)^2, exact for quadratics
         vals = bf.value(tri_of_point, pts).reshape(mesh.num_triangles, -1)
-        int_u2 = np.einsum("q,tq->t", SEVEN_POINT.weights, vals ** 2) * mesh.areas
+        int_u2 = np.einsum("q,tq->t", rule.weights, vals ** 2) * mesh.areas
         eta2 += mesh.areas ** 2 * lam ** 2 * int_u2
 
         # tangential Hessian jumps, constant per edge
@@ -205,6 +208,26 @@ def duffy_rule(n):
     return pts, wts
 
 
+def _monomial_mean(a, b, c):
+    # mean over a triangle of lam1^a lam2^b lam3^c
+    return 2.0 * factorial(a) * factorial(b) * factorial(c) / factorial(a + b + c + 2)
+
+
+def _selftest(points, weights, degree, tol=5e-13):
+    """Raise AssertionError unless the barycentric rule gives the exact mean
+    of every barycentric monomial up to ``degree``."""
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            for c in range(degree - a - b + 1):
+                val = np.sum(weights * points[:, 0] ** a * points[:, 1] ** b * points[:, 2] ** c)
+                ref = _monomial_mean(a, b, c)
+                if abs(val - ref) > tol * max(1.0, abs(ref)):
+                    raise AssertionError(
+                        f"quadrature self-test failed for monomial ({a},{b},{c}): "
+                        f"{val} vs {ref}"
+                    )
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Barycentric points, weights (summing to 1) and verified exactness degree."""
@@ -218,8 +241,8 @@ class QuadratureRule:
 def triangle_rule(degree: int) -> QuadratureRule:
     """A rule exact for polynomials up to ``degree``: the edge midpoints up to
     degree 2, the library's 7-point rule up to 5 and a collapsed Gauss rule
-    beyond, each passing the library's monomial self-test."""
-    from plate_afem.quadrature import SEVEN_POINT, _selftest
+    beyond, each passing the barycentric monomial self-test."""
+    from plate_afem.space import _RULE_POINTS, _RULE_WEIGHTS
 
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -228,7 +251,7 @@ def triangle_rule(degree: int) -> QuadratureRule:
         w = np.full(3, 1.0 / 3.0)
         actual = 2
     elif degree <= 5:
-        pts, w, actual = SEVEN_POINT.points, SEVEN_POINT.weights, 5
+        pts, w, actual = _RULE_POINTS, _RULE_WEIGHTS, 5
     else:
         # the Jacobian raises the required 1d exactness by one
         pts, w = duffy_rule((degree + 3) // 2)

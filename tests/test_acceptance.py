@@ -190,6 +190,27 @@ def test_criterion_5_afem_optimality_proxy():
                f"{slope_uniform:.3f}", t0)
 
 
+def test_criterion_5_cluster_afem_optimality_proxy():
+    """Criterion 5 for the paper's cluster case: the window J={2,3} of the
+    mixed L-shape."""
+    t0 = time.time()
+    cfg = afem.AfemConfig(geometry="lshape", bc="mixed", n=1, cluster_size=2,
+                          theta=0.5, max_levels=40, max_ndof=15000)
+    adaptive = afem.run_afem(cfg)
+    slope_adaptive = afem.fit_rate(adaptive.ndofs,
+                                   adaptive.column("eta2_total"), tail=6)
+    cfg_uniform = afem.AfemConfig(geometry="lshape", bc="mixed", n=1,
+                                  cluster_size=2, max_levels=7,
+                                  max_ndof=15000)
+    uniform = afem.uniform_trace(cfg_uniform)
+    slope_uniform = afem.fit_rate(uniform.ndofs,
+                                  uniform.column("eta2_total"))
+    assert slope_adaptive <= -0.85
+    assert slope_adaptive <= slope_uniform - 0.2
+    _report("5c", f"J={{2,3}} adaptive slope {slope_adaptive:.3f} vs uniform "
+                  f"{slope_uniform:.3f}", t0)
+
+
 def test_criterion_6_efficiency_band():
     """Estimator-to-error ratio stays inside the recorded band."""
     t0 = time.time()

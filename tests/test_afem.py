@@ -342,18 +342,31 @@ class TestTraceMemory:
 class TestRates:
     def test_synthetic_inverse_ndof(self):
         nd = np.array([10, 20, 40, 80, 160, 320])
-        vals = 1.0 / nd
-        slope = afem.fit_rate(nd, vals, ndof0=0)
+        # the fit is against log(ndof - ndofs[0] + 1)
+        vals = 1.0 / (nd - nd[0] + 1)
+        slope = afem.fit_rate(nd, vals)
         assert slope == pytest.approx(-1.0, abs=0.01)
 
     def test_synthetic_constant(self):
         nd = np.array([10, 20, 40, 80, 160])
-        slope = afem.fit_rate(nd, np.full(5, 3.14), ndof0=0)
+        slope = afem.fit_rate(nd, np.full(5, 3.14))
         assert slope == pytest.approx(0.0, abs=1e-12)
+
+    def test_ndof0_is_no_option(self):
+        # the fit always starts from the first level's ndof
+        with pytest.raises(TypeError, match="ndof0"):
+            afem.fit_rate([10, 20, 40, 80], [1.0, 0.5, 0.25, 0.125], ndof0=0)
 
     def test_too_few_levels(self):
         with pytest.raises(ValueError):
             afem.fit_rate([1, 2, 3], [1.0, 0.5, 0.25])
+
+    @pytest.mark.parametrize("nd", [[320, 160, 80, 40, 20, 10], [10, 20, 20, 40]])
+    def test_ndofs_must_increase(self, nd):
+        # an ndof below the first would put log(ndof - ndofs[0] + 1) at or
+        # below zero; ndofs that do not increase fail up front, not in LAPACK
+        with pytest.raises(ValueError, match="increasing ndof"):
+            afem.fit_rate(nd, [1.0] * len(nd))
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -370,13 +383,14 @@ class TestRates:
         # a tail of 1 would fit a one-point "slope", one of 100 all 6 levels
         nd = np.array([10, 20, 40, 80, 160, 320])
         with pytest.raises(ValueError, match="tail must be an integer from 2 to 6"):
-            afem.fit_rate(nd, 1.0 / nd, ndof0=0, tail=tail)
+            afem.fit_rate(nd, 1.0 / (nd - nd[0] + 1), tail=tail)
 
     @pytest.mark.parametrize("tail", [2, 6, np.int64(3)])
     def test_tail_inside_the_levels_fits(self, tail):
         nd = np.array([10, 20, 40, 80, 160, 320])
-        # the fit is against log(ndof - ndof0 + 1), so 1 / (ndof + 1) has slope -1
-        assert afem.fit_rate(nd, 1.0 / (nd + 1), ndof0=0, tail=tail) == pytest.approx(-1.0)
+        # the fit is against log(ndof - ndofs[0] + 1), so 1 / (ndof - ndofs[0] + 1)
+        # has slope -1
+        assert afem.fit_rate(nd, 1.0 / (nd - nd[0] + 1), tail=tail) == pytest.approx(-1.0)
 
     def test_quantity_rate_of_a_trace(self):
         cfg = AfemConfig(geometry="square", bc="clamped", theta=0.5,
@@ -424,6 +438,34 @@ class TestReference:
         assert ref.reliable[0]
         assert 1200 < ref.limits[0] < 1400
         assert ref.uncertainties[0] < 100
+
+    def test_level_0_that_holds_the_window_is_kept(self):
+        # the clamped square's level-0 space has one DOF, enough for J={1}:
+        # every level is recorded, and the limit is the one before levels that
+        # cannot hold the window were skipped
+        ref = afem.reference_eigenvalues("square", "clamped", [1], 20000)
+        assert ref.ndofs.tolist() == [1, 9, 49, 225, 961, 3969, 16129, 65025]
+        assert ref.limits[0] == pytest.approx(1294.960045408784, rel=1e-12)
+
+    @pytest.mark.parametrize("n,N,first", [(0, 1, 1), (0, 3, 1), (2, 2, 2)])
+    def test_levels_that_cannot_hold_the_window_are_skipped(self, n, N, first):
+        # the clamped triangle has no free DOF at level 0 and 3 at level 1;
+        # a skipped level is refined, unsolved and unrecorded
+        cfg = AfemConfig(geometry="triangle", bc="clamped", n=n, cluster_size=N,
+                         max_levels=3)
+        tr = afem.uniform_trace(cfg)
+        assert [r.level for r in tr.levels] == list(range(first, 4))
+        assert tr.ndofs.tolist() == [3, 21, 105][first - 1:]
+        want = msh.preset_mesh("triangle", "clamped")
+        for _ in range(first):
+            want = msh.uniform_refine(want)
+        assert msh.mesh_hash(tr.meshes[0]) == msh.mesh_hash(want)
+
+    def test_skipping_stops_at_max_levels(self):
+        cfg = AfemConfig(geometry="triangle", bc="clamped", n=2, cluster_size=2,
+                         max_levels=1)
+        with pytest.raises(EigenError, match="space too small: ndof=3"):
+            afem.uniform_trace(cfg)
 
     def test_simply_supported_square_matches_series_value(self):
         # the first simply supported eigenvalue on the unit square is

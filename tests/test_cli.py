@@ -249,6 +249,22 @@ class TestRates:
                         "--reference", "1294.96"]) == 0
 
 
+def _solved_ndofs(argv, monkeypatch):
+    # the dimension of every eigensolve of one successful CLI call
+    from plate_afem import eigen
+
+    solve, ndofs = eigen.solve_gevp, []
+
+    def counting(A, M, count, **kwargs):
+        ndofs.append(A.shape[0])
+        return solve(A, M, count, **kwargs)
+
+    monkeypatch.setattr(eigen, "solve_gevp", counting)
+    assert run_cli(argv) == 0
+    monkeypatch.undo()
+    return ndofs
+
+
 class TestReference:
     def test_reference_with_spectrum_dump(self, tmp_path, capsys):
         out = str(tmp_path / "spectrum.csv")
@@ -275,21 +291,30 @@ class TestReference:
         assert out.read_bytes() == want.read_bytes()
 
     def test_one_eigensolve_per_level(self, tmp_path, monkeypatch):
-        from plate_afem import afem, eigen
+        from plate_afem import afem
 
-        solve, ndofs = eigen.solve_gevp, []
-
-        def counting(A, M, count, **kwargs):
-            ndofs.append(A.shape[0])
-            return solve(A, M, count, **kwargs)
-
-        monkeypatch.setattr(eigen, "solve_gevp", counting)
-        assert run_cli(["reference", "--geometry", "lshape", "--bc", "mixed",
-                        "--J", "2", "--ndof", "800",
-                        "--out", str(tmp_path / "spectrum.csv")]) == 0
-        monkeypatch.undo()
+        ndofs = _solved_ndofs(["reference", "--geometry", "lshape", "--bc", "mixed",
+                               "--J", "2", "--ndof", "800",
+                               "--out", str(tmp_path / "spectrum.csv")], monkeypatch)
         ref = afem.reference_eigenvalues("lshape", "mixed", [1, 2], 800)
         assert ndofs == list(ref.ndofs)
+
+    @pytest.mark.parametrize("J", [1, 3])
+    def test_clamped_triangle_starts_after_its_empty_level_0(self, J, capsys):
+        # level 0 has no free DOF, so the sequence starts at level 1
+        assert run_cli(["reference", "--geometry", "triangle", "--bc", "clamped",
+                        "--J", str(J)]) == 0
+        out = capsys.readouterr().out
+        assert all(f"lambda_{j}: extrapolated" in out for j in range(1, J + 1))
+
+    def test_skipped_levels_are_not_solved(self, tmp_path, monkeypatch):
+        from plate_afem import afem
+
+        ndofs = _solved_ndofs(["reference", "--geometry", "triangle", "--bc", "clamped",
+                               "--J", "3", "--ndof", "800",
+                               "--out", str(tmp_path / "spectrum.csv")], monkeypatch)
+        ref = afem.reference_eigenvalues("triangle", "clamped", [1, 2, 3], 800)
+        assert ndofs == list(ref.ndofs) and ndofs[0] == 3
 
 
 class TestHelmholtzAudit:
